@@ -199,6 +199,33 @@ class DiffGraph:
         """Value passes through; gradients do not."""
         return self._record("stop_grad", (a,), a.data)
 
+    # ---- fused retrieval ----
+
+    def hopfield(self, xi, nu, gamma: float, steps: int) -> Tensor:
+        """`steps` damped Hopfield updates of xi (d, N) toward nu (d, M).
+
+        One node for x <- x*(1-gamma) + (nu @ softmax_cols(nu^T x))*gamma,
+        computed with the op-by-op tape's expressions in its order, so
+        the value and both adjoints match that tape bit for bit. Every
+        step's (x, attention) is kept for the VJP.
+        """
+        self._same_graph(xi, nu)
+        if xi.rows != nu.rows:
+            raise ContractError(f"hopfield shape mismatch: {xi.shape} vs {nu.shape}")
+        if steps < 1:
+            raise ContractError(f"hopfield needs steps >= 1, got {steps}")
+        gamma = float(gamma)
+        nu_t = nu.data.T.copy()
+        x = xi.data
+        saved = []
+        for _ in range(steps):
+            attn = numeric.softmax_cols(nu_t @ x)
+            saved.append((x, attn))
+            x = x * (1.0 - gamma) + (nu.data @ attn) * gamma
+        # one input slot per adjoint term, in the op-by-op reverse order
+        inputs = (nu, nu) * (steps - 1) + (nu, xi, xi, nu)
+        return self._record("hopfield", inputs, x, aux=(gamma, nu_t, saved))
+
     # ---- reverse pass ----
 
     def backward(self, output: Tensor) -> list:
@@ -212,6 +239,9 @@ class DiffGraph:
                 f"backward needs a scalar output, got shape {output.data.shape}"
             )
         grads = [None] * len(self.nodes)
+        # vjps may hand back g itself or a view of it, so a first adjoint is
+        # borrowed and never written; only sums allocated here grow in place
+        owned = [False] * len(self.nodes)
         grads[output.nid] = np.ones((1, 1))
         for nid in range(output.nid, -1, -1):
             g = grads[nid]
@@ -222,10 +252,12 @@ class DiffGraph:
                 if ig is None:
                     continue
                 if grads[iid] is None:
-                    # vjps may hand back g itself; copy before accumulating
-                    grads[iid] = ig.copy()
-                else:
+                    grads[iid] = ig
+                elif owned[iid]:
                     grads[iid] += ig
+                else:
+                    grads[iid] = grads[iid] + ig
+                    owned[iid] = True
         return grads
 
     def _vjp(self, node, g):
@@ -270,7 +302,27 @@ class DiffGraph:
             return (np.full(ins[0].data.shape, g[0, 0]),)
         if op == "stop_grad":
             return (None,)
+        if op == "hopfield":
+            return self._hopfield_vjp(node, g)
         raise AssertionError(f"no vjp for op {op!r}")
+
+    def _hopfield_vjp(self, node, g):
+        """Adjoint terms in the order of the node's input slots."""
+        gamma, nu_t, saved = node.aux
+        nu = self.nodes[node.inputs[0]].data
+        terms = []
+        for k in range(len(saved) - 1, -1, -1):
+            x, attn = saved[k]
+            gm = g * gamma
+            ga = nu.T @ gm
+            gs = attn * (ga - np.sum(ga * attn, axis=0, keepdims=True))
+            terms.append(gm @ attn.T)
+            if k == 0:
+                terms += [g * (1.0 - gamma), nu_t.T @ gs, (gs @ x.T).T]
+            else:
+                terms.append((gs @ x.T).T)
+                g = g * (1.0 - gamma) + nu_t.T @ gs
+        return terms
 
 
 # ---- generic helpers usable on Tensors or plain arrays ----

@@ -8,11 +8,11 @@ named after config keys override values from --config files.
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .config import CONFIG_KEYS, RunConfig, load_config
+from .config import _FIELD_TYPES, CONFIG_KEYS, RunConfig, load_config
 from .fusion import PatternPair, hopfield_energy, hopfield_update
 from .metrics import build_data, run_experiment
 from .numeric import ContractError
@@ -21,8 +21,6 @@ from .sweep import SWEEP_AXES, sweep, write_loss_trace_csv, write_metrics_csv
 from .tensor_io import dump_tensor
 from .train import TrainingDiverged
 from .verify import run_verification
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _float_list(text: str) -> list:

@@ -4,6 +4,8 @@ One task's feature columns (input patterns) descend the Hopfield energy
 toward the other task's feature columns (stored patterns), then the two
 are fused by direct addition or a learned sigmoid gate. Functions accept
 plain arrays or DiffGraph tensors, so the same code path is trainable.
+On graph tensors the damped update is recorded as one fused tape node
+(DiffGraph.hopfield); on plain arrays it runs the numpy loop.
 """
 
 from dataclasses import dataclass
@@ -83,6 +85,8 @@ def _update(xi, nu, gamma: float, steps: int):
     """Damped retrieval update applied to every column of xi at once."""
     if gamma == 0.0 or steps == 0:
         return xi
+    if isinstance(xi, Tensor) and isinstance(nu, Tensor):
+        return xi.graph.hopfield(xi, nu, gamma, steps)
     for _ in range(steps):
         attn = softmax_cols(matmul(transpose(nu), xi))
         xi = xi * (1.0 - gamma) + matmul(nu, attn) * gamma

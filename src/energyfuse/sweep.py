@@ -3,8 +3,9 @@
 Every run is independent (fresh data, fresh model), rows are ordered by
 (axis value, seed) no matter how runs are scheduled, and floats are
 printed at 17 significant digits, so rerunning a sweep reproduces
-metrics.csv byte for byte. A run that raises is kept as a row of nan
-metrics and the sweep moves on.
+metrics.csv byte for byte. A run that breaks a contract, diverges or
+hits a floating-point error is kept as a row of nan metrics and the
+sweep moves on; any other exception is a bug and propagates.
 """
 
 import sys
@@ -14,6 +15,7 @@ from .config import CONFIG_KEYS, RunConfig, config_echo
 from .metrics import MetricsRow, run_experiment
 from .numeric import ContractError
 from .tensor_io import format_value
+from .train import TrainingDiverged
 
 SWEEP_AXES = {
     "gamma": "gamma",
@@ -118,7 +120,7 @@ def sweep(base: RunConfig, axis: str, values: list, seeds: list) -> list:
             cfg = replace(base, **{key: value, "seed": int(seed)})
             try:
                 row, _ = run_experiment(cfg, run_id)
-            except Exception as err:  # record the failure, keep sweeping
+            except (ContractError, TrainingDiverged, FloatingPointError) as err:
                 row = _failure_row(cfg, run_id, err)
             rows.append(row)
     return rows

@@ -94,6 +94,7 @@ OPS = [
     ("abs", lambda g, x, y: g.abs(x)),
     ("softmax_cols", lambda g, x, y: g.softmax_cols(x)),
     ("lse_cols", lambda g, x, y: g.lse_cols(x)),
+    ("hopfield", lambda g, x, y: g.hopfield(x, y, 0.7, 2)),
 ]
 
 
@@ -171,3 +172,60 @@ def test_backward_visits_each_node_once_via_accumulation():
     out = g.sum(g.add(g.mul(x, x), g.scale(x, 5.0)))  # x^2 + 5x
     grads = g.backward(out)
     np.testing.assert_allclose(grads[x.nid], [[2 * 3.0 + 5.0]], atol=1e-15)
+
+
+def _unfused_hopfield(g, xi, nu, gamma, steps):
+    """The damped update op by op, as the tape recorded it before fusion."""
+    x = xi
+    for _ in range(steps):
+        attn = g.softmax_cols(g.matmul(g.transpose(nu), x))
+        x = g.add(g.scale(x, 1.0 - gamma), g.scale(g.matmul(nu, attn), gamma))
+    return x
+
+
+def test_fused_hopfield_matches_unfused_chain_bit_for_bit():
+    """Value and both adjoints equal the op-by-op tape exactly, with xi
+    and nu also feeding consumers after the update."""
+    rng = np.random.default_rng(6)
+    d, n = 6, 10
+    xi0 = rng.normal(size=(d, n))
+    nu0 = rng.normal(size=(d, n))
+    readout = rng.normal(size=(d, n))
+    for steps in (1, 2, 8):
+        for gamma in (0.3, 1.0):
+            results = []
+            for fused in (True, False):
+                g = DiffGraph()
+                xi = g.tanh(g.leaf(xi0))
+                nu = g.tanh(g.leaf(nu0))
+                if fused:
+                    out = g.hopfield(xi, nu, gamma, steps)
+                else:
+                    out = _unfused_hopfield(g, xi, nu, gamma, steps)
+                total = g.add(g.add(out, nu), g.mul(xi, g.constant(readout)))
+                grads = g.backward(g.sum(g.mul(total, g.constant(readout))))
+                results.append((out.data, grads[xi.nid], grads[nu.nid]))
+            for got, want in zip(*results):
+                assert np.array_equal(got, want), (steps, gamma)
+
+
+def test_backward_never_writes_into_a_borrowed_adjoint():
+    """add, shift and transpose hand back g or a view of it; x feeds three
+    consumers (add twice), so its adjoint is a sum that must not land in
+    theirs."""
+    g = DiffGraph()
+    xv = np.array([[1.0, 2.0], [3.0, 4.0]])
+    w = np.array([[0.5, -1.0], [2.0, 0.25]])
+    x = g.leaf(xv)
+    a = g.add(x, x)
+    s = g.shift(x, 1.5)
+    t = g.transpose(x)
+    tt = g.transpose(t)
+    total = g.add(g.add(a, s), tt)
+    out = g.sum(g.mul(total, g.constant(w)))
+    grads = g.backward(out)
+    # every consumer's adjoint is w (tt: w, t: w.T); x collects 2w + w + w
+    for node in (total, a, s, tt):
+        np.testing.assert_array_equal(grads[node.nid], w)
+    np.testing.assert_array_equal(grads[t.nid], w.T)
+    np.testing.assert_array_equal(grads[x.nid], 4.0 * w)

@@ -1,5 +1,7 @@
 """Tests for tensor dumps, config parsing, CSV output, and the CLI."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,17 @@ def test_sweep_keeps_going_after_a_failed_run(tmp_path, capsys):
     body = path.read_text(encoding="utf-8").splitlines()
     assert len(body) == 3
     assert ",nan," in body[1]
+
+
+def test_sweep_raises_on_a_programming_error(monkeypatch):
+    def broken(cfg, run_id):
+        raise TypeError("injected bug")
+
+    # the package re-exports the function `sweep`, which shadows the module
+    sweep_module = importlib.import_module("energyfuse.sweep")
+    monkeypatch.setattr(sweep_module, "run_experiment", broken)
+    with pytest.raises(TypeError, match="injected bug"):
+        sweep(RunConfig(), "gamma", [1.0], [0])
 
 
 def test_sweep_rejects_unknown_axis():
