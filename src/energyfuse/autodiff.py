@@ -5,6 +5,8 @@ value). Inputs always precede consumers on the tape, so one reverse scan
 visits each node exactly once and accumulates exact adjoints.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from . import numeric
@@ -41,15 +43,9 @@ class Tensor:
     # keep numpy from taking over mixed expressions; reflected ops run instead
     __array_ufunc__ = None
 
-    def _coerce(self, other):
-        """Plain arrays become graph constants so mixed arithmetic works."""
-        if isinstance(other, np.ndarray):
-            return self.graph.constant(other)
-        return other
-
     # arithmetic sugar; scalars route through scale / shift
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self.graph._lift(other)
         if isinstance(other, Tensor):
             return self.graph.add(self, other)
         return self.graph.shift(self, float(other))
@@ -58,7 +54,7 @@ class Tensor:
         return self.__add__(other)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = self.graph._lift(other)
         if isinstance(other, Tensor):
             return self.graph.sub(self, other)
         return self.graph.shift(self, -float(other))
@@ -67,7 +63,7 @@ class Tensor:
         return self.graph.scale(self, -1.0).__add__(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = self.graph._lift(other)
         if isinstance(other, Tensor):
             return self.graph.mul(self, other)
         return self.graph.scale(self, float(other))
@@ -113,6 +109,10 @@ class DiffGraph:
         """Data that participates in values but never needs a gradient."""
         return self._record("const", (), as_matrix(value).copy())
 
+    def _lift(self, x):
+        """Plain arrays become constants; tensors and scalars pass through."""
+        return self.constant(x) if isinstance(x, np.ndarray) else x
+
     def _same_graph(self, *ts):
         for t in ts:
             if t.graph is not self:
@@ -146,6 +146,7 @@ class DiffGraph:
 
     def add_col(self, a, b) -> Tensor:
         """a (K, N) plus a column vector b (K, 1) broadcast over columns."""
+        a, b = self._lift(a), self._lift(b)
         self._same_graph(a, b)
         if b.cols != 1 or a.rows != b.rows:
             raise ContractError(f"add_col shapes: {a.shape} vs {b.shape}")
@@ -153,12 +154,14 @@ class DiffGraph:
 
     def sub_row(self, a, b) -> Tensor:
         """a (K, N) minus a row vector b (1, N) broadcast over rows."""
+        a, b = self._lift(a), self._lift(b)
         self._same_graph(a, b)
         if b.rows != 1 or a.cols != b.cols:
             raise ContractError(f"sub_row shapes: {a.shape} vs {b.shape}")
         return self._record("sub_row", (a, b), a.data - b.data)
 
     def matmul(self, a, b) -> Tensor:
+        a, b = self._lift(a), self._lift(b)
         self._same_graph(a, b)
         if a.cols != b.rows:
             raise ContractError(f"matmul shape mismatch: {a.shape} x {b.shape}")
@@ -204,10 +207,10 @@ class DiffGraph:
     def hopfield(self, xi, nu, gamma: float, steps: int) -> Tensor:
         """`steps` damped Hopfield updates of xi (d, N) toward nu (d, M).
 
-        One node for x <- x*(1-gamma) + (nu @ softmax_cols(nu^T x))*gamma,
-        computed with the op-by-op tape's expressions in its order, so
-        the value and both adjoints match that tape bit for bit. Every
-        step's (x, attention) is kept for the VJP.
+        One node for the whole of hopfield_steps, whose expressions are
+        the op-by-op tape's in its order, so the value and both adjoints
+        match that tape bit for bit. Every step's (x, attention) is kept
+        for the VJP.
         """
         self._same_graph(xi, nu)
         if xi.rows != nu.rows:
@@ -215,16 +218,11 @@ class DiffGraph:
         if steps < 1:
             raise ContractError(f"hopfield needs steps >= 1, got {steps}")
         gamma = float(gamma)
-        nu_t = nu.data.T.copy()
-        x = xi.data
         saved = []
-        for _ in range(steps):
-            attn = numeric.softmax_cols(nu_t @ x)
-            saved.append((x, attn))
-            x = x * (1.0 - gamma) + (nu.data @ attn) * gamma
+        x = hopfield_steps(xi.data, nu.data, gamma, steps, saved)
         # one input slot per adjoint term, in the op-by-op reverse order
         inputs = (nu, nu) * (steps - 1) + (nu, xi, xi, nu)
-        return self._record("hopfield", inputs, x, aux=(gamma, nu_t, saved))
+        return self._record("hopfield", inputs, x, aux=(gamma, saved))
 
     # ---- reverse pass ----
 
@@ -308,8 +306,11 @@ class DiffGraph:
 
     def _hopfield_vjp(self, node, g):
         """Adjoint terms in the order of the node's input slots."""
-        gamma, nu_t, saved = node.aux
+        gamma, saved = node.aux
         nu = self.nodes[node.inputs[0]].data
+        # Fortran-ordered nu: the layout the unfused tape's VJP multiplied
+        # by (a transpose of a transposed copy), so sums match it bit for bit
+        nu_f = np.asfortranarray(nu)
         terms = []
         for k in range(len(saved) - 1, -1, -1):
             x, attn = saved[k]
@@ -318,98 +319,54 @@ class DiffGraph:
             gs = attn * (ga - np.sum(ga * attn, axis=0, keepdims=True))
             terms.append(gm @ attn.T)
             if k == 0:
-                terms += [g * (1.0 - gamma), nu_t.T @ gs, (gs @ x.T).T]
+                terms += [g * (1.0 - gamma), nu_f @ gs, (gs @ x.T).T]
             else:
                 terms.append((gs @ x.T).T)
-                g = g * (1.0 - gamma) + nu_t.T @ gs
+                g = g * (1.0 - gamma) + nu_f @ gs
         return terms
 
 
-# ---- generic helpers usable on Tensors or plain arrays ----
+def hopfield_steps(xi, nu, gamma: float, steps: int, saved: list = None):
+    """x <- x*(1-gamma) + (nu @ softmax_cols(nu^T x))*gamma, `steps` times,
+    on ndarrays; each step's (x, attention) is appended to `saved`."""
+    nu_t = nu.T.copy()
+    x = xi
+    for _ in range(steps):
+        attn = numeric.softmax_cols(nu_t @ x)
+        if saved is not None:
+            saved.append((x, attn))
+        x = x * (1.0 - gamma) + (nu @ attn) * gamma
+    return x
 
 
-def _lift(graph, x):
-    return x if isinstance(x, Tensor) else graph.constant(x)
+# DiffGraph's op names computed on plain arrays, recording nothing
+ARRAY_OPS = SimpleNamespace(
+    matmul=numeric.matmul,
+    transpose=lambda a: np.asarray(a).T,
+    softmax_cols=numeric.softmax_cols,
+    lse_cols=numeric.lse_cols,
+    sub_row=lambda a, b: np.asarray(a) - np.asarray(b),
+    add_col=lambda a, b: np.asarray(a) + np.asarray(b),
+    tanh=np.tanh,
+    sigmoid=numeric.sigmoid,
+    log=np.log,
+    abs=np.abs,
+    sum=lambda a: float(np.sum(a)),
+    stop_grad=lambda a: a,
+    hopfield=hopfield_steps,
+)
 
 
-def matmul(a, b):
-    if isinstance(a, Tensor):
-        return a.graph.matmul(a, _lift(a.graph, b))
-    if isinstance(b, Tensor):
-        return b.graph.matmul(_lift(b.graph, a), b)
-    return numeric.matmul(a, b)
+def ops(*xs):
+    """The graph of the first Tensor among xs, or ARRAY_OPS if none is.
 
-
-def transpose(a):
-    if isinstance(a, Tensor):
-        return a.graph.transpose(a)
-    return np.asarray(a).T
-
-
-def softmax_cols(a):
-    if isinstance(a, Tensor):
-        return a.graph.softmax_cols(a)
-    return numeric.softmax_cols(a)
-
-
-def lse_cols(a):
-    if isinstance(a, Tensor):
-        return a.graph.lse_cols(a)
-    return numeric.lse_cols(a)
-
-
-def sub_row(a, b):
-    """a (K, N) minus a row (1, N), broadcast over rows."""
-    if isinstance(a, Tensor):
-        return a.graph.sub_row(a, _lift(a.graph, b))
-    return np.asarray(a) - np.asarray(b)
-
-
-def add_col(a, b):
-    """a (K, N) plus a column (K, 1), broadcast over columns."""
-    if isinstance(a, Tensor):
-        return a.graph.add_col(a, _lift(a.graph, b))
-    if isinstance(b, Tensor):
-        return b.graph.add_col(_lift(b.graph, a), b)
-    return np.asarray(a) + np.asarray(b)
-
-
-def tanh(a):
-    if isinstance(a, Tensor):
-        return a.graph.tanh(a)
-    return np.tanh(a)
-
-
-def sigmoid(a):
-    if isinstance(a, Tensor):
-        return a.graph.sigmoid(a)
-    return numeric.sigmoid(np.asarray(a, dtype=np.float64))
-
-
-def log(a):
-    if isinstance(a, Tensor):
-        return a.graph.log(a)
-    return np.log(a)
-
-
-def absolute(a):
-    if isinstance(a, Tensor):
-        return a.graph.abs(a)
-    return np.abs(a)
-
-
-def sum_all(a):
-    """Scalar sum: a (1, 1) Tensor on a graph, a float on plain arrays."""
-    if isinstance(a, Tensor):
-        return a.graph.sum(a)
-    return float(np.sum(a))
-
-
-def detach(a):
-    """Block gradient flow on a graph; identity on plain arrays."""
-    if isinstance(a, Tensor):
-        return a.graph.stop_grad(a)
-    return a
+    A pass picks its namespace once and then calls ops by DiffGraph's
+    names, so one code path both computes and records.
+    """
+    for x in xs:
+        if isinstance(x, Tensor):
+            return x.graph
+    return ARRAY_OPS
 
 
 def raw(a) -> np.ndarray:

@@ -5,6 +5,7 @@ keys appear in config files, as CLI flags, and as the config echo
 columns of metrics.csv.
 """
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from .numeric import ContractError
@@ -35,6 +36,9 @@ class RunConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ContractError(f"{key} must be finite, got {value}")
         if self.t1 < 0 or self.t2 < 0:
             raise ContractError("t1 and t2 must be >= 0")
         if not self.lr > 0:

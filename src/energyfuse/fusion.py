@@ -2,10 +2,10 @@
 
 One task's feature columns (input patterns) descend the Hopfield energy
 toward the other task's feature columns (stored patterns), then the two
-are fused by direct addition or a learned sigmoid gate. Functions accept
-plain arrays or DiffGraph tensors, so the same code path is trainable.
-On graph tensors the damped update is recorded as one fused tape node
-(DiffGraph.hopfield); on plain arrays it runs the numpy loop.
+are fused by direct addition or a learned sigmoid gate. Each entry picks
+its op namespace once (autodiff.ops): on DiffGraph tensors the damped
+update is recorded as one fused tape node, on plain arrays the same
+hopfield_steps computes it without a tape.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from . import numeric
-from .autodiff import Tensor, matmul, sigmoid, softmax_cols, transpose
+from .autodiff import ARRAY_OPS, ops
 from .numeric import ContractError, as_matrix, lse
 
 
@@ -81,16 +81,11 @@ def hopfield_gradient(xi_col, nu) -> np.ndarray:
     return x - nu @ numeric.softmax(nu.T @ x)
 
 
-def _update(xi, nu, gamma: float, steps: int):
+def _update(o, xi, nu, gamma: float, steps: int):
     """Damped retrieval update applied to every column of xi at once."""
     if gamma == 0.0 or steps == 0:
         return xi
-    if isinstance(xi, Tensor) and isinstance(nu, Tensor):
-        return xi.graph.hopfield(xi, nu, gamma, steps)
-    for _ in range(steps):
-        attn = softmax_cols(matmul(transpose(nu), xi))
-        xi = xi * (1.0 - gamma) + matmul(nu, attn) * gamma
-    return xi
+    return o.hopfield(xi, nu, gamma, steps)
 
 
 def hopfield_update(pair: PatternPair, gamma: float, steps: int) -> np.ndarray:
@@ -99,7 +94,7 @@ def hopfield_update(pair: PatternPair, gamma: float, steps: int) -> np.ndarray:
         raise ContractError(f"gamma must be in [0, 1], got {gamma}")
     if steps < 0:
         raise ContractError(f"steps must be >= 0, got {steps}")
-    return _update(pair.xi, pair.nu, gamma, steps)
+    return _update(ARRAY_OPS, pair.xi, pair.nu, gamma, steps)
 
 
 def fuse(xi_updated, nu, params: FusionParams):
@@ -114,8 +109,9 @@ def fuse(xi_updated, nu, params: FusionParams):
         )
     if params.scheme == Scheme.ADD:
         return xi_updated + nu
-    gate = sigmoid(matmul(params.w2, xi_updated))
-    return nu + matmul(params.w1, xi_updated) * gate
+    o = ops(xi_updated, nu, params.w1, params.w2)
+    gate = o.sigmoid(o.matmul(params.w2, xi_updated))
+    return nu + o.matmul(params.w1, xi_updated) * gate
 
 
 def eb2f_apply(query_task, other_task, params: FusionParams):
@@ -129,5 +125,6 @@ def eb2f_apply(query_task, other_task, params: FusionParams):
         raise ContractError(
             f"feature shape mismatch: {query_task.shape} vs {other_task.shape}"
         )
-    xi = _update(other_task, query_task, params.gamma, params.steps)
+    o = ops(other_task, query_task)
+    xi = _update(o, other_task, query_task, params.gamma, params.steps)
     return fuse(xi, query_task, params)

@@ -4,8 +4,9 @@ Every network is a per-position map: weight matrices act on the channel
 axis of C x N feature columns, so one matmul applies the layer at all
 grid positions. Each task (segmentation, depth) owns two decoders: a
 plain one fed by its own task features and a fused one fed by the
-cross-task fusion output. Forward passes run on plain arrays or on a
-DiffGraph, whichever the caller provides.
+cross-task fusion output. A forward pass picks its op namespace once
+from the weights and features: it computes on plain arrays, or records
+on the DiffGraph that bound leaves belong to.
 """
 
 from collections import Counter
@@ -14,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import add_col, matmul, raw, tanh
+from .autodiff import ops
 from .fusion import FusionParams, Scheme, eb2f_apply
 from .numeric import ContractError
 from .rng import RngState
@@ -111,13 +112,13 @@ def bind(model: ModelParams, graph) -> dict:
     return {name: graph.leaf(arr) for name, arr in model.weights.items()}
 
 
-def _dense(w, name, x):
-    return add_col(matmul(w[name + "_w"], x), w[name + "_b"])
+def _dense(o, w, name, x):
+    return o.add_col(o.matmul(w[name + "_w"], x), w[name + "_b"])
 
 
-def _task_features(w, task, h):
-    inner = tanh(_dense(w, f"{task}_net_a", h))
-    return h + tanh(_dense(w, f"{task}_net_b", inner))
+def _task_features(o, w, task, h):
+    inner = o.tanh(_dense(o, w, f"{task}_net_a", h))
+    return h + o.tanh(_dense(o, w, f"{task}_net_b", inner))
 
 
 def forward_pass(
@@ -135,25 +136,26 @@ def forward_pass(
         raise ContractError(
             f"model expects {model.channels} channels, got {features.shape[0]}"
         )
-    h = tanh(_dense(w, "enc0", features))
-    h = tanh(_dense(w, "enc1", h))
-    f_seg = _task_features(w, "seg", h)
-    f_dep = _task_features(w, "dep", h)
+    o = ops(features, *w.values())
+    h = o.tanh(_dense(o, w, "enc0", features))
+    h = o.tanh(_dense(o, w, "enc1", h))
+    f_seg = _task_features(o, w, "seg", h)
+    f_dep = _task_features(o, w, "dep", h)
 
     fused_seg_in = eb2f_apply(f_seg, f_dep, model.fusion_params("seg", w))
     fused_dep_in = eb2f_apply(f_dep, f_seg, model.fusion_params("dep", w))
     CALL_COUNTS["seg_dec_fused"] += 1
     CALL_COUNTS["dep_dec_fused"] += 1
-    seg_fused = _dense(w, "seg_dec_fused", fused_seg_in)
-    dep_fused = _dense(w, "dep_dec_fused", fused_dep_in)
+    seg_fused = _dense(o, w, "seg_dec_fused", fused_seg_in)
+    dep_fused = _dense(o, w, "dep_dec_fused", fused_dep_in)
 
     if mode == Mode.INFER:
         return Predictions(None, seg_fused, None, dep_fused)
 
     CALL_COUNTS["seg_dec_plain"] += 1
     CALL_COUNTS["dep_dec_plain"] += 1
-    seg_plain = _dense(w, "seg_dec_plain", f_seg)
-    dep_plain = _dense(w, "dep_dec_plain", f_dep)
+    seg_plain = _dense(o, w, "seg_dec_plain", f_seg)
+    dep_plain = _dense(o, w, "dep_dec_plain", f_dep)
     return Predictions(seg_plain, seg_fused, dep_plain, dep_fused)
 
 

@@ -3,8 +3,9 @@
 Segmentation uses the energy-form negative log-likelihood (equivalent to
 softmax cross-entropy), depth uses the reverse Huber loss with a
 per-image threshold, and the composite losses stack per-branch totals
-into the supervised and overall objectives. Loss functions accept plain
-arrays or DiffGraph tensors.
+into the supervised and overall objectives. Each loss picks its op
+namespace once from its inputs (autodiff.ops): a plain-array call
+returns a float, a call on DiffGraph tensors records on their graph.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from . import numeric
-from .autodiff import absolute, lse_cols, matmul, raw, sum_all
+from .autodiff import ops, raw
 from .numeric import ContractError
 
 IGNORE = -1
@@ -84,9 +85,10 @@ def seg_nll(logits, labels) -> object:
         return 0.0
     one_hot = np.zeros((k, n))
     one_hot[used, np.nonzero(valid)[0]] = 1.0
-    picked = matmul(np.ones((1, k)), logits * one_hot)
-    lse_row = lse_cols(logits) * valid.astype(np.float64)[None, :]
-    return sum_all(lse_row - picked) * (1.0 / n_valid)
+    o = ops(logits)
+    picked = o.matmul(np.ones((1, k)), logits * one_hot)
+    lse_row = o.lse_cols(logits) * valid.astype(np.float64)[None, :]
+    return o.sum(lse_row - picked) * (1.0 / n_valid)
 
 
 def berhu_map(diff, c: float):
@@ -99,7 +101,7 @@ def berhu_map(diff, c: float):
         raise ContractError(f"berhu threshold must be >= 0, got {c}")
     if c == 0.0:
         return diff * 0.0
-    a = absolute(diff)
+    a = ops(diff).abs(diff)
     linear = raw(a) <= c
     quad = (diff * diff) * (1.0 / (2.0 * c)) + (c / 2.0)
     sel = linear.astype(np.float64)
@@ -122,7 +124,7 @@ def berhu_loss(pred, gt, c: float = None) -> object:
     if c == 0.0:
         return 0.0
     per = berhu_map(e, c)
-    return sum_all(per) * (1.0 / raw(e).size)
+    return ops(e).sum(per) * (1.0 / raw(e).size)
 
 
 def four_term_total(src_plain, src_fused, tgt_plain, tgt_fused):

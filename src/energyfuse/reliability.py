@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric
-from .autodiff import detach, lse_cols, matmul, raw, softmax_cols, sub_row, sum_all
+from .autodiff import ops, raw
 from .numeric import ContractError
 from .objectives import berhu_map
 
@@ -24,12 +24,11 @@ CALL_COUNTS = Counter()
 
 @dataclass
 class EnergyConfig:
-    tau: float = 1.0
+    """Reliability weights; the energy temperature is fixed at 1."""
+
     alpha: float = 0.001
 
     def __post_init__(self):
-        if self.tau != 1.0:
-            raise ContractError("temperature is fixed at 1.0")
         if not self.alpha > 0:
             raise ContractError(f"alpha must be positive, got {self.alpha}")
 
@@ -60,7 +59,7 @@ def free_energy_map(logits):
     """Per-position -lse over class logits, shape 1 x N."""
     if logits.shape[0] < 2:
         raise ContractError(f"need at least 2 classes, got {logits.shape[0]}")
-    return lse_cols(logits) * -1.0
+    return ops(logits).lse_cols(logits) * -1.0
 
 
 def depth_energy_map(pred, ref, c: float):
@@ -79,13 +78,13 @@ def reliability_mask(e_plain, e_fused) -> ReliabilityMask:
     return ReliabilityMask(m=(ef < ep).astype(np.float64).reshape(1, -1))
 
 
-def _kl_row(teacher, student):
+def _kl_row(o, teacher, student):
     """Per-position KL(teacher || student) from logits, teacher detached."""
-    t = detach(softmax_cols(teacher))
-    t_log = detach(sub_row(teacher, lse_cols(teacher)))
-    s_log = sub_row(student, lse_cols(student))
+    t = o.stop_grad(o.softmax_cols(teacher))
+    t_log = o.stop_grad(o.sub_row(teacher, o.lse_cols(teacher)))
+    s_log = o.sub_row(student, o.lse_cols(student))
     k = teacher.shape[0]
-    return matmul(np.ones((1, k)), t * (t_log - s_log))
+    return o.matmul(np.ones((1, k)), t * (t_log - s_log))
 
 
 def rfa_seg_loss(p_plain, p_fused, mask: ReliabilityMask):
@@ -101,14 +100,15 @@ def rfa_seg_loss(p_plain, p_fused, mask: ReliabilityMask):
     n = p_plain.shape[1]
     if mask.size != n:
         raise ContractError(f"mask covers {mask.size} positions, logits have {n}")
+    o = ops(p_plain, p_fused)
     m_on = mask.count
     m_off = n - m_on
     loss = None
     if m_off > 0:
-        off = sum_all(_kl_row(p_plain, p_fused) * (1.0 - mask.m)) * (1.0 / m_off)
+        off = o.sum(_kl_row(o, p_plain, p_fused) * (1.0 - mask.m)) * (1.0 / m_off)
         loss = off
     if m_on > 0:
-        on = sum_all(_kl_row(p_fused, p_plain) * mask.m) * (1.0 / m_on)
+        on = o.sum(_kl_row(o, p_fused, p_plain) * mask.m) * (1.0 / m_on)
         loss = on if loss is None else loss + on
     return loss
 
@@ -126,15 +126,16 @@ def rfa_dep_loss(d_plain, d_fused, mask: ReliabilityMask, c: float):
     n = raw(d_plain).size
     if mask.size != n:
         raise ContractError(f"mask covers {mask.size} positions, depth has {n}")
+    o = ops(d_plain, d_fused)
     m_on = mask.count
     m_off = n - m_on
     loss = None
     if m_off > 0:
-        res = berhu_map(d_fused - detach(d_plain), c)
-        loss = sum_all(res * (1.0 - mask.m)) * (1.0 / m_off)
+        res = berhu_map(d_fused - o.stop_grad(d_plain), c)
+        loss = o.sum(res * (1.0 - mask.m)) * (1.0 / m_off)
     if m_on > 0:
-        res = berhu_map(d_plain - detach(d_fused), c)
-        on = sum_all(res * mask.m) * (1.0 / m_on)
+        res = berhu_map(d_plain - o.stop_grad(d_fused), c)
+        on = o.sum(res * mask.m) * (1.0 / m_on)
         loss = on if loss is None else loss + on
     return loss
 

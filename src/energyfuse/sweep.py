@@ -111,10 +111,13 @@ def sweep(base: RunConfig, axis: str, values: list, seeds: list) -> list:
     if not seeds:
         raise ContractError("sweep needs at least one seed")
     key = SWEEP_AXES[axis]
+    if key == "steps":
+        for value in values:
+            if not float(value).is_integer():
+                raise ContractError(f"steps must be whole numbers, got {value!r}")
+        values = [int(value) for value in values]
     rows = []
     for value in sorted(values):
-        if key == "steps":
-            value = int(value)
         for seed in sorted(seeds):
             run_id = f"{axis}={format(value, 'g')}_seed={seed}"
             cfg = replace(base, **{key: value, "seed": int(seed)})

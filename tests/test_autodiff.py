@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from energyfuse.autodiff import DiffGraph, Tensor, grad_check, raw
+from energyfuse.autodiff import ARRAY_OPS, DiffGraph, Tensor, grad_check, ops, raw
 from energyfuse.numeric import ContractError
 
 
@@ -229,3 +229,55 @@ def test_backward_never_writes_into_a_borrowed_adjoint():
         np.testing.assert_array_equal(grads[node.nid], w)
     np.testing.assert_array_equal(grads[t.nid], w.T)
     np.testing.assert_array_equal(grads[x.nid], 4.0 * w)
+
+
+def _array_op_args(rng):
+    """Arguments for every ARRAY_OPS op except hopfield, by name."""
+    x = rng.normal(size=(4, 6))
+    return {
+        "matmul": (x, rng.normal(size=(6, 3))),
+        "transpose": (x,),
+        "softmax_cols": (x,),
+        "lse_cols": (x,),
+        "sub_row": (x, rng.normal(size=(1, 6))),
+        "add_col": (x, rng.normal(size=(4, 1))),
+        "tanh": (x,),
+        "sigmoid": (x * 40.0,),
+        "log": (np.abs(x) + 0.1,),
+        "abs": (x,),
+        "sum": (x,),
+        "stop_grad": (x,),
+    }
+
+
+def _both_ways(name, args):
+    """(array result, graph result) of one op on the same ndarray args."""
+    g = DiffGraph()
+    lifted = [g.constant(a) if isinstance(a, np.ndarray) else a for a in args]
+    return np.asarray(getattr(ARRAY_OPS, name)(*args)), getattr(g, name)(*lifted).data
+
+
+def test_array_ops_match_graph_ops_bit_for_bit():
+    rng = np.random.default_rng(7)
+    cases = _array_op_args(rng)
+    assert set(cases) | {"hopfield"} == set(vars(ARRAY_OPS))
+    for name, args in cases.items():
+        assert callable(getattr(DiffGraph, name, None)), name
+        got, want = _both_ways(name, args)
+        if name == "sum":  # a float on arrays, a (1, 1) tensor on a graph
+            got = got.reshape(1, 1)
+        assert np.array_equal(got, want), name
+    xi = rng.normal(size=(5, 7))
+    nu = rng.normal(size=(5, 9))
+    for steps in (1, 2, 8):
+        got, want = _both_ways("hopfield", (xi, nu, 0.7, steps))
+        assert np.array_equal(got, want), steps
+
+
+def test_ops_picks_the_first_tensors_graph():
+    g = DiffGraph()
+    arr = np.ones((2, 2))
+    t = g.leaf(arr)
+    assert ops(arr, 3.0) is ARRAY_OPS
+    assert ops(arr, t) is g
+    assert ops(DiffGraph().leaf(arr), t) is not g

@@ -1,6 +1,7 @@
 """Tests for tensor dumps, config parsing, CSV output, and the CLI."""
 
 import importlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ def test_config_missing_equals_names_the_line():
 def test_config_bad_value_rejected():
     with pytest.raises(ContractError, match="bad value for t1"):
         parse_config_text("t1 = soon\n")
+
+
+FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type is float]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_config_rejects_non_finite_floats(key, bad):
+    with pytest.raises(ContractError, match=rf"^{key} must be finite"):
+        RunConfig(**{key: bad})
 
 
 def test_config_file_layering(tmp_path):
@@ -202,6 +213,16 @@ def test_sweep_raises_on_a_programming_error(monkeypatch):
         sweep(RunConfig(), "gamma", [1.0], [0])
 
 
+def test_sweep_rejects_fractional_steps_before_any_run(monkeypatch):
+    def must_not_run(cfg, run_id):
+        raise AssertionError(f"run {run_id} started")
+
+    sweep_module = importlib.import_module("energyfuse.sweep")
+    monkeypatch.setattr(sweep_module, "run_experiment", must_not_run)
+    with pytest.raises(ContractError, match="1.5"):
+        sweep(RunConfig(), "steps", [1.5, 1.0], [0])
+
+
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(ContractError, match="axis"):
         sweep(RunConfig(), "lr", [0.1], [0])
@@ -272,6 +293,12 @@ def test_cli_bad_config_value_exits_2(capsys):
     code = main(["train", *TINY, "--lr", "-1"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_non_finite_value_exits_2(capsys):
+    code = main(["train", *TINY, "--beta", "nan"])
+    assert code == 2
+    assert "beta must be finite" in capsys.readouterr().err
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):

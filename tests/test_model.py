@@ -132,6 +132,21 @@ def test_graph_forward_matches_numpy_forward(scheme):
         assert np.allclose(raw(getattr(bound, name)), getattr(plain, name), atol=1e-12), name
 
 
+@pytest.mark.parametrize("steps", [0, 1, 8])
+@pytest.mark.parametrize("scheme", [Scheme.ADD, Scheme.GATED])
+def test_array_and_graph_forward_agree_bit_for_bit(scheme, steps):
+    """The array pass and the recorded pass share every expression."""
+    model = init_model(RngState(17, (1,)), 4, 6, scheme=scheme, gamma=0.7, steps=steps)
+    if scheme == Scheme.GATED:  # open the gate so the gated branch counts
+        for direction in ("seg", "dep"):
+            model.weights[f"fuse_{direction}_w1"] = RngState(18, (1,)).normal(32, 32, 0.2)
+    x = _features(17)
+    plain = forward_pass(model, x)
+    bound = forward_pass(model, x, weights=bind(model, DiffGraph()))
+    for name in ("seg_plain", "seg_fused", "dep_plain", "dep_fused"):
+        assert np.array_equal(raw(getattr(bound, name)), getattr(plain, name)), name
+
+
 def test_fusion_params_pull_direction_specific_gates():
     model = init_model(RngState(15, (1,)), 4, 6, scheme=Scheme.GATED)
     model.weights["fuse_seg_w2"] = model.weights["fuse_seg_w2"] + 1.0

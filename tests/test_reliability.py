@@ -240,8 +240,6 @@ def test_rfa_total_weighting():
 
 def test_energy_config_validation():
     with pytest.raises(ContractError):
-        EnergyConfig(tau=2.0)
-    with pytest.raises(ContractError):
         EnergyConfig(alpha=0.0)
 
 
