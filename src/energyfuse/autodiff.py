@@ -311,12 +311,18 @@ class DiffGraph:
         # Fortran-ordered nu: the layout the unfused tape's VJP multiplied
         # by (a transpose of a transposed copy), so sums match it bit for bit
         nu_f = np.asfortranarray(nu)
+        # two (M, N) workspaces serve every step; each returned term is a
+        # fresh product, so none of them aliases gs or tmp
+        gs = np.empty(saved[0][1].shape)
+        tmp = np.empty_like(gs)
         terms = []
         for k in range(len(saved) - 1, -1, -1):
             x, attn = saved[k]
             gm = g * gamma
-            ga = nu.T @ gm
-            gs = attn * (ga - np.sum(ga * attn, axis=0, keepdims=True))
+            np.matmul(nu.T, gm, out=gs)
+            np.multiply(gs, attn, out=tmp)
+            gs -= tmp.sum(axis=0, keepdims=True)
+            gs *= attn
             terms.append(gm @ attn.T)
             if k == 0:
                 terms += [g * (1.0 - gamma), nu_f @ gs, (gs @ x.T).T]
@@ -328,11 +334,19 @@ class DiffGraph:
 
 def hopfield_steps(xi, nu, gamma: float, steps: int, saved: list = None):
     """x <- x*(1-gamma) + (nu @ softmax_cols(nu^T x))*gamma, `steps` times,
-    on ndarrays; each step's (x, attention) is appended to `saved`."""
+    on ndarrays; each step's (x, attention) is appended to `saved`.
+
+    The (M, N) attention maps are written in place: into one (steps, M, N)
+    block when they are saved, else into one buffer reused by every step.
+    """
     nu_t = nu.T.copy()
+    shape = (nu.shape[1], xi.shape[1])
+    block = np.empty(shape if saved is None else (steps,) + shape)
     x = xi
-    for _ in range(steps):
-        attn = numeric.softmax_cols(nu_t @ x)
+    for k in range(steps):
+        attn = block if saved is None else block[k]
+        np.matmul(nu_t, x, out=attn)
+        numeric.softmax_cols(attn, out=attn)
         if saved is not None:
             saved.append((x, attn))
         x = x * (1.0 - gamma) + (nu @ attn) * gamma

@@ -49,13 +49,19 @@ def lse_cols(x) -> np.ndarray:
     return m + np.log(np.sum(np.exp(a - m), axis=0, keepdims=True))
 
 
-def softmax_cols(x) -> np.ndarray:
-    """Column-wise softmax of a (K, N) matrix; each column sums to 1."""
+def softmax_cols(x, out: np.ndarray = None) -> np.ndarray:
+    """Column-wise softmax of a (K, N) matrix; each column sums to 1.
+
+    Written into `out` when given (which may be x itself), else into one
+    fresh array; the float operations are the same either way.
+    """
     a = as_matrix(x)
     if a.shape[0] == 0:
         raise ContractError("softmax over zero rows")
-    e = np.exp(a - a.max(axis=0, keepdims=True))
-    return e / e.sum(axis=0, keepdims=True)
+    out = np.subtract(a, a.max(axis=0, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=0, keepdims=True)
+    return out
 
 
 def matmul(a, b) -> np.ndarray:

@@ -116,6 +116,12 @@ def sweep(base: RunConfig, axis: str, values: list, seeds: list) -> list:
             if not float(value).is_integer():
                 raise ContractError(f"steps must be whole numbers, got {value!r}")
         values = [int(value) for value in values]
+    for name, items in ((axis, values), ("seed", seeds)):
+        repeated = [item for item in items if items.count(item) > 1]
+        if repeated:
+            raise ContractError(
+                f"sweep repeats {name} {repeated[0]!r}; every run must be distinct"
+            )
     rows = []
     for value in sorted(values):
         for seed in sorted(seeds):

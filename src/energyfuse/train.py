@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import DiffGraph, Tensor, raw
 from .config import RunConfig
-from .model import Mode, ModelParams, bind, check_finite, forward_pass
+from .model import Mode, ModelParams, Predictions, bind, check_finite, forward_pass
 from .numeric import ContractError
 from .objectives import (
     LossBundle,
@@ -55,6 +55,16 @@ def _value(x) -> float:
 
 def _berhu_threshold(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / 5.0
+
+
+def _raw_predictions(pred: Predictions) -> Predictions:
+    """The same values as plain arrays, so losses built on them record nothing."""
+    return Predictions(
+        seg_plain=raw(pred.seg_plain),
+        seg_fused=raw(pred.seg_fused),
+        dep_plain=raw(pred.dep_plain),
+        dep_fused=raw(pred.dep_fused),
+    )
 
 
 def _rfa_domain(pred, ref_depth: np.ndarray, alpha: float, fixed_c: float = None):
@@ -118,8 +128,12 @@ def compute_losses(
     supervised = supervised_loss(seg_total, dep_total, cfg.alpha)
 
     if phase == 2:
-        l_rfa = _rfa_domain(pred_s, scene_s.depth, cfg.alpha, fixed_c) + _rfa_domain(
-            pred_t, scene_t.depth, cfg.alpha, fixed_c
+        rfa_s, rfa_t = pred_s, pred_t
+        if cfg.beta == 0.0:
+            # a loss weighted by zero contributes its value, not a subgraph
+            rfa_s, rfa_t = _raw_predictions(pred_s), _raw_predictions(pred_t)
+        l_rfa = _rfa_domain(rfa_s, scene_s.depth, cfg.alpha, fixed_c) + _rfa_domain(
+            rfa_t, scene_t.depth, cfg.alpha, fixed_c
         )
     else:
         l_rfa = 0.0

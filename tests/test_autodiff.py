@@ -209,6 +209,31 @@ def test_fused_hopfield_matches_unfused_chain_bit_for_bit():
                 assert np.array_equal(got, want), (steps, gamma)
 
 
+def test_hopfield_reverse_pass_reuses_no_saved_memory():
+    """steps=8, gamma=0.7: the attention maps kept for the VJP own disjoint
+    memory, and the VJP's reused workspaces write into none of the node's
+    inputs, value or kept maps, so a second reverse pass gives equal bits."""
+    rng = np.random.default_rng(8)
+    steps = 8
+    g = DiffGraph()
+    xi = g.tanh(g.leaf(rng.normal(size=(6, 10))))
+    nu = g.tanh(g.leaf(rng.normal(size=(6, 12))))
+    out = g.hopfield(xi, nu, 0.7, steps)
+    loss = g.sum(g.mul(out, g.constant(rng.normal(size=(6, 10)))))
+    attn = [a for _, a in g.nodes[out.nid].aux[1]]
+    assert len(attn) == steps
+    for i in range(steps):
+        for j in range(i + 1, steps):
+            assert not np.shares_memory(attn[i], attn[j]), (i, j)
+    kept = [t.data.copy() for t in (xi, nu, out)] + [a.copy() for a in attn]
+    first = g.backward(loss)
+    second = g.backward(loss)
+    for t in (xi, nu):
+        assert np.array_equal(first[t.nid], second[t.nid])
+    for now, before in zip([t.data for t in (xi, nu, out)] + attn, kept):
+        assert np.array_equal(now, before)
+
+
 def test_backward_never_writes_into_a_borrowed_adjoint():
     """add, shift and transpose hand back g or a view of it; x feeds three
     consumers (add twice), so its adjoint is a sum that must not land in

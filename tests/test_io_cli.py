@@ -223,6 +223,21 @@ def test_sweep_rejects_fractional_steps_before_any_run(monkeypatch):
         sweep(RunConfig(), "steps", [1.5, 1.0], [0])
 
 
+def test_sweep_rejects_duplicate_runs_before_any_run(monkeypatch):
+    def must_not_run(cfg, run_id):
+        raise AssertionError(f"run {run_id} started")
+
+    sweep_module = importlib.import_module("energyfuse.sweep")
+    monkeypatch.setattr(sweep_module, "run_experiment", must_not_run)
+    with pytest.raises(ContractError, match="gamma 0.5"):
+        sweep(RunConfig(), "gamma", [0.5, 0.5], [0, 0])
+    with pytest.raises(ContractError, match="seed 3"):
+        sweep(RunConfig(), "gamma", [0.5, 1.0], [3, 1, 3])
+    # steps are compared after their whole-number normalisation
+    with pytest.raises(ContractError, match="steps 2"):
+        sweep(RunConfig(), "steps", [2.0, 1, 2], [0])
+
+
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(ContractError, match="axis"):
         sweep(RunConfig(), "lr", [0.1], [0])

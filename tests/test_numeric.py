@@ -112,6 +112,20 @@ def test_column_reductions_match_vector_forms():
         np.testing.assert_allclose(cols_sm[:, j], softmax(x[:, j]), atol=1e-12)
 
 
+def test_softmax_cols_out_matches_out_of_place_bit_for_bit():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(7, 5)) * 30.0
+    x0 = x.copy()
+    want = softmax_cols(x)
+    np.testing.assert_array_equal(x, x0)  # out=None leaves the input alone
+    fresh = np.empty_like(x)
+    assert softmax_cols(x, out=fresh) is fresh
+    assert np.array_equal(fresh, want)
+    np.testing.assert_array_equal(x, x0)
+    assert softmax_cols(x, out=x) is x  # in place
+    assert np.array_equal(x, want)
+
+
 def test_as_matrix_promotes_vectors_to_columns():
     assert as_matrix([1.0, 2.0]).shape == (2, 1)
     with pytest.raises(ContractError):

@@ -7,10 +7,12 @@ import pytest
 
 from conftest import REFERENCE
 from energyfuse import reliability
+from energyfuse.autodiff import DiffGraph, Tensor
 from energyfuse.config import RunConfig
 from energyfuse.metrics import build_data, build_model
+from energyfuse.model import bind
 from energyfuse.numeric import ContractError
-from energyfuse.train import TrainingDiverged, train
+from energyfuse.train import TrainingDiverged, compute_losses, train
 
 SMALL = dict(
     t1=6, t2=4, lr=0.05, alpha=1.0, seed=0, h=6, w=6, k=3, channels=4,
@@ -88,6 +90,28 @@ def test_phase_two_reliability_call_pattern():
     after = reliability.CALL_COUNTS
     assert after["rfa_seg_loss"] == before.get("rfa_seg_loss", 0) + 10
     assert after["rfa_dep_loss"] == before.get("rfa_dep_loss", 0) + 10
+
+
+def test_zero_weighted_reliability_loss_is_valued_but_not_taped():
+    """beta = 0: the reliability loss keeps the value beta = 1 records, as a
+    plain number in the step's bundle, and records no more tape nodes than
+    phase 1 does."""
+    cfg, model, source, target = _setup(t1=0, t2=1)
+    parts, nodes, traces = {}, {}, {}
+    for beta in (0.0, 1.0):
+        run_cfg = dataclasses.replace(cfg, beta=beta)
+        graph = DiffGraph()
+        w = bind(model, graph)
+        parts[beta] = compute_losses(model, source[0], target[0], run_cfg, 2, w)
+        nodes[beta] = len(graph.nodes)
+        _, traces[beta] = train(build_model(run_cfg), source, target, run_cfg)
+    assert not isinstance(parts[0.0]["rfa"], Tensor)
+    assert parts[0.0]["rfa"] == parts[1.0]["rfa"].item()
+    assert traces[0.0][0].bundle.rfa == traces[1.0][0].bundle.rfa > 0.0
+    graph = DiffGraph()
+    w = bind(model, graph)
+    compute_losses(model, source[0], target[0], cfg, 1, w)
+    assert nodes[0.0] == len(graph.nodes) < nodes[1.0]
 
 
 def test_supervised_phase_reduces_the_loss():
