@@ -30,7 +30,6 @@ from .objectives import (
     supervised_loss,
 )
 from .reliability import (
-    EnergyConfig,
     ReliabilityMask,
     depth_energy_map,
     energy_softmax_identity,
@@ -44,7 +43,7 @@ from .rng import RngState
 from .scenes import Domain, Scene, ShiftSpec, gen_scene, make_domain_pair, shift_scene
 from .sweep import sweep, write_loss_trace_csv, write_metrics_csv
 from .tensor_io import dump_tensor, load_tensor
-from .train import TrainConfig, TrainingDiverged, train
+from .train import TrainingDiverged, train
 from .verify import run_verification
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import _FIELD_TYPES, CONFIG_KEYS, RunConfig, load_config
+from .config import CONFIG_KEYS, RunConfig, _coerce, load_config
 from .fusion import PatternPair, hopfield_energy, hopfield_update
 from .metrics import build_data, run_experiment
 from .numeric import ContractError
@@ -40,15 +40,7 @@ def _int_list(text: str) -> list:
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key = value config file")
     for key in CONFIG_KEYS:
-        kind = _FIELD_TYPES[key]
-        if kind is int or kind == "int":
-            parser.add_argument(f"--{key}", type=int, default=None)
-        elif kind is float or kind == "float":
-            parser.add_argument(f"--{key}", type=float, default=None)
-        elif key == "scheme":
-            parser.add_argument("--scheme", choices=("add", "gated"), default=None)
-        else:
-            parser.add_argument(f"--{key}", default=None)
+        parser.add_argument(f"--{key}", default=None)
 
 
 def _config_from(args) -> RunConfig:
@@ -56,7 +48,7 @@ def _config_from(args) -> RunConfig:
     if args.config:
         cfg = load_config(args.config, cfg)
     overrides = {
-        key: getattr(args, key)
+        key: _coerce(key, getattr(args, key))
         for key in CONFIG_KEYS
         if getattr(args, key, None) is not None
     }

@@ -6,6 +6,7 @@ columns of metrics.csv.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 from .numeric import ContractError
@@ -39,6 +40,8 @@ class RunConfig:
         for key, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ContractError(f"{key} must be finite, got {value}")
+            if _FIELD_TYPES[key] is int and not isinstance(value, numbers.Integral):
+                raise ContractError(f"{key} must be an integer, got {value!r}")
         if self.t1 < 0 or self.t2 < 0:
             raise ContractError("t1 and t2 must be >= 0")
         if not self.lr > 0:
@@ -74,9 +77,9 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 def _coerce(key: str, text: str):
     kind = _FIELD_TYPES[key]
     try:
-        if kind is int or kind == "int":
+        if kind is int:
             return int(text)
-        if kind is float or kind == "float":
+        if kind is float:
             return float(text)
         return text
     except ValueError:

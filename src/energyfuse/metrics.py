@@ -32,8 +32,6 @@ class MetricsRow:
     mean_energy_fused: float
     run_id: str = ""
     config: dict = field(default_factory=dict)
-    phase1_mean_loss: float = float("nan")
-    phase2_mean_loss: float = float("nan")
 
     def __post_init__(self):
         for v in self.iou:
@@ -139,12 +137,4 @@ def run_experiment(cfg: RunConfig, run_id: str = "run"):
     row = evaluate(model, target, Mode.TRAIN)
     row.run_id = run_id
     row.config = config_echo(cfg)
-    for phase in (1, 2):
-        losses = [t.bundle.overall for t in trace if t.phase == phase]
-        if losses:
-            mean = float(np.mean(losses))
-            if phase == 1:
-                row.phase1_mean_loss = mean
-            else:
-                row.phase2_mean_loss = mean
     return row, trace

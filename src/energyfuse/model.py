@@ -9,7 +9,6 @@ from the weights and features: it computes on plain arrays, or records
 on the DiffGraph that bound leaves belong to.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,9 +20,6 @@ from .numeric import ContractError
 from .rng import RngState
 
 GATE_INIT = 0.01
-
-# test instrumentation: decoder evaluations by name (not part of the API)
-CALL_COUNTS = Counter()
 
 
 class Mode(Enum):
@@ -144,16 +140,12 @@ def forward_pass(
 
     fused_seg_in = eb2f_apply(f_seg, f_dep, model.fusion_params("seg", w))
     fused_dep_in = eb2f_apply(f_dep, f_seg, model.fusion_params("dep", w))
-    CALL_COUNTS["seg_dec_fused"] += 1
-    CALL_COUNTS["dep_dec_fused"] += 1
     seg_fused = _dense(o, w, "seg_dec_fused", fused_seg_in)
     dep_fused = _dense(o, w, "dep_dec_fused", fused_dep_in)
 
     if mode == Mode.INFER:
         return Predictions(None, seg_fused, None, dep_fused)
 
-    CALL_COUNTS["seg_dec_plain"] += 1
-    CALL_COUNTS["dep_dec_plain"] += 1
     seg_plain = _dense(o, w, "seg_dec_plain", f_seg)
     dep_plain = _dense(o, w, "dep_dec_plain", f_dep)
     return Predictions(seg_plain, seg_fused, dep_plain, dep_fused)

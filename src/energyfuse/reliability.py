@@ -7,7 +7,6 @@ other through masked distillation: the lower-energy branch is the
 detached teacher on its side of the mask.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,21 +15,6 @@ from . import numeric
 from .autodiff import ops, raw
 from .numeric import ContractError
 from .objectives import berhu_map
-
-
-# test instrumentation: loss evaluations by name (not part of the API)
-CALL_COUNTS = Counter()
-
-
-@dataclass
-class EnergyConfig:
-    """Reliability weights; the energy temperature is fixed at 1."""
-
-    alpha: float = 0.001
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ContractError(f"alpha must be positive, got {self.alpha}")
 
 
 @dataclass
@@ -94,7 +78,6 @@ def rfa_seg_loss(p_plain, p_fused, mask: ReliabilityMask):
     is 1 the fused branch teaches the plain one; each side is averaged
     over its own positions and a side with no positions is dropped.
     """
-    CALL_COUNTS["rfa_seg_loss"] += 1
     if p_plain.shape != p_fused.shape:
         raise ContractError(f"shape mismatch: {p_plain.shape} vs {p_fused.shape}")
     n = p_plain.shape[1]
@@ -120,7 +103,6 @@ def rfa_dep_loss(d_plain, d_fused, mask: ReliabilityMask, c: float):
     teacher (the branch that won that side's energy comparison) is
     detached and only the student receives gradients.
     """
-    CALL_COUNTS["rfa_dep_loss"] += 1
     if d_plain.shape != d_fused.shape:
         raise ContractError(f"shape mismatch: {d_plain.shape} vs {d_fused.shape}")
     n = raw(d_plain).size
@@ -140,8 +122,8 @@ def rfa_dep_loss(d_plain, d_fused, mask: ReliabilityMask, c: float):
     return loss
 
 
-def rfa_total(seg_loss, dep_loss, cfg: EnergyConfig):
-    return seg_loss + cfg.alpha * dep_loss
+def rfa_total(seg_loss, dep_loss, alpha: float):
+    return seg_loss + alpha * dep_loss
 
 
 def energy_softmax_identity(logits) -> tuple:

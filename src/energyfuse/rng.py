@@ -16,21 +16,17 @@ class RngState:
         self._gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((self.seed,) + self.tags))
         )
-        self.counter = 0  # draws issued from this state
 
     def derive(self, *tags) -> "RngState":
         """Independent child stream keyed by extra integer tags."""
         return RngState(self.seed, self.tags + tags)
 
     def normal(self, rows: int, cols: int, sd: float = 1.0) -> np.ndarray:
-        self.counter += 1
         return self._gen.normal(0.0, 1.0, size=(rows, cols)) * sd
 
     def uniform(self, lo: float, hi: float, rows: int, cols: int) -> np.ndarray:
-        self.counter += 1
         return self._gen.uniform(lo, hi, size=(rows, cols))
 
     def integers(self, lo: int, hi: int, n: int = 1) -> np.ndarray:
         """n integers in [lo, hi)."""
-        self.counter += 1
         return self._gen.integers(lo, hi, size=n)

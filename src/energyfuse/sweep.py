@@ -122,6 +122,16 @@ def sweep(base: RunConfig, axis: str, values: list, seeds: list) -> list:
             raise ContractError(
                 f"sweep repeats {name} {repeated[0]!r}; every run must be distinct"
             )
+    labels = {}
+    for value in values:
+        # run ids print values at 6 significant digits
+        label = format(value, "g")
+        if label in labels:
+            raise ContractError(
+                f"sweep {axis} values {labels[label]!r} and {value!r} share the "
+                f"run id label {label}; every run id must be distinct"
+            )
+        labels[label] = value
     rows = []
     for value in sorted(values):
         for seed in sorted(seeds):

@@ -26,7 +26,6 @@ from .objectives import (
     supervised_loss,
 )
 from .reliability import (
-    EnergyConfig,
     depth_energy_map,
     free_energy_map,
     reliability_mask,
@@ -34,8 +33,6 @@ from .reliability import (
     rfa_seg_loss,
     rfa_total,
 )
-
-TrainConfig = RunConfig  # training consumes the shared run configuration
 
 
 class TrainingDiverged(RuntimeError):
@@ -88,7 +85,7 @@ def _rfa_domain(pred, ref_depth: np.ndarray, alpha: float, fixed_c: float = None
     e_df = depth_energy_map(d_fused, ref_depth, c_fused)
     dep_mask = reliability_mask(e_dp, e_df)
     l_dep = rfa_dep_loss(pred.dep_plain, pred.dep_fused, dep_mask, c_cross)
-    return rfa_total(l_seg, l_dep, EnergyConfig(alpha=alpha))
+    return rfa_total(l_seg, l_dep, alpha)
 
 
 def compute_losses(

@@ -107,6 +107,23 @@ def test_config_rejects_non_finite_floats(key, bad):
         RunConfig(**{key: bad})
 
 
+INT_KEYS = [f.name for f in fields(RunConfig) if f.type is int]
+
+
+@pytest.mark.parametrize("key", INT_KEYS)
+def test_config_rejects_non_integer_ints(key):
+    default = getattr(RunConfig(), key)
+    assert getattr(RunConfig(**{key: np.int64(default)}), key) == default
+    for bad in (default + 0.5, float(default)):
+        with pytest.raises(ContractError, match=rf"^{key} must be an integer"):
+            RunConfig(**{key: bad})
+
+
+def test_config_rejects_non_positive_alpha():
+    with pytest.raises(ContractError, match="alpha must be positive"):
+        RunConfig(alpha=0.0)
+
+
 def test_config_file_layering(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("lr = 0.125\nk = 5\n", encoding="utf-8")
@@ -238,6 +255,17 @@ def test_sweep_rejects_duplicate_runs_before_any_run(monkeypatch):
         sweep(RunConfig(), "steps", [2.0, 1, 2], [0])
 
 
+def test_sweep_rejects_values_sharing_a_run_id_before_any_run(monkeypatch):
+    def must_not_run(cfg, run_id):
+        raise AssertionError(f"run {run_id} started")
+
+    sweep_module = importlib.import_module("energyfuse.sweep")
+    monkeypatch.setattr(sweep_module, "run_experiment", must_not_run)
+    # run ids print 6 significant digits: both values would read 0.123457
+    with pytest.raises(ContractError, match="0.1234567 and 0.1234568"):
+        sweep(RunConfig(), "gamma", [0.1234567, 0.1234568], [0])
+
+
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(ContractError, match="axis"):
         sweep(RunConfig(), "lr", [0.1], [0])
@@ -314,6 +342,12 @@ def test_cli_non_finite_value_exits_2(capsys):
     code = main(["train", *TINY, "--beta", "nan"])
     assert code == 2
     assert "beta must be finite" in capsys.readouterr().err
+
+
+def test_cli_unparsable_flag_value_exits_2(capsys):
+    code = main(["train", *TINY, "--t1", "soon"])
+    assert code == 2
+    assert "bad value for t1" in capsys.readouterr().err
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):

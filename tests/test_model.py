@@ -1,5 +1,7 @@
 """Tests for the shared encoder and dual decoder heads."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -34,13 +36,21 @@ def test_infer_mode_fills_fused_heads_only():
     assert pred.dep_fused.shape == (1, 40)
 
 
-def test_infer_never_evaluates_plain_decoders():
+def test_infer_never_evaluates_plain_decoders(monkeypatch):
     model = init_model(RngState(3, (1,)), 4, 6)
     x = _features(3)
-    before = dict(model_mod.CALL_COUNTS)
+    calls = Counter()
+    dense = model_mod._dense
+
+    def counted(o, w, name, h):
+        calls[name] += 1
+        return dense(o, w, name, h)
+
+    monkeypatch.setattr(model_mod, "_dense", counted)
+    before = dict(calls)
     for _ in range(7):
         forward_pass(model, x, mode=Mode.INFER)
-    after = model_mod.CALL_COUNTS
+    after = calls
     assert after["seg_dec_plain"] == before.get("seg_dec_plain", 0)
     assert after["dep_dec_plain"] == before.get("dep_dec_plain", 0)
     assert after["seg_dec_fused"] == before.get("seg_dec_fused", 0) + 7

@@ -6,7 +6,6 @@ import pytest
 from energyfuse.autodiff import DiffGraph, raw
 from energyfuse.numeric import ContractError
 from energyfuse.reliability import (
-    EnergyConfig,
     ReliabilityMask,
     depth_energy_map,
     energy_softmax_identity,
@@ -232,15 +231,9 @@ def test_degenerate_masks_stay_finite():
 
 
 def test_rfa_total_weighting():
-    cfg = EnergyConfig(alpha=0.001)
-    assert rfa_total(0.0, 0.0, cfg) == 0.0
-    assert rfa_total(1.0, 0.0, cfg) == 1.0
-    assert abs(rfa_total(0.5, 2.0, cfg) - 0.502) < 1e-15
-
-
-def test_energy_config_validation():
-    with pytest.raises(ContractError):
-        EnergyConfig(alpha=0.0)
+    assert rfa_total(0.0, 0.0, alpha=0.001) == 0.0
+    assert rfa_total(1.0, 0.0, alpha=0.001) == 1.0
+    assert abs(rfa_total(0.5, 2.0, alpha=0.001) - 0.502) < 1e-15
 
 
 def test_energy_softmax_identity_hand_case():

@@ -16,10 +16,12 @@ def test_full_verification_passes():
 def test_gradient_check_catches_a_broken_gradient(monkeypatch):
     # the suite must be a real detector: feed it a scaled gradient and
     # the finite-difference comparison has to fail
-    def wrong(x, nu):
-        return 1.02 * verify.fusion.hopfield_gradient(x, nu)
+    right = verify.fusion.hopfield_gradient
 
-    monkeypatch.setattr(verify, "gradient_fn", wrong)
+    def wrong(x, nu):
+        return 1.02 * right(x, nu)
+
+    monkeypatch.setattr(verify.fusion, "hopfield_gradient", wrong)
     result = verify.check_hopfield_gradient_fd(n=5)
     assert not result.passed
     assert result.name == "hopfield-gradient-vs-fd"
