@@ -202,7 +202,20 @@ class DiffGraph:
         """Value passes through; gradients do not."""
         return self._record("stop_grad", (a,), a.data)
 
-    # ---- fused retrieval ----
+    # ---- fused blocks ----
+
+    def fused(self, op: str, inputs, value, vjp) -> Tensor:
+        """One node for a block the caller has already computed.
+
+        `value` is the block's result (a float for a scalar) and vjp(g)
+        returns one adjoint term per input slot; an input that gets
+        several terms takes several slots, in the order the op-by-op
+        tape would have accumulated them. vjp must hold arrays, not
+        Tensors: a Tensor holds its graph, and that cycle would keep each
+        tape alive until the garbage collector runs.
+        """
+        data = np.array([[value]]) if isinstance(value, float) else value
+        return self._record(op, inputs, data, aux=vjp)
 
     def hopfield(self, xi, nu, gamma: float, steps: int) -> Tensor:
         """`steps` damped Hopfield updates of xi (d, N) toward nu (d, M).
@@ -259,6 +272,8 @@ class DiffGraph:
         return grads
 
     def _vjp(self, node, g):
+        if callable(node.aux):  # a fused block's own VJP
+            return node.aux(g)
         op = node.op
         ins = [self.nodes[i] for i in node.inputs]
         if op in ("leaf", "const"):
@@ -360,14 +375,12 @@ ARRAY_OPS = SimpleNamespace(
     softmax_cols=numeric.softmax_cols,
     lse_cols=numeric.lse_cols,
     sub_row=lambda a, b: np.asarray(a) - np.asarray(b),
-    add_col=lambda a, b: np.asarray(a) + np.asarray(b),
-    tanh=np.tanh,
     sigmoid=numeric.sigmoid,
     log=np.log,
-    abs=np.abs,
     sum=lambda a: float(np.sum(a)),
     stop_grad=lambda a: a,
     hopfield=hopfield_steps,
+    fused=lambda op, inputs, value, vjp: value,
 )
 
 

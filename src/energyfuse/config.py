@@ -40,7 +40,9 @@ class RunConfig:
         for key, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ContractError(f"{key} must be finite, got {value}")
-            if _FIELD_TYPES[key] is int and not isinstance(value, numbers.Integral):
+            if _FIELD_TYPES[key] is int and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
                 raise ContractError(f"{key} must be an integer, got {value!r}")
         if self.t1 < 0 or self.t2 < 0:
             raise ContractError("t1 and t2 must be >= 0")

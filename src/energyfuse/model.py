@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import ops
+from .autodiff import Tensor, ops, raw
 from .fusion import FusionParams, Scheme, eb2f_apply
 from .numeric import ContractError
 from .rng import RngState
@@ -108,13 +108,35 @@ def bind(model: ModelParams, graph) -> dict:
     return {name: graph.leaf(arr) for name, arr in model.weights.items()}
 
 
-def _dense(o, w, name, x):
-    return o.add_col(o.matmul(w[name + "_w"], x), w[name + "_b"])
+def _dense(o, w, name, x, tanh=False, skip=None):
+    """[skip +] [tanh](W x + b) of layer `name`, recorded as one node.
+
+    The value and the adjoint terms are the op-by-op tape's (matmul,
+    add_col, tanh, add) in its order, so both match it bit for bit. A
+    plain-array x is a constant of the block and gets no adjoint.
+    """
+    wt, bt = w[name + "_w"], w[name + "_b"]
+    wv, xv = raw(wt), raw(x)
+    x_in, skip_in = isinstance(x, Tensor), skip is not None
+    y = wv @ xv + raw(bt)
+    if tanh:
+        y = np.tanh(y)
+    out = raw(skip) + y if skip_in else y
+
+    def vjp(g):
+        gz = g * (1.0 - y * y) if tanh else g
+        terms = [gz.sum(axis=1, keepdims=True), gz @ xv.T]
+        if x_in:
+            terms.append(wv.T @ gz)
+        return [g] + terms if skip_in else terms
+
+    inputs = [bt, wt] + ([x] if x_in else [])
+    return o.fused("dense", [skip] + inputs if skip_in else inputs, out, vjp)
 
 
 def _task_features(o, w, task, h):
-    inner = o.tanh(_dense(o, w, f"{task}_net_a", h))
-    return h + o.tanh(_dense(o, w, f"{task}_net_b", inner))
+    inner = _dense(o, w, f"{task}_net_a", h, tanh=True)
+    return _dense(o, w, f"{task}_net_b", inner, tanh=True, skip=h)
 
 
 def forward_pass(
@@ -133,8 +155,8 @@ def forward_pass(
             f"model expects {model.channels} channels, got {features.shape[0]}"
         )
     o = ops(features, *w.values())
-    h = o.tanh(_dense(o, w, "enc0", features))
-    h = o.tanh(_dense(o, w, "enc1", h))
+    h = _dense(o, w, "enc0", features, tanh=True)
+    h = _dense(o, w, "enc1", h, tanh=True)
     f_seg = _task_features(o, w, "seg", h)
     f_dep = _task_features(o, w, "dep", h)
 

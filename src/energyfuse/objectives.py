@@ -85,10 +85,22 @@ def seg_nll(logits, labels) -> object:
         return 0.0
     one_hot = np.zeros((k, n))
     one_hot[used, np.nonzero(valid)[0]] = 1.0
-    o = ops(logits)
-    picked = o.matmul(np.ones((1, k)), logits * one_hot)
-    lse_row = o.lse_cols(logits) * valid.astype(np.float64)[None, :]
-    return o.sum(lse_row - picked) * (1.0 / n_valid)
+    ones = np.ones((1, k))
+    valid_row = valid.astype(np.float64)[None, :]
+    scale = 1.0 / n_valid
+    lv = raw(logits)
+    picked = ones @ (lv * one_hot)
+    total = float(np.sum(numeric.lse_cols(lv) * valid_row - picked)) * scale
+
+    def vjp(g):
+        # the lse term, then the picked-logit term, as the op-by-op tape
+        g_row = np.full((1, n), (g * scale)[0, 0])
+        return (
+            numeric.softmax_cols(lv) * (g_row * valid_row),
+            (ones.T @ -g_row) * one_hot,
+        )
+
+    return ops(logits).fused("seg_nll", (logits, logits), total, vjp)
 
 
 def berhu_map(diff, c: float):
@@ -101,11 +113,19 @@ def berhu_map(diff, c: float):
         raise ContractError(f"berhu threshold must be >= 0, got {c}")
     if c == 0.0:
         return diff * 0.0
-    a = ops(diff).abs(diff)
-    linear = raw(a) <= c
-    quad = (diff * diff) * (1.0 / (2.0 * c)) + (c / 2.0)
-    sel = linear.astype(np.float64)
-    return a * sel + quad * (1.0 - sel)
+    d = raw(diff)
+    a = np.abs(d)
+    sel = (a <= c).astype(np.float64)
+    rest = 1.0 - sel
+    s = 1.0 / (2.0 * c)
+    value = a * sel + ((d * d) * s + (c / 2.0)) * rest
+
+    def vjp(g):
+        # two terms from e * e, then the one from |e|, as the op-by-op tape
+        g_sq = g * rest * s * d
+        return (g_sq, g_sq, g * sel * np.sign(d))
+
+    return ops(diff).fused("berhu_map", (diff, diff, diff), value, vjp)
 
 
 def berhu_loss(pred, gt, c: float = None) -> object:

@@ -34,13 +34,7 @@ def metrics_header(k: int) -> list:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_value(value)
-    return str(value)
+    return format_value(value) if isinstance(value, float) else str(value)
 
 
 def metrics_csv_rows(rows: list, k: int) -> list:
@@ -116,6 +110,9 @@ def sweep(base: RunConfig, axis: str, values: list, seeds: list) -> list:
             if not float(value).is_integer():
                 raise ContractError(f"steps must be whole numbers, got {value!r}")
         values = [int(value) for value in values]
+    for seed in seeds:
+        if not float(seed).is_integer():
+            raise ContractError(f"seeds must be whole numbers, got {seed!r}")
     for name, items in ((axis, values), ("seed", seeds)):
         repeated = [item for item in items if items.count(item) > 1]
         if repeated:

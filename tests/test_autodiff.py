@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from energyfuse.autodiff import ARRAY_OPS, DiffGraph, Tensor, grad_check, ops, raw
+from energyfuse.model import _dense
 from energyfuse.numeric import ContractError
+from energyfuse.objectives import IGNORE, berhu_map, seg_nll
 
 
 def test_lse_gradient_is_softmax():
@@ -79,6 +81,20 @@ def test_grad_check_constant_function_near_zero():
     assert err < 1e-8
 
 
+def _layer(g, x, inp, **kw):
+    """Dense layer "l" with W = x and b = x @ 1, so x reaches both slots."""
+    bias = g.matmul(x, g.constant(np.ones((x.cols, 1))))
+    return _dense(g, {"l_w": x, "l_b": bias}, "l", inp, **kw)
+
+
+def _labels_of(y):
+    """Argmax labels of y's columns, the first one IGNORE when there are two+."""
+    lab = np.argmax(y.data, axis=0)
+    if lab.size > 1:
+        lab[0] = IGNORE
+    return lab
+
+
 OPS = [
     ("add", lambda g, x, y: g.add(x, y)),
     ("sub", lambda g, x, y: g.sub(x, y)),
@@ -95,6 +111,16 @@ OPS = [
     ("softmax_cols", lambda g, x, y: g.softmax_cols(x)),
     ("lse_cols", lambda g, x, y: g.lse_cols(x)),
     ("hopfield", lambda g, x, y: g.hopfield(x, y, 0.7, 2)),
+    ("dense", lambda g, x, y: _layer(g, x, y.data.T)),
+    ("dense tanh", lambda g, x, y: _layer(g, x, g.transpose(x), tanh=True)),
+    (
+        "dense tanh skip",
+        lambda g, x, y: _layer(
+            g, x, g.transpose(y), tanh=True, skip=g.matmul(x, g.transpose(x))
+        ),
+    ),
+    ("seg_nll", lambda g, x, y: seg_nll(x, _labels_of(y))),
+    ("berhu_map", lambda g, x, y: berhu_map(x, 0.7)),
 ]
 
 
@@ -209,6 +235,103 @@ def test_fused_hopfield_matches_unfused_chain_bit_for_bit():
                 assert np.array_equal(got, want), (steps, gamma)
 
 
+def _fused_and_unfused(inputs, build_fused, build_unfused):
+    """(value, adjoint of each input) from both builds of one block.
+
+    Each input array enters as tanh(leaf) and also feeds a consumer
+    recorded after the block, so every adjoint term of the block lands on
+    an adjoint that already holds one and the accumulation order shows.
+    """
+    results = []
+    for build in (build_fused, build_unfused):
+        rng = np.random.default_rng(9)  # the same readouts for both builds
+        g = DiffGraph()
+        ts = [g.tanh(g.leaf(a)) for a in inputs]
+        out = build(g, *ts)
+        total = g.sum(g.mul(out, g.constant(rng.normal(size=out.shape))))
+        for t in ts:
+            total = g.add(total, g.sum(g.mul(t, g.constant(rng.normal(size=t.shape)))))
+        grads = g.backward(total)
+        results.append([out.data] + [grads[t.nid] for t in ts])
+    return results
+
+
+def _unfused_dense(g, w, name, x, tanh=False, skip=None):
+    """The dense block op by op, as the tape recorded it before fusion."""
+    y = g.add_col(g.matmul(w[name + "_w"], x), w[name + "_b"])
+    if tanh:
+        y = g.tanh(y)
+    return y if skip is None else g.add(skip, y)
+
+
+def test_fused_dense_matches_unfused_chain_bit_for_bit():
+    rng = np.random.default_rng(10)
+    shapes = [(5, 7), (5, 1), (7, 9), (5, 9)]  # W, b, x, skip
+    arrays = [rng.normal(size=s) for s in shapes]
+    for tanh in (False, True):
+        for with_skip in (False, True):
+            for x_const in (False, True):
+
+                def build(dense, g, wt, bt, xt, st):
+                    x = xt.data if x_const else xt
+                    skip = st if with_skip else None
+                    return dense(g, {"l_w": wt, "l_b": bt}, "l", x, tanh=tanh, skip=skip)
+
+                fused, unfused = _fused_and_unfused(
+                    arrays,
+                    lambda g, *ts: build(_dense, g, *ts),
+                    lambda g, *ts: build(_unfused_dense, g, *ts),
+                )
+                for got, want in zip(fused, unfused):
+                    assert np.array_equal(got, want), (tanh, with_skip, x_const)
+
+
+def _unfused_seg_nll(g, logits, lab):
+    """seg_nll op by op, as the tape recorded it before fusion."""
+    k, n = logits.shape
+    valid = lab != IGNORE
+    one_hot = np.zeros((k, n))
+    one_hot[lab[valid], np.nonzero(valid)[0]] = 1.0
+    picked = g.matmul(np.ones((1, k)), logits * one_hot)
+    lse_row = g.lse_cols(logits) * valid.astype(np.float64)[None, :]
+    return g.sum(lse_row - picked) * (1.0 / int(valid.sum()))
+
+
+def test_fused_seg_nll_matches_unfused_chain_bit_for_bit():
+    rng = np.random.default_rng(11)
+    logits = 3.0 * rng.normal(size=(4, 30))
+    lab = rng.integers(0, 4, size=30)
+    lab[::7] = IGNORE
+    fused, unfused = _fused_and_unfused(
+        [logits],
+        lambda g, t: seg_nll(t, lab),
+        lambda g, t: _unfused_seg_nll(g, t, lab),
+    )
+    for got, want in zip(fused, unfused):
+        assert np.array_equal(got, want)
+
+
+def _unfused_berhu_map(g, diff, c):
+    """berhu_map op by op, as the tape recorded it before fusion."""
+    a = g.abs(diff)
+    quad = (diff * diff) * (1.0 / (2.0 * c)) + (c / 2.0)
+    sel = (a.data <= c).astype(np.float64)
+    return a * sel + quad * (1.0 - sel)
+
+
+def test_fused_berhu_map_matches_unfused_chain_bit_for_bit():
+    rng = np.random.default_rng(12)
+    diff = 2.0 * rng.normal(size=(1, 40))
+    for c in (0.3, 0.9):
+        fused, unfused = _fused_and_unfused(
+            [diff],
+            lambda g, t: berhu_map(t, c),
+            lambda g, t: _unfused_berhu_map(g, t, c),
+        )
+        for got, want in zip(fused, unfused):
+            assert np.array_equal(got, want), c
+
+
 def test_hopfield_reverse_pass_reuses_no_saved_memory():
     """steps=8, gamma=0.7: the attention maps kept for the VJP own disjoint
     memory, and the VJP's reused workspaces write into none of the node's
@@ -265,11 +388,8 @@ def _array_op_args(rng):
         "softmax_cols": (x,),
         "lse_cols": (x,),
         "sub_row": (x, rng.normal(size=(1, 6))),
-        "add_col": (x, rng.normal(size=(4, 1))),
-        "tanh": (x,),
         "sigmoid": (x * 40.0,),
         "log": (np.abs(x) + 0.1,),
-        "abs": (x,),
         "sum": (x,),
         "stop_grad": (x,),
     }
@@ -285,7 +405,7 @@ def _both_ways(name, args):
 def test_array_ops_match_graph_ops_bit_for_bit():
     rng = np.random.default_rng(7)
     cases = _array_op_args(rng)
-    assert set(cases) | {"hopfield"} == set(vars(ARRAY_OPS))
+    assert set(cases) | {"hopfield", "fused"} == set(vars(ARRAY_OPS))
     for name, args in cases.items():
         assert callable(getattr(DiffGraph, name, None)), name
         got, want = _both_ways(name, args)
@@ -297,6 +417,13 @@ def test_array_ops_match_graph_ops_bit_for_bit():
     for steps in (1, 2, 8):
         got, want = _both_ways("hopfield", (xi, nu, 0.7, steps))
         assert np.array_equal(got, want), steps
+    # a fused block's value passes through; a float becomes a (1, 1) value
+    g = DiffGraph()
+    for value in (xi, 0.1):
+        got = ARRAY_OPS.fused("block", (), value, None)
+        want = g.fused("block", (), value, None).data
+        assert got is value
+        assert np.array_equal(np.reshape(got, np.shape(want)), want)
 
 
 def test_ops_picks_the_first_tensors_graph():

@@ -114,7 +114,7 @@ INT_KEYS = [f.name for f in fields(RunConfig) if f.type is int]
 def test_config_rejects_non_integer_ints(key):
     default = getattr(RunConfig(), key)
     assert getattr(RunConfig(**{key: np.int64(default)}), key) == default
-    for bad in (default + 0.5, float(default)):
+    for bad in (default + 0.5, float(default), True):
         with pytest.raises(ContractError, match=rf"^{key} must be an integer"):
             RunConfig(**{key: bad})
 
@@ -172,6 +172,31 @@ def test_metrics_rows_print_floats_at_full_precision():
     assert named["iou_class_0"] == "0.33333333333333331"
     assert named["miou"] == "0.41666666666666669"
     assert named["mean_energy_plain"] == "-1.25"
+
+
+def test_metrics_csv_cells_by_type_are_pinned(tmp_path):
+    """A bool and an int print with str, a float at 17 digits, a str as is."""
+    from energyfuse.config import config_echo
+
+    row = MetricsRow(
+        iou=[0.25, 1.0 / 3.0],
+        miou=7.0 / 24.0,
+        depth_mae=0.1,
+        mean_energy_plain=-1.25,
+        mean_energy_fused=-1.5,
+        run_id="r1",
+    )
+    row.config = {**config_echo(RunConfig(k=2, lr=0.1)), "t1": True}
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv([row], 2, str(path))
+    line = (
+        "r1,True,50,0.10000000000000001,0.10000000000000001,0.001,1,1,1,add,"
+        "0.90000000000000002,0,16,16,2,8,64,0,1,0,0,runs,"
+        "0.25,0.33333333333333331,0.29166666666666669,0.10000000000000001,"
+        "-1.25,-1.5"
+    )
+    want = ",".join(metrics_header(2)) + "\n" + line + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_sweep_rows_ordered_and_complete():
@@ -253,6 +278,17 @@ def test_sweep_rejects_duplicate_runs_before_any_run(monkeypatch):
     # steps are compared after their whole-number normalisation
     with pytest.raises(ContractError, match="steps 2"):
         sweep(RunConfig(), "steps", [2.0, 1, 2], [0])
+
+
+def test_sweep_rejects_fractional_seeds_before_any_run(monkeypatch):
+    def must_not_run(cfg, run_id):
+        raise AssertionError(f"run {run_id} started")
+
+    sweep_module = importlib.import_module("energyfuse.sweep")
+    monkeypatch.setattr(sweep_module, "run_experiment", must_not_run)
+    # int(1.5) would run seed 1 a second time under the id seed=1.5
+    with pytest.raises(ContractError, match="1.5"):
+        sweep(RunConfig(), "gamma", [0.5], [1, 1.5])
 
 
 def test_sweep_rejects_values_sharing_a_run_id_before_any_run(monkeypatch):

@@ -10,6 +10,7 @@ from energyfuse.autodiff import DiffGraph, raw
 from energyfuse.fusion import Scheme
 from energyfuse.model import Mode, bind, forward_pass, init_model
 from energyfuse.numeric import ContractError
+from energyfuse.objectives import berhu_map, seg_nll
 from energyfuse.rng import RngState
 
 
@@ -42,9 +43,9 @@ def test_infer_never_evaluates_plain_decoders(monkeypatch):
     calls = Counter()
     dense = model_mod._dense
 
-    def counted(o, w, name, h):
+    def counted(o, w, name, *args, **kwargs):
         calls[name] += 1
-        return dense(o, w, name, h)
+        return dense(o, w, name, *args, **kwargs)
 
     monkeypatch.setattr(model_mod, "_dense", counted)
     before = dict(calls)
@@ -174,3 +175,25 @@ def test_bind_covers_every_weight():
     assert set(leaves) == set(model.weights)
     for name, leaf in leaves.items():
         assert np.array_equal(raw(leaf), model.weights[name]), name
+
+
+def test_one_tape_node_per_dense_block_and_per_loss_map():
+    """steps=0 TRAIN pass: ten dense blocks (two encoder layers, two task
+    nets of two layers each, four decoders) plus the two fusion adds; the
+    scene features enter as block constants, not as const nodes."""
+    model = init_model(RngState(5, (1,)), 4, 6, steps=0)
+    graph = DiffGraph()
+    leaves = bind(model, graph)
+    forward_pass(model, _features(5), weights=leaves)
+    ops = [node.op for node in graph.nodes[len(leaves) :]]
+    assert len(ops) == 12
+    assert ops.count("dense") == 10 and ops.count("add") == 2
+
+    logits = graph.leaf(np.random.default_rng(0).normal(size=(4, 9)))
+    for loss in (
+        lambda: seg_nll(logits, np.arange(9) % 4),
+        lambda: berhu_map(logits, 0.5),
+    ):
+        before = len(graph.nodes)
+        loss()
+        assert len(graph.nodes) == before + 1

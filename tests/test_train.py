@@ -1,7 +1,9 @@
 """Tests for the two-phase training loop."""
 
 import dataclasses
+import gc
 import importlib
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -183,3 +185,20 @@ def test_phase_two_learning_rate_is_reduced():
     train(model, source, target, tiny)
     for name in before:
         assert np.allclose(model.weights[name], before[name], atol=1e-290), name
+
+
+def test_a_step_tape_is_freed_without_the_garbage_collector():
+    """Nothing on the tape refers back to its graph, so a phase-2 step's
+    tape (every fused block, reliability included) is freed by reference
+    counting alone as soon as the step lets go of it."""
+    cfg, model, source, target = _setup(beta=1.0)
+    gc.disable()
+    try:
+        graph = DiffGraph()
+        parts = compute_losses(model, source[0], target[0], cfg, 2, bind(model, graph))
+        graph.backward(parts["overall"])
+        alive = weakref.ref(graph)
+        del graph, parts
+        assert alive() is None
+    finally:
+        gc.enable()
