@@ -1,8 +1,8 @@
 """Reverse-mode differentiation over a flat operation tape.
 
 A DiffGraph records every tensor operation as a node (op tag, input ids,
-value). Inputs always precede consumers on the tape, so one reverse scan
-visits each node exactly once and accumulates exact adjoints.
+value, VJP). Inputs always precede consumers on the tape, so one reverse
+scan visits each node exactly once and accumulates exact adjoints.
 """
 
 from types import SimpleNamespace
@@ -82,32 +82,37 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "data", "aux")
+    __slots__ = ("op", "inputs", "data", "vjp")
 
-    def __init__(self, op, inputs, data, aux=None):
+    def __init__(self, op, inputs, data, vjp):
         self.op = op
         self.inputs = inputs
         self.data = data
-        self.aux = aux
+        self.vjp = vjp
 
 
 class DiffGraph:
-    """Single-writer tape of tensor operations."""
+    """Single-writer tape of tensor operations.
+
+    Each node's vjp(g) returns one adjoint term (or None) per input slot.
+    A VJP holds arrays, not Tensors: a Tensor holds its graph, and that
+    cycle would keep each tape alive until the garbage collector runs.
+    """
 
     def __init__(self):
         self.nodes = []
 
-    def _record(self, op, inputs, data, aux=None) -> Tensor:
-        self.nodes.append(_Node(op, tuple(t.nid for t in inputs), data, aux))
+    def _record(self, op, inputs, data, vjp) -> Tensor:
+        self.nodes.append(_Node(op, tuple(t.nid for t in inputs), data, vjp))
         return Tensor(self, len(self.nodes) - 1, data)
 
     def leaf(self, value) -> Tensor:
         """A differentiable input; its gradient is reported by backward."""
-        return self._record("leaf", (), as_matrix(value).copy())
+        return self._record("leaf", (), as_matrix(value).copy(), lambda g: ())
 
     def constant(self, value) -> Tensor:
         """Data that participates in values but never needs a gradient."""
-        return self._record("const", (), as_matrix(value).copy())
+        return self._record("const", (), as_matrix(value).copy(), lambda g: ())
 
     def _lift(self, x):
         """Plain arrays become constants; tensors and scalars pass through."""
@@ -118,31 +123,31 @@ class DiffGraph:
             if t.graph is not self:
                 raise ContractError("tensors belong to different graphs")
 
+    def _same_shape(self, op, a, b):
+        self._same_graph(a, b)
+        if a.shape != b.shape:
+            raise ContractError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
+
     # ---- elementwise / structural ops ----
 
     def add(self, a, b) -> Tensor:
-        self._same_graph(a, b)
-        if a.shape != b.shape:
-            raise ContractError(f"add shape mismatch: {a.shape} vs {b.shape}")
-        return self._record("add", (a, b), a.data + b.data)
+        self._same_shape("add", a, b)
+        return self._record("add", (a, b), a.data + b.data, lambda g: (g, g))
 
     def sub(self, a, b) -> Tensor:
-        self._same_graph(a, b)
-        if a.shape != b.shape:
-            raise ContractError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-        return self._record("sub", (a, b), a.data - b.data)
+        self._same_shape("sub", a, b)
+        return self._record("sub", (a, b), a.data - b.data, lambda g: (g, -g))
 
     def mul(self, a, b) -> Tensor:
-        self._same_graph(a, b)
-        if a.shape != b.shape:
-            raise ContractError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-        return self._record("mul", (a, b), a.data * b.data)
+        self._same_shape("mul", a, b)
+        av, bv = a.data, b.data
+        return self._record("mul", (a, b), av * bv, lambda g: (g * bv, g * av))
 
     def scale(self, a, c: float) -> Tensor:
-        return self._record("scale", (a,), a.data * c, aux=c)
+        return self._record("scale", (a,), a.data * c, lambda g: (g * c,))
 
     def shift(self, a, c: float) -> Tensor:
-        return self._record("shift", (a,), a.data + c, aux=c)
+        return self._record("shift", (a,), a.data + c, lambda g: (g,))
 
     def add_col(self, a, b) -> Tensor:
         """a (K, N) plus a column vector b (K, 1) broadcast over columns."""
@@ -150,7 +155,10 @@ class DiffGraph:
         self._same_graph(a, b)
         if b.cols != 1 or a.rows != b.rows:
             raise ContractError(f"add_col shapes: {a.shape} vs {b.shape}")
-        return self._record("add_col", (a, b), a.data + b.data)
+        return self._record(
+            "add_col", (a, b), a.data + b.data,
+            lambda g: (g, g.sum(axis=1, keepdims=True)),
+        )
 
     def sub_row(self, a, b) -> Tensor:
         """a (K, N) minus a row vector b (1, N) broadcast over rows."""
@@ -158,49 +166,62 @@ class DiffGraph:
         self._same_graph(a, b)
         if b.rows != 1 or a.cols != b.cols:
             raise ContractError(f"sub_row shapes: {a.shape} vs {b.shape}")
-        return self._record("sub_row", (a, b), a.data - b.data)
+        return self._record(
+            "sub_row", (a, b), a.data - b.data,
+            lambda g: (g, -g.sum(axis=0, keepdims=True)),
+        )
 
     def matmul(self, a, b) -> Tensor:
         a, b = self._lift(a), self._lift(b)
         self._same_graph(a, b)
         if a.cols != b.rows:
             raise ContractError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-        return self._record("matmul", (a, b), a.data @ b.data)
+        av, bv = a.data, b.data
+        return self._record("matmul", (a, b), av @ bv, lambda g: (g @ bv.T, av.T @ g))
 
     def transpose(self, a) -> Tensor:
-        return self._record("transpose", (a,), a.data.T.copy())
+        return self._record("transpose", (a,), a.data.T.copy(), lambda g: (g.T,))
 
     # ---- nonlinearities ----
 
-    def exp(self, a) -> Tensor:
-        return self._record("exp", (a,), np.exp(a.data))
-
-    def log(self, a) -> Tensor:
-        return self._record("log", (a,), np.log(a.data))
-
     def sigmoid(self, a) -> Tensor:
-        return self._record("sigmoid", (a,), numeric.sigmoid(a.data))
+        s = numeric.sigmoid(a.data)
+        return self._record("sigmoid", (a,), s, lambda g: (g * s * (1.0 - s),))
 
     def tanh(self, a) -> Tensor:
-        return self._record("tanh", (a,), np.tanh(a.data))
+        y = np.tanh(a.data)
+        return self._record("tanh", (a,), y, lambda g: (g * (1.0 - y * y),))
 
     def abs(self, a) -> Tensor:
-        return self._record("abs", (a,), np.abs(a.data))
+        av = a.data
+        return self._record("abs", (a,), np.abs(av), lambda g: (g * np.sign(av),))
 
     def softmax_cols(self, a) -> Tensor:
-        return self._record("softmax_cols", (a,), numeric.softmax_cols(a.data))
+        s = numeric.softmax_cols(a.data)
+        return self._record(
+            "softmax_cols", (a,), s,
+            lambda g: (s * (g - np.sum(g * s, axis=0, keepdims=True)),),
+        )
 
     def lse_cols(self, a) -> Tensor:
-        return self._record("lse_cols", (a,), numeric.lse_cols(a.data))
+        av = a.data
+        return self._record(
+            "lse_cols", (a,), numeric.lse_cols(av),
+            lambda g: (numeric.softmax_cols(av) * g,),
+        )
 
     # ---- reductions / markers ----
 
     def sum(self, a) -> Tensor:
-        return self._record("sum", (a,), np.array([[a.data.sum()]]))
+        shape = a.shape
+        return self._record(
+            "sum", (a,), np.array([[a.data.sum()]]),
+            lambda g: (np.full(shape, g[0, 0]),),
+        )
 
     def stop_grad(self, a) -> Tensor:
         """Value passes through; gradients do not."""
-        return self._record("stop_grad", (a,), a.data)
+        return self._record("stop_grad", (a,), a.data, lambda g: (None,))
 
     # ---- fused blocks ----
 
@@ -210,12 +231,10 @@ class DiffGraph:
         `value` is the block's result (a float for a scalar) and vjp(g)
         returns one adjoint term per input slot; an input that gets
         several terms takes several slots, in the order the op-by-op
-        tape would have accumulated them. vjp must hold arrays, not
-        Tensors: a Tensor holds its graph, and that cycle would keep each
-        tape alive until the garbage collector runs.
+        tape would have accumulated them.
         """
         data = np.array([[value]]) if isinstance(value, float) else value
-        return self._record(op, inputs, data, aux=vjp)
+        return self._record(op, inputs, data, vjp)
 
     def hopfield(self, xi, nu, gamma: float, steps: int) -> Tensor:
         """`steps` damped Hopfield updates of xi (d, N) toward nu (d, M).
@@ -235,7 +254,34 @@ class DiffGraph:
         x = hopfield_steps(xi.data, nu.data, gamma, steps, saved)
         # one input slot per adjoint term, in the op-by-op reverse order
         inputs = (nu, nu) * (steps - 1) + (nu, xi, xi, nu)
-        return self._record("hopfield", inputs, x, aux=(gamma, saved))
+        nu = nu.data
+
+        def vjp(g):
+            """Adjoint terms in the order of the node's input slots."""
+            # Fortran-ordered nu: the layout the unfused tape's VJP multiplied
+            # by (a transpose of a transposed copy), so sums match it bit for bit
+            nu_f = np.asfortranarray(nu)
+            # two (M, N) workspaces serve every step; each returned term is a
+            # fresh product, so none of them aliases gs or tmp
+            gs = np.empty(saved[0][1].shape)
+            tmp = np.empty_like(gs)
+            terms = []
+            for k in range(len(saved) - 1, -1, -1):
+                x, attn = saved[k]
+                gm = g * gamma
+                np.matmul(nu.T, gm, out=gs)
+                np.multiply(gs, attn, out=tmp)
+                gs -= tmp.sum(axis=0, keepdims=True)
+                gs *= attn
+                terms.append(gm @ attn.T)
+                if k == 0:
+                    terms += [g * (1.0 - gamma), nu_f @ gs, (gs @ x.T).T]
+                else:
+                    terms.append((gs @ x.T).T)
+                    g = g * (1.0 - gamma) + nu_f @ gs
+            return terms
+
+        return self._record("hopfield", inputs, x, vjp)
 
     # ---- reverse pass ----
 
@@ -259,7 +305,7 @@ class DiffGraph:
             if g is None:
                 continue
             node = self.nodes[nid]
-            for iid, ig in zip(node.inputs, self._vjp(node, g)):
+            for iid, ig in zip(node.inputs, node.vjp(g)):
                 if ig is None:
                     continue
                 if grads[iid] is None:
@@ -270,81 +316,6 @@ class DiffGraph:
                     grads[iid] = grads[iid] + ig
                     owned[iid] = True
         return grads
-
-    def _vjp(self, node, g):
-        if callable(node.aux):  # a fused block's own VJP
-            return node.aux(g)
-        op = node.op
-        ins = [self.nodes[i] for i in node.inputs]
-        if op in ("leaf", "const"):
-            return ()
-        if op == "add":
-            return (g, g)
-        if op == "sub":
-            return (g, -g)
-        if op == "mul":
-            return (g * ins[1].data, g * ins[0].data)
-        if op == "scale":
-            return (g * node.aux,)
-        if op == "shift":
-            return (g,)
-        if op == "add_col":
-            return (g, g.sum(axis=1, keepdims=True))
-        if op == "sub_row":
-            return (g, -g.sum(axis=0, keepdims=True))
-        if op == "matmul":
-            return (g @ ins[1].data.T, ins[0].data.T @ g)
-        if op == "transpose":
-            return (g.T,)
-        if op == "exp":
-            return (g * node.data,)
-        if op == "log":
-            return (g / ins[0].data,)
-        if op == "sigmoid":
-            return (g * node.data * (1.0 - node.data),)
-        if op == "tanh":
-            return (g * (1.0 - node.data * node.data),)
-        if op == "abs":
-            return (g * np.sign(ins[0].data),)
-        if op == "softmax_cols":
-            s = node.data
-            return (s * (g - np.sum(g * s, axis=0, keepdims=True)),)
-        if op == "lse_cols":
-            return (numeric.softmax_cols(ins[0].data) * g,)
-        if op == "sum":
-            return (np.full(ins[0].data.shape, g[0, 0]),)
-        if op == "stop_grad":
-            return (None,)
-        if op == "hopfield":
-            return self._hopfield_vjp(node, g)
-        raise AssertionError(f"no vjp for op {op!r}")
-
-    def _hopfield_vjp(self, node, g):
-        """Adjoint terms in the order of the node's input slots."""
-        gamma, saved = node.aux
-        nu = self.nodes[node.inputs[0]].data
-        # Fortran-ordered nu: the layout the unfused tape's VJP multiplied
-        # by (a transpose of a transposed copy), so sums match it bit for bit
-        nu_f = np.asfortranarray(nu)
-        # two (M, N) workspaces serve every step; each returned term is a
-        # fresh product, so none of them aliases gs or tmp
-        gs = np.empty(saved[0][1].shape)
-        tmp = np.empty_like(gs)
-        terms = []
-        for k in range(len(saved) - 1, -1, -1):
-            x, attn = saved[k]
-            gm = g * gamma
-            np.matmul(nu.T, gm, out=gs)
-            np.multiply(gs, attn, out=tmp)
-            gs -= tmp.sum(axis=0, keepdims=True)
-            gs *= attn
-            terms.append(gm @ attn.T)
-            if k == 0:
-                terms += [g * (1.0 - gamma), nu_f @ gs, (gs @ x.T).T]
-            else:
-                terms.append((gs @ x.T).T)
-                g = g * (1.0 - gamma) + nu_f @ gs
-        return terms
 
 
 def hopfield_steps(xi, nu, gamma: float, steps: int, saved: list = None):
@@ -371,12 +342,10 @@ def hopfield_steps(xi, nu, gamma: float, steps: int, saved: list = None):
 # DiffGraph's op names computed on plain arrays, recording nothing
 ARRAY_OPS = SimpleNamespace(
     matmul=numeric.matmul,
-    transpose=lambda a: np.asarray(a).T,
     softmax_cols=numeric.softmax_cols,
     lse_cols=numeric.lse_cols,
     sub_row=lambda a, b: np.asarray(a) - np.asarray(b),
     sigmoid=numeric.sigmoid,
-    log=np.log,
     sum=lambda a: float(np.sum(a)),
     stop_grad=lambda a: a,
     hopfield=hopfield_steps,

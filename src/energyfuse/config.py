@@ -9,6 +9,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
+from .fusion import check_schedule
 from .numeric import ContractError
 
 
@@ -54,10 +55,7 @@ class RunConfig:
             raise ContractError(f"alpha must be positive, got {self.alpha}")
         if self.beta < 0:
             raise ContractError(f"beta must be >= 0, got {self.beta}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ContractError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.steps < 0:
-            raise ContractError(f"steps must be >= 0, got {self.steps}")
+        check_schedule(self.gamma, self.steps)
         if self.scheme not in ("add", "gated"):
             raise ContractError(f"scheme must be add or gated, got {self.scheme!r}")
         if not 0.0 <= self.pseudo_threshold <= 1.0:
@@ -91,10 +89,10 @@ def _coerce(key: str, text: str):
 def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
     """Apply flat `key = value` lines on top of a base config.
 
-    Blank lines and lines starting with # are skipped; unknown keys are
-    rejected so typos fail loudly.
+    Blank lines and lines starting with # are skipped; unknown and
+    repeated keys are rejected so typos fail loudly.
     """
-    updates = {}
+    updates, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.strip()
         if not body or body.startswith("#"):
@@ -105,6 +103,9 @@ def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ContractError(f"line {lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ContractError(f"line {lineno}: {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         updates[key] = _coerce(key, value.strip())
     if base is None:
         return RunConfig(**updates)

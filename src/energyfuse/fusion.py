@@ -8,6 +8,7 @@ update is recorded as one fused tape node, on plain arrays the same
 hopfield_steps computes it without a tape.
 """
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,6 +42,16 @@ class PatternPair:
             raise ContractError("patterns need at least one column")
 
 
+def check_schedule(gamma, steps):
+    """gamma in [0, 1] and a whole number of steps >= 0."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ContractError(f"gamma must be in [0, 1], got {gamma}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ContractError(f"steps must be an integer, got {steps!r}")
+    if steps < 0:
+        raise ContractError(f"steps must be >= 0, got {steps}")
+
+
 @dataclass
 class FusionParams:
     """Fusion configuration; w1/w2 are the gate weights (Gated scheme only)."""
@@ -52,10 +63,7 @@ class FusionParams:
     w2: object = None
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ContractError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.steps < 0:
-            raise ContractError(f"steps must be >= 0, got {self.steps}")
+        check_schedule(self.gamma, self.steps)
         if self.scheme == Scheme.GATED:
             if self.w1 is None or self.w2 is None:
                 raise ContractError("Gated scheme requires w1 and w2")
@@ -90,10 +98,7 @@ def _update(o, xi, nu, gamma: float, steps: int):
 
 def hopfield_update(pair: PatternPair, gamma: float, steps: int) -> np.ndarray:
     """Run the damped update on a PatternPair; steps = 0 is the identity."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ContractError(f"gamma must be in [0, 1], got {gamma}")
-    if steps < 0:
-        raise ContractError(f"steps must be >= 0, got {steps}")
+    check_schedule(gamma, steps)
     return _update(ARRAY_OPS, pair.xi, pair.nu, gamma, steps)
 
 

@@ -223,6 +223,21 @@ def test_gamma_out_of_range_rejected():
         FusionParams(scheme=Scheme.ADD, gamma=0.5, steps=-1)
 
 
+def test_fractional_and_bool_steps_rejected():
+    """Both entries share one check: steps must be a whole number, so 1.5,
+    2.0 and True fail with a ContractError naming steps, not later in numpy."""
+    pair = PatternPair(np.eye(2), np.eye(2))
+    for steps in (1.5, 2.0, True):
+        with pytest.raises(ContractError, match="steps must be an integer"):
+            FusionParams(scheme=Scheme.ADD, gamma=0.5, steps=steps)
+        with pytest.raises(ContractError, match="steps must be an integer"):
+            hopfield_update(pair, 0.5, steps)
+    assert FusionParams(scheme=Scheme.ADD, gamma=0.5, steps=np.int64(2)).steps == 2
+    np.testing.assert_array_equal(
+        hopfield_update(pair, 0.5, np.int64(2)), hopfield_update(pair, 0.5, 2)
+    )
+
+
 def test_eb2f_steps_zero_equals_plain_fuse():
     rng = np.random.default_rng(10)
     for scheme in (Scheme.ADD, Scheme.GATED):

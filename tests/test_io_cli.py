@@ -87,6 +87,11 @@ def test_config_unknown_key_names_the_line():
         parse_config_text("t1 = 3\nlearning_rate = 0.1\n")
 
 
+def test_config_repeated_key_names_both_lines():
+    with pytest.raises(ContractError, match="line 3.*'gamma'.*line 1"):
+        parse_config_text("gamma = 0.5\n# again\ngamma = 0.7\n")
+
+
 def test_config_missing_equals_names_the_line():
     with pytest.raises(ContractError, match="line 3"):
         parse_config_text("t1 = 3\n# fine\njust words\n")
@@ -392,6 +397,16 @@ def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
     code = main(["train", "--config", str(cfg_path)])
     assert code == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_cli_repeated_config_key_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "twice.cfg"
+    cfg_path.write_text("gamma = 0.5\ngamma = 0.7\n", encoding="utf-8")
+    out = str(tmp_path / "run")
+    code = main(["train", "--config", str(cfg_path), *TINY, "--out_dir", out])
+    assert code == 2
+    assert "'gamma' repeats line 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_demo_hopfield_energies_decrease(capsys):
