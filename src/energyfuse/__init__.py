@@ -41,9 +41,11 @@ from .reliability import (
 )
 from .rng import RngState
 from .scenes import Domain, Scene, ShiftSpec, gen_scene, make_domain_pair, shift_scene
-from .sweep import sweep, write_loss_trace_csv, write_metrics_csv
+# train() and sweep() are not re-exported: they would shadow their modules,
+# so they are reached as energyfuse.train.train and energyfuse.sweep.sweep
+from .sweep import write_loss_trace_csv, write_metrics_csv
 from .tensor_io import dump_tensor, load_tensor
-from .train import TrainingDiverged, train
+from .train import TrainingDiverged
 from .verify import run_verification
 
 __version__ = "0.1.0"

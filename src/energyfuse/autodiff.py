@@ -3,6 +3,8 @@
 A DiffGraph records every tensor operation as a node (op tag, input ids,
 value, VJP). Inputs always precede consumers on the tape, so one reverse
 scan visits each node exactly once and accumulates exact adjoints.
+It holds no model math: each model block is computed by its own module
+and recorded as one node with DiffGraph.fused.
 """
 
 from types import SimpleNamespace
@@ -94,7 +96,7 @@ class _Node:
 class DiffGraph:
     """Single-writer tape of tensor operations.
 
-    Each node's vjp(g) returns one adjoint term (or None) per input slot.
+    Each node's vjp(g) returns one adjoint term per input slot.
     A VJP holds arrays, not Tensors: a Tensor holds its graph, and that
     cycle would keep each tape alive until the garbage collector runs.
     """
@@ -210,7 +212,7 @@ class DiffGraph:
             lambda g: (numeric.softmax_cols(av) * g,),
         )
 
-    # ---- reductions / markers ----
+    # ---- reductions ----
 
     def sum(self, a) -> Tensor:
         shape = a.shape
@@ -218,10 +220,6 @@ class DiffGraph:
             "sum", (a,), np.array([[a.data.sum()]]),
             lambda g: (np.full(shape, g[0, 0]),),
         )
-
-    def stop_grad(self, a) -> Tensor:
-        """Value passes through; gradients do not."""
-        return self._record("stop_grad", (a,), a.data, lambda g: (None,))
 
     # ---- fused blocks ----
 
@@ -235,53 +233,6 @@ class DiffGraph:
         """
         data = np.array([[value]]) if isinstance(value, float) else value
         return self._record(op, inputs, data, vjp)
-
-    def hopfield(self, xi, nu, gamma: float, steps: int) -> Tensor:
-        """`steps` damped Hopfield updates of xi (d, N) toward nu (d, M).
-
-        One node for the whole of hopfield_steps, whose expressions are
-        the op-by-op tape's in its order, so the value and both adjoints
-        match that tape bit for bit. Every step's (x, attention) is kept
-        for the VJP.
-        """
-        self._same_graph(xi, nu)
-        if xi.rows != nu.rows:
-            raise ContractError(f"hopfield shape mismatch: {xi.shape} vs {nu.shape}")
-        if steps < 1:
-            raise ContractError(f"hopfield needs steps >= 1, got {steps}")
-        gamma = float(gamma)
-        saved = []
-        x = hopfield_steps(xi.data, nu.data, gamma, steps, saved)
-        # one input slot per adjoint term, in the op-by-op reverse order
-        inputs = (nu, nu) * (steps - 1) + (nu, xi, xi, nu)
-        nu = nu.data
-
-        def vjp(g):
-            """Adjoint terms in the order of the node's input slots."""
-            # Fortran-ordered nu: the layout the unfused tape's VJP multiplied
-            # by (a transpose of a transposed copy), so sums match it bit for bit
-            nu_f = np.asfortranarray(nu)
-            # two (M, N) workspaces serve every step; each returned term is a
-            # fresh product, so none of them aliases gs or tmp
-            gs = np.empty(saved[0][1].shape)
-            tmp = np.empty_like(gs)
-            terms = []
-            for k in range(len(saved) - 1, -1, -1):
-                x, attn = saved[k]
-                gm = g * gamma
-                np.matmul(nu.T, gm, out=gs)
-                np.multiply(gs, attn, out=tmp)
-                gs -= tmp.sum(axis=0, keepdims=True)
-                gs *= attn
-                terms.append(gm @ attn.T)
-                if k == 0:
-                    terms += [g * (1.0 - gamma), nu_f @ gs, (gs @ x.T).T]
-                else:
-                    terms.append((gs @ x.T).T)
-                    g = g * (1.0 - gamma) + nu_f @ gs
-            return terms
-
-        return self._record("hopfield", inputs, x, vjp)
 
     # ---- reverse pass ----
 
@@ -306,8 +257,6 @@ class DiffGraph:
                 continue
             node = self.nodes[nid]
             for iid, ig in zip(node.inputs, node.vjp(g)):
-                if ig is None:
-                    continue
                 if grads[iid] is None:
                     grads[iid] = ig
                 elif owned[iid]:
@@ -318,37 +267,13 @@ class DiffGraph:
         return grads
 
 
-def hopfield_steps(xi, nu, gamma: float, steps: int, saved: list = None):
-    """x <- x*(1-gamma) + (nu @ softmax_cols(nu^T x))*gamma, `steps` times,
-    on ndarrays; each step's (x, attention) is appended to `saved`.
-
-    The (M, N) attention maps are written in place: into one (steps, M, N)
-    block when they are saved, else into one buffer reused by every step.
-    """
-    nu_t = nu.T.copy()
-    shape = (nu.shape[1], xi.shape[1])
-    block = np.empty(shape if saved is None else (steps,) + shape)
-    x = xi
-    for k in range(steps):
-        attn = block if saved is None else block[k]
-        np.matmul(nu_t, x, out=attn)
-        numeric.softmax_cols(attn, out=attn)
-        if saved is not None:
-            saved.append((x, attn))
-        x = x * (1.0 - gamma) + (nu @ attn) * gamma
-    return x
-
-
 # DiffGraph's op names computed on plain arrays, recording nothing
 ARRAY_OPS = SimpleNamespace(
     matmul=numeric.matmul,
-    softmax_cols=numeric.softmax_cols,
     lse_cols=numeric.lse_cols,
     sub_row=lambda a, b: np.asarray(a) - np.asarray(b),
     sigmoid=numeric.sigmoid,
     sum=lambda a: float(np.sum(a)),
-    stop_grad=lambda a: a,
-    hopfield=hopfield_steps,
     fused=lambda op, inputs, value, vjp: value,
 )
 

@@ -4,8 +4,8 @@ One task's feature columns (input patterns) descend the Hopfield energy
 toward the other task's feature columns (stored patterns), then the two
 are fused by direct addition or a learned sigmoid gate. Each entry picks
 its op namespace once (autodiff.ops): on DiffGraph tensors the damped
-update is recorded as one fused tape node, on plain arrays the same
-hopfield_steps computes it without a tape.
+update is recorded as one fused tape node with its own VJP, on plain
+arrays the same hopfield_steps computes it without a tape.
 """
 
 import numbers
@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from . import numeric
-from .autodiff import ARRAY_OPS, ops
+from .autodiff import ARRAY_OPS, ops, raw
 from .numeric import ContractError, as_matrix, lse
 
 
@@ -89,11 +89,66 @@ def hopfield_gradient(xi_col, nu) -> np.ndarray:
     return x - nu @ numeric.softmax(nu.T @ x)
 
 
+def hopfield_steps(xi, nu, gamma: float, steps: int, saved: list = None):
+    """x <- x*(1-gamma) + (nu @ softmax_cols(nu^T x))*gamma, `steps` times,
+    on ndarrays; each step's (x, attention) is appended to `saved`.
+
+    The (M, N) attention maps are written in place: into one (steps, M, N)
+    block when they are saved, else into one buffer reused by every step.
+    """
+    nu_t = nu.T.copy()
+    shape = (nu.shape[1], xi.shape[1])
+    block = np.empty(shape if saved is None else (steps,) + shape)
+    x = xi
+    for k in range(steps):
+        attn = block if saved is None else block[k]
+        np.matmul(nu_t, x, out=attn)
+        numeric.softmax_cols(attn, out=attn)
+        if saved is not None:
+            saved.append((x, attn))
+        x = x * (1.0 - gamma) + (nu @ attn) * gamma
+    return x
+
+
 def _update(o, xi, nu, gamma: float, steps: int):
-    """Damped retrieval update applied to every column of xi at once."""
+    """Damped update of every column of xi (d, N) toward nu (d, M), as one
+    "hopfield" node whose value and adjoints match the op-by-op tape's bit
+    for bit; only a graph keeps every step's (x, attention) for the VJP."""
     if gamma == 0.0 or steps == 0:
         return xi
-    return o.hopfield(xi, nu, gamma, steps)
+    gamma = float(gamma)
+    saved = None if o is ARRAY_OPS else []
+    x = hopfield_steps(raw(xi), raw(nu), gamma, steps, saved)
+    # one input slot per adjoint term, in the op-by-op reverse order
+    inputs = (nu, nu) * (steps - 1) + (nu, xi, xi, nu)
+    nu = raw(nu)
+
+    def vjp(g):
+        """Adjoint terms in the order of the node's input slots."""
+        # Fortran-ordered nu: the layout the unfused tape's VJP multiplied
+        # by (a transpose of a transposed copy), so sums match it bit for bit
+        nu_f = np.asfortranarray(nu)
+        # two (M, N) workspaces serve every step; each returned term is a
+        # fresh product, so none of them aliases gs or tmp
+        gs = np.empty(saved[0][1].shape)
+        tmp = np.empty_like(gs)
+        terms = []
+        for k in range(len(saved) - 1, -1, -1):
+            x, attn = saved[k]
+            gm = g * gamma
+            np.matmul(nu.T, gm, out=gs)
+            np.multiply(gs, attn, out=tmp)
+            gs -= tmp.sum(axis=0, keepdims=True)
+            gs *= attn
+            terms.append(gm @ attn.T)
+            if k == 0:
+                terms += [g * (1.0 - gamma), nu_f @ gs, (gs @ x.T).T]
+            else:
+                terms.append((gs @ x.T).T)
+                g = g * (1.0 - gamma) + nu_f @ gs
+        return terms
+
+    return o.fused("hopfield", inputs, x, vjp)
 
 
 def hopfield_update(pair: PatternPair, gamma: float, steps: int) -> np.ndarray:

@@ -43,7 +43,7 @@ def free_energy_map(logits):
     """Per-position -lse over class logits, shape 1 x N."""
     if logits.shape[0] < 2:
         raise ContractError(f"need at least 2 classes, got {logits.shape[0]}")
-    return ops(logits).lse_cols(logits) * -1.0
+    return numeric.lse_cols(raw(logits)) * -1.0
 
 
 def depth_energy_map(pred, ref, c: float):
@@ -63,12 +63,13 @@ def reliability_mask(e_plain, e_fused) -> ReliabilityMask:
 
 
 def _kl_row(o, teacher, student):
-    """Per-position KL(teacher || student) from logits, teacher detached."""
-    t = o.stop_grad(o.softmax_cols(teacher))
-    t_log = o.stop_grad(o.sub_row(teacher, o.lse_cols(teacher)))
+    """Per-position KL(teacher || student) from logits; the teacher side
+    is plain arrays, so it is detached and records nothing."""
+    tv = raw(teacher)
+    t_log = tv - numeric.lse_cols(tv)
     s_log = o.sub_row(student, o.lse_cols(student))
     k = teacher.shape[0]
-    return o.matmul(np.ones((1, k)), t * (t_log - s_log))
+    return o.matmul(np.ones((1, k)), numeric.softmax_cols(tv) * (t_log - s_log))
 
 
 def rfa_seg_loss(p_plain, p_fused, mask: ReliabilityMask):
@@ -113,10 +114,10 @@ def rfa_dep_loss(d_plain, d_fused, mask: ReliabilityMask, c: float):
     m_off = n - m_on
     loss = None
     if m_off > 0:
-        res = berhu_map(d_fused - o.stop_grad(d_plain), c)
+        res = berhu_map(d_fused - raw(d_plain), c)
         loss = o.sum(res * (1.0 - mask.m)) * (1.0 / m_off)
     if m_on > 0:
-        res = berhu_map(d_plain - o.stop_grad(d_fused), c)
+        res = berhu_map(d_plain - raw(d_fused), c)
         on = o.sum(res * mask.m) * (1.0 / m_on)
         loss = on if loss is None else loss + on
     return loss

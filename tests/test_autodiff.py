@@ -1,4 +1,4 @@
-"""Reverse-mode tape: hand gradients, finite differences, stop-gradient."""
+"""Reverse-mode tape: hand gradients, finite differences, fused blocks."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,14 @@ from energyfuse.autodiff import (
     DiffGraph,
     Tensor,
     grad_check,
-    hopfield_steps,
     ops,
     raw,
 )
+from energyfuse.fusion import _update, hopfield_steps
 from energyfuse.model import _dense
 from energyfuse.numeric import ContractError
 from energyfuse.objectives import IGNORE, berhu_map, seg_nll
+from energyfuse.reliability import ReliabilityMask, rfa_dep_loss, rfa_seg_loss
 
 
 def test_lse_gradient_is_softmax():
@@ -42,18 +43,6 @@ def test_backward_rejects_non_scalar_output():
         g.backward(g.tanh(x))
 
 
-def test_stop_grad_blocks_exactly():
-    """A leaf reaching the output only through stop_grad gets gradient 0."""
-    g = DiffGraph()
-    x = g.leaf(np.array([[2.0, -1.0]]))
-    y = g.leaf(np.array([[3.0, 0.5]]))
-    out = g.sum(g.mul(g.stop_grad(x), y))
-    grads = g.backward(out)
-    gx = grads[x.nid]
-    assert gx is None or np.all(gx == 0.0)
-    np.testing.assert_array_equal(grads[y.nid], raw(x))
-
-
 def test_grad_check_accepts_correct_gradient():
     def f(x):
         return x.graph.sum(x.graph.lse_cols(x))
@@ -67,15 +56,15 @@ def test_grad_check_accepts_correct_gradient():
 def test_grad_check_flags_scaled_gradient():
     """A function whose recorded gradient is 10 percent high gets caught.
 
-    The value path computes x^2 while the differentiable path carries
-    1.1 x^2 (the remaining -0.1 x^2 hides behind stop_grad), so the
-    analytic gradient disagrees with the function's own values.
+    The value is x^2, recorded as one fused node whose VJP returns
+    1.1 * 2x, so the analytic gradient disagrees with the function's own
+    values.
     """
 
     def f_bad(x):
         g = x.graph
-        y = g.mul(x, x)
-        return g.sum(g.add(g.scale(y, 1.1), g.stop_grad(g.scale(y, -0.1))))
+        xv = x.data
+        return g.sum(g.fused("square", (x,), xv * xv, lambda gy: (gy * 2.2 * xv,)))
 
     err = grad_check(f_bad, np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert err > 1e-2
@@ -119,8 +108,9 @@ OPS = [
     ("softmax_cols", lambda g, x, y: g.softmax_cols(x)),
     ("lse_cols", lambda g, x, y: g.lse_cols(x)),
     ("sum", lambda g, x, y: g.sum(x)),
-    ("stop_grad", lambda g, x, y: g.add(x, g.stop_grad(g.scale(x, 0.0)))),
-    ("hopfield", lambda g, x, y: g.hopfield(x, y, 0.7, 2)),
+    # a plain-array operand on the left, as a detached teacher in reliability
+    ("array operands", lambda g, x, y: np.exp(y.data) * (y.data - x)),
+    ("hopfield", lambda g, x, y: _update(g, x, y, 0.7, 2)),
     ("dense", lambda g, x, y: _layer(g, x, y.data.T)),
     ("dense tanh", lambda g, x, y: _layer(g, x, g.transpose(x), tanh=True)),
     (
@@ -244,7 +234,7 @@ def test_fused_hopfield_matches_unfused_chain_bit_for_bit():
                 xi = g.tanh(g.leaf(xi0))
                 nu = g.tanh(g.leaf(nu0))
                 if fused:
-                    out = g.hopfield(xi, nu, gamma, steps)
+                    out = _update(g, xi, nu, gamma, steps)
                 else:
                     out = _unfused_hopfield(g, xi, nu, gamma, steps)
                 total = g.add(g.add(out, nu), g.mul(xi, g.constant(readout)))
@@ -368,7 +358,7 @@ def test_hopfield_reverse_pass_reuses_no_saved_memory():
     for i in range(steps):
         for j in range(i + 1, steps):
             assert not np.shares_memory(attn[i], attn[j]), (i, j)
-    out = g.hopfield(xi, nu, 0.7, steps)
+    out = _update(g, xi, nu, 0.7, steps)
     loss = g.sum(g.mul(out, g.constant(rng.normal(size=(6, 10)))))
     kept = [t.data.copy() for t in (xi, nu, out)]
     first = g.backward(loss)
@@ -402,16 +392,14 @@ def test_backward_never_writes_into_a_borrowed_adjoint():
 
 
 def _array_op_args(rng):
-    """Arguments for every ARRAY_OPS op except hopfield, by name."""
+    """Arguments for every ARRAY_OPS op except fused, by name."""
     x = rng.normal(size=(4, 6))
     return {
         "matmul": (x, rng.normal(size=(6, 3))),
-        "softmax_cols": (x,),
         "lse_cols": (x,),
         "sub_row": (x, rng.normal(size=(1, 6))),
         "sigmoid": (x * 40.0,),
         "sum": (x,),
-        "stop_grad": (x,),
     }
 
 
@@ -425,25 +413,40 @@ def _both_ways(name, args):
 def test_array_ops_match_graph_ops_bit_for_bit():
     rng = np.random.default_rng(7)
     cases = _array_op_args(rng)
-    assert set(cases) | {"hopfield", "fused"} == set(vars(ARRAY_OPS))
+    assert set(cases) | {"fused"} == set(vars(ARRAY_OPS))
     for name, args in cases.items():
         assert callable(getattr(DiffGraph, name, None)), name
         got, want = _both_ways(name, args)
         if name == "sum":  # a float on arrays, a (1, 1) tensor on a graph
             got = got.reshape(1, 1)
         assert np.array_equal(got, want), name
-    xi = rng.normal(size=(5, 7))
-    nu = rng.normal(size=(5, 9))
-    for steps in (1, 2, 8):
-        got, want = _both_ways("hopfield", (xi, nu, 0.7, steps))
-        assert np.array_equal(got, want), steps
     # a fused block's value passes through; a float becomes a (1, 1) value
     g = DiffGraph()
-    for value in (xi, 0.1):
+    for value in (rng.normal(size=(5, 7)), 0.1):
         got = ARRAY_OPS.fused("block", (), value, None)
         want = g.fused("block", (), value, None).data
         assert got is value
         assert np.array_equal(np.reshape(got, np.shape(want)), want)
+
+
+def test_array_and_graph_passes_agree_bit_for_bit():
+    """The distillation losses (masks with both sides present) and the
+    Hopfield update give equal values on plain arrays and on graph leaves;
+    the graph's teacher side is plain arrays, so no softmax is recorded."""
+    rng = np.random.default_rng(13)
+    logits = [2.0 * rng.normal(size=(4, 12)) for _ in range(2)]
+    depths = [rng.normal(size=(1, 12)) for _ in range(2)]
+    mask = ReliabilityMask(m=(np.arange(12) % 3 == 0).reshape(1, -1))
+    g = DiffGraph()
+    seg = rfa_seg_loss(*[g.leaf(a) for a in logits], mask)
+    assert "softmax_cols" not in {node.op for node in g.nodes}
+    assert np.array_equal([[rfa_seg_loss(*logits, mask)]], seg.data)
+    dep = rfa_dep_loss(*[g.leaf(a) for a in depths], mask, 0.5)
+    assert np.array_equal([[rfa_dep_loss(*depths, mask, 0.5)]], dep.data)
+    xi, nu = rng.normal(size=(5, 7)), rng.normal(size=(5, 9))
+    for steps in (1, 2, 8):
+        want = _update(g, g.leaf(xi), g.leaf(nu), 0.7, steps).data
+        assert np.array_equal(_update(ARRAY_OPS, xi, nu, 0.7, steps), want), steps
 
 
 def test_ops_picks_the_first_tensors_graph():

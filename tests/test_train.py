@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import importlib
+import types
 import weakref
 from collections import Counter
 
@@ -202,3 +203,14 @@ def test_a_step_tape_is_freed_without_the_garbage_collector():
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_package_keeps_train_and_sweep_as_modules():
+    """`import energyfuse` binds its train and sweep submodules, not the
+    functions of the same names, which stay one attribute further in."""
+    import energyfuse
+
+    for name in ("train", "sweep"):
+        module = getattr(energyfuse, name)
+        assert isinstance(module, types.ModuleType), (name, module)
+        assert callable(getattr(module, name))
