@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import Tensor, ops, raw
+from .autodiff import ARRAY_OPS, Tensor, ops, raw
 from .fusion import FusionParams, Scheme, eb2f_apply
 from .numeric import ContractError
 from .rng import RngState
@@ -122,6 +122,8 @@ def _dense(o, w, name, x, tanh=False, skip=None):
     if tanh:
         y = np.tanh(y)
     out = raw(skip) + y if skip_in else y
+    if o is ARRAY_OPS:
+        return out
 
     def vjp(g):
         gz = g * (1.0 - y * y) if tanh else g

@@ -8,6 +8,8 @@ a pure function of (seed, config, data): rerunning reproduces the final
 weights bit for bit.
 """
 
+import ctypes
+import platform
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +146,16 @@ def compute_losses(
     }
 
 
+def _pin_malloc_thresholds():
+    """Keep freed step memory mapped, process-wide: pin glibc's mmap (-3) and
+    trim (-1) thresholds at its 64-bit caps; one alone freezes the other at 128 KiB."""
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+        if not (mallopt(-3, 32 << 20) and mallopt(-1, 64 << 20)):
+            raise OSError("mallopt rejected glibc's own threshold caps")
+
+
 def _train_step(
     model: ModelParams, scene_s, scene_t, cfg: RunConfig, phase: int, lr: float
 ) -> LossBundle:
@@ -180,6 +192,7 @@ def train(model: ModelParams, source: list, target: list, cfg: RunConfig):
     """Run both phases in place; returns the model and the loss trace."""
     if not source or not target:
         raise ContractError("training needs nonempty source and target sets")
+    _pin_malloc_thresholds()
     trace = []
     step = 0
     schedule = ((1, cfg.t1, cfg.lr), (2, cfg.t2, cfg.lr * cfg.lr_phase2_mult))
