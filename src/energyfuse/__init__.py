@@ -14,12 +14,11 @@ from .fusion import (
     hopfield_update,
 )
 from .metrics import MetricsRow, build_data, build_model, evaluate, run_experiment
-from .model import Mode, ModelParams, Predictions, forward_pass, init_model
+from .model import ModelParams, Predictions, forward_pass, init_model
 from .numeric import ContractError
 from .objectives import (
     IGNORE,
     LabelMap,
-    LabelSource,
     LossBundle,
     berhu_loss,
     berhu_map,
@@ -40,7 +39,7 @@ from .reliability import (
     rfa_total,
 )
 from .rng import RngState
-from .scenes import Domain, Scene, ShiftSpec, gen_scene, make_domain_pair, shift_scene
+from .scenes import Scene, ShiftSpec, gen_scene, make_domain_pair, shift_scene
 # train() and sweep() are not re-exported: they would shadow their modules,
 # so they are reached as energyfuse.train.train and energyfuse.sweep.sweep
 from .sweep import write_loss_trace_csv, write_metrics_csv

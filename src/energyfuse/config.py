@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .fusion import check_schedule
 from .numeric import ContractError
+from .scenes import ShiftSpec
 
 
 @dataclass
@@ -64,10 +65,13 @@ class RunConfig:
             raise ContractError("need h, w >= 1, k >= 2, channels >= 1")
         if self.n_scenes < 1:
             raise ContractError("n_scenes must be >= 1")
-        if self.feature_scale <= 0:
-            raise ContractError("feature_scale must be positive")
-        if self.noise_sd < 0 or self.depth_noise_sd < 0:
-            raise ContractError("noise levels must be >= 0")
+        self.shift_spec()
+
+    def shift_spec(self) -> ShiftSpec:
+        """The target-domain shift of the four shift fields; it checks them."""
+        return ShiftSpec(
+            self.feature_shift, self.feature_scale, self.noise_sd, self.depth_noise_sd
+        )
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))

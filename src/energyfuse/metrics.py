@@ -12,11 +12,11 @@ import numpy as np
 from .autodiff import raw
 from .config import RunConfig, config_echo
 from .fusion import Scheme
-from .model import Mode, forward_pass, init_model
+from .model import forward_pass, init_model
 from .numeric import ContractError
 from .reliability import free_energy_map
 from .rng import RngState
-from .scenes import ShiftSpec, make_domain_pair
+from .scenes import make_domain_pair
 from .train import train
 
 DATA_STREAM = 1
@@ -67,12 +67,9 @@ def _ordered_mean(partial_sums: list, count: int) -> float:
     return float(np.sort(np.asarray(partial_sums, dtype=np.float64)).sum() / count)
 
 
-def evaluate(model, scenes: list, mode: Mode = Mode.TRAIN) -> MetricsRow:
-    """Metrics over a scene set from the fused heads.
-
-    Train mode also reports the plain branch's mean free energy; Infer
-    mode leaves it nan (that branch is never evaluated then).
-    """
+def evaluate(model, scenes: list) -> MetricsRow:
+    """Metrics over a scene set from the fused heads, plus both
+    branches' mean free energy."""
     if not scenes:
         raise ContractError("evaluate needs at least one scene")
     k = model.k
@@ -80,22 +77,19 @@ def evaluate(model, scenes: list, mode: Mode = Mode.TRAIN) -> MetricsRow:
     err_sums, e_plain_sums, e_fused_sums = [], [], []
     n_total = 0
     for scene in scenes:
-        pred = forward_pass(model, scene, mode)
+        pred = forward_pass(model, scene)
         seg_hat = np.argmax(raw(pred.seg_fused), axis=0)
         conf += confusion_matrix(scene.labels.labels, seg_hat, k)
         err_sums.append(float(np.abs(raw(pred.dep_fused) - scene.depth).sum()))
         e_fused_sums.append(float(free_energy_map(raw(pred.seg_fused)).sum()))
-        if mode == Mode.TRAIN:
-            e_plain_sums.append(float(free_energy_map(raw(pred.seg_plain)).sum()))
+        e_plain_sums.append(float(free_energy_map(raw(pred.seg_plain)).sum()))
         n_total += scene.h * scene.w
     iou, miou = iou_from_confusion(conf)
     return MetricsRow(
         iou=[float(v) for v in iou],
         miou=miou,
         depth_mae=_ordered_mean(err_sums, n_total),
-        mean_energy_plain=(
-            _ordered_mean(e_plain_sums, n_total) if mode == Mode.TRAIN else float("nan")
-        ),
+        mean_energy_plain=_ordered_mean(e_plain_sums, n_total),
         mean_energy_fused=_ordered_mean(e_fused_sums, n_total),
     )
 
@@ -103,14 +97,8 @@ def evaluate(model, scenes: list, mode: Mode = Mode.TRAIN) -> MetricsRow:
 def build_data(cfg: RunConfig):
     """The (source, target) scene sets a config describes."""
     rng = RngState(cfg.seed, (DATA_STREAM,))
-    spec = ShiftSpec(
-        feature_shift=cfg.feature_shift,
-        feature_scale=cfg.feature_scale,
-        noise_sd=cfg.noise_sd,
-        depth_noise_sd=cfg.depth_noise_sd,
-    )
     return make_domain_pair(
-        rng, spec, cfg.n_scenes, (cfg.h, cfg.w), cfg.k, cfg.channels
+        rng, cfg.shift_spec(), cfg.n_scenes, (cfg.h, cfg.w), cfg.k, cfg.channels
     )
 
 
@@ -134,7 +122,7 @@ def run_experiment(cfg: RunConfig, run_id: str = "run"):
     source, target = build_data(cfg)
     model = build_model(cfg)
     model, trace = train(model, source, target, cfg)
-    row = evaluate(model, target, Mode.TRAIN)
+    row = evaluate(model, target)
     row.run_id = run_id
     row.config = config_echo(cfg)
     return row, trace

@@ -10,7 +10,6 @@ on the DiffGraph that bound leaves belong to.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -22,16 +21,11 @@ from .rng import RngState
 GATE_INIT = 0.01
 
 
-class Mode(Enum):
-    TRAIN = "train"
-    INFER = "infer"
-
-
 @dataclass
 class Predictions:
-    seg_plain: object  # K x N logits, None in Infer mode
+    seg_plain: object  # K x N logits
     seg_fused: object  # K x N logits
-    dep_plain: object  # 1 x N depth, None in Infer mode
+    dep_plain: object  # 1 x N depth
     dep_fused: object  # 1 x N depth
 
 
@@ -45,7 +39,6 @@ class ModelParams:
     steps: int
     k: int
     channels: int
-    width: int = 32
 
     def fusion_params(self, direction: str, weights: dict = None) -> FusionParams:
         """FusionParams for 'seg' or 'dep' queries, from the given weights."""
@@ -92,15 +85,7 @@ def init_model(
             w[f"fuse_{direction}_w2"] = rng.uniform(
                 -GATE_INIT, GATE_INIT, width, width
             )
-    return ModelParams(
-        weights=w,
-        scheme=scheme,
-        gamma=gamma,
-        steps=steps,
-        k=k,
-        channels=channels,
-        width=width,
-    )
+    return ModelParams(w, scheme, gamma, steps, k, channels)
 
 
 def bind(model: ModelParams, graph) -> dict:
@@ -141,14 +126,11 @@ def _task_features(o, w, task, h):
     return _dense(o, w, f"{task}_net_b", inner, tanh=True, skip=h)
 
 
-def forward_pass(
-    model: ModelParams, scene, mode: Mode = Mode.TRAIN, weights: dict = None
-) -> Predictions:
-    """Run the network on a Scene (or directly on a C x N feature map).
+def forward_pass(model: ModelParams, scene, weights: dict = None) -> Predictions:
+    """All four heads on a Scene (or directly on a C x N feature map).
 
-    Train mode fills all four heads. Infer mode computes the fused heads
-    only and never touches the plain decoders. Passing bound graph
-    leaves as `weights` makes every head differentiable.
+    Passing bound graph leaves as `weights` makes every head
+    differentiable.
     """
     w = model.weights if weights is None else weights
     features = getattr(scene, "features", scene)
@@ -166,10 +148,6 @@ def forward_pass(
     fused_dep_in = eb2f_apply(f_dep, f_seg, model.fusion_params("dep", w))
     seg_fused = _dense(o, w, "seg_dec_fused", fused_seg_in)
     dep_fused = _dense(o, w, "dep_dec_fused", fused_dep_in)
-
-    if mode == Mode.INFER:
-        return Predictions(None, seg_fused, None, dep_fused)
-
     seg_plain = _dense(o, w, "seg_dec_plain", f_seg)
     dep_plain = _dense(o, w, "dep_dec_plain", f_dep)
     return Predictions(seg_plain, seg_fused, dep_plain, dep_fused)

@@ -9,7 +9,6 @@ returns a float, a call on DiffGraph tensors records on their graph.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -20,17 +19,11 @@ from .numeric import ContractError
 IGNORE = -1
 
 
-class LabelSource(Enum):
-    GROUND_TRUTH = "ground_truth"
-    PSEUDO = "pseudo"
-
-
 @dataclass
 class LabelMap:
     """Per-position integer class labels; IGNORE marks excluded positions."""
 
     labels: np.ndarray
-    source: LabelSource = LabelSource.GROUND_TRUTH
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64).ravel()
@@ -128,8 +121,13 @@ def berhu_map(diff, c: float):
     return ops(diff).fused("berhu_map", (diff, diff, diff), value, vjp)
 
 
+def berhu_threshold(diff: np.ndarray) -> float:
+    """The per-image reverse Huber threshold max |diff| / 5."""
+    return float(np.max(np.abs(diff))) / 5.0
+
+
 def berhu_loss(pred, gt, c: float = None) -> object:
-    """Mean reverse Huber loss with c = max |pred - gt| / 5 per image.
+    """Mean reverse Huber loss with c = berhu_threshold(pred - gt).
 
     The threshold is computed from current values and held fixed for
     differentiation; pass c explicitly to freeze it entirely (finite
@@ -140,7 +138,7 @@ def berhu_loss(pred, gt, c: float = None) -> object:
         raise ContractError(f"depth shape mismatch: {pred.shape} vs {gt.shape}")
     e = pred - gt
     if c is None:
-        c = float(np.max(np.abs(raw(e)))) / 5.0
+        c = berhu_threshold(raw(e))
     if c == 0.0:
         return 0.0
     per = berhu_map(e, c)
@@ -172,4 +170,4 @@ def pseudo_label(logits, threshold: float = 0.9) -> LabelMap:
     conf = p.max(axis=0)
     winners = p.argmax(axis=0)
     labels = np.where(conf >= threshold, winners, IGNORE).astype(np.int64)
-    return LabelMap(labels=labels, source=LabelSource.PSEUDO)
+    return LabelMap(labels=labels)

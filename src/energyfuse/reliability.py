@@ -22,17 +22,13 @@ class ReliabilityMask:
     """Binary row m (1 where the fused branch won) and its count."""
 
     m: np.ndarray
-    count: int = field(default=None)
+    count: int = field(init=False)
 
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=np.float64).reshape(1, -1)
         if not np.all((self.m == 0.0) | (self.m == 1.0)):
             raise ContractError("mask entries must be 0 or 1")
-        total = int(self.m.sum())
-        if self.count is None:
-            self.count = total
-        elif self.count != total:
-            raise ContractError(f"count {self.count} != sum of entries {total}")
+        self.count = int(self.m.sum())
 
     @property
     def size(self) -> int:

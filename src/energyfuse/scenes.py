@@ -10,12 +10,11 @@ pseudo-depth stand-in.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .numeric import ContractError
-from .objectives import LabelMap, LabelSource
+from .objectives import LabelMap
 from .rng import RngState
 
 DEPTH_FLOOR = 1e-3
@@ -26,17 +25,11 @@ EMBED_SEED = 916191  # fixed; the embedding never varies with the run seed
 DEPTH_EMBED_GAIN = 0.2  # depth spans ~5 units; keeps its feature share comparable to the one-hot part
 
 
-class Domain(Enum):
-    SOURCE = "source"
-    TARGET = "target"
-
-
 @dataclass
 class Scene:
     features: np.ndarray  # C x N, N = h * w flattened row-major
     labels: LabelMap
     depth: np.ndarray  # 1 x N, strictly positive
-    domain: Domain
     h: int
     w: int
     labels_eval_only: bool = False
@@ -57,7 +50,7 @@ class Scene:
 
 @dataclass
 class ShiftSpec:
-    """Domain-gap recipe; scalars broadcast over channels."""
+    """Target-domain shift recipe; scalars broadcast over channels."""
 
     feature_shift: object = 0.0
     feature_scale: object = 1.0
@@ -164,9 +157,8 @@ def gen_scene(rng: RngState, h: int, w: int, k: int, channels: int = 8) -> Scene
 
     return Scene(
         features=features,
-        labels=LabelMap(labels=labels, source=LabelSource.GROUND_TRUTH),
+        labels=LabelMap(labels=labels),
         depth=depth,
-        domain=Domain.SOURCE,
         h=h,
         w=w,
     )
@@ -180,9 +172,8 @@ def shift_scene(scene: Scene, spec: ShiftSpec, rng: RngState) -> Scene:
     pseudo = np.maximum(pseudo, DEPTH_FLOOR)
     return Scene(
         features=features,
-        labels=LabelMap(scene.labels.labels.copy(), scene.labels.source),
+        labels=LabelMap(scene.labels.labels.copy()),
         depth=pseudo,
-        domain=Domain.TARGET,
         h=scene.h,
         w=scene.w,
         labels_eval_only=True,

@@ -129,14 +129,17 @@ def sweep(base: RunConfig, axis: str, values: list, seeds: list) -> list:
                 f"run id label {label}; every run id must be distinct"
             )
         labels[label] = value
-    rows = []
+    # every config is built, and so checked, before the first run
+    plan = []
     for value in sorted(values):
         for seed in sorted(seeds):
             run_id = f"{axis}={format(value, 'g')}_seed={seed}"
-            cfg = replace(base, **{key: value, "seed": int(seed)})
-            try:
-                row, _ = run_experiment(cfg, run_id)
-            except (ContractError, TrainingDiverged, FloatingPointError) as err:
-                row = _failure_row(cfg, run_id, err)
-            rows.append(row)
+            plan.append((run_id, replace(base, **{key: value, "seed": int(seed)})))
+    rows = []
+    for run_id, cfg in plan:
+        try:
+            row, _ = run_experiment(cfg, run_id)
+        except (ContractError, TrainingDiverged, FloatingPointError) as err:
+            row = _failure_row(cfg, run_id, err)
+        rows.append(row)
     return rows

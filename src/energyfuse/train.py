@@ -16,11 +16,12 @@ import numpy as np
 
 from .autodiff import DiffGraph, Tensor, raw
 from .config import RunConfig
-from .model import Mode, ModelParams, Predictions, bind, check_finite, forward_pass
+from .model import ModelParams, Predictions, bind, check_finite, forward_pass
 from .numeric import ContractError
 from .objectives import (
     LossBundle,
     berhu_loss,
+    berhu_threshold,
     four_term_total,
     overall_loss,
     pseudo_label,
@@ -52,10 +53,6 @@ def _value(x) -> float:
     return x.item() if isinstance(x, Tensor) else float(x)
 
 
-def _berhu_threshold(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b))) / 5.0
-
-
 def _raw_predictions(pred: Predictions) -> Predictions:
     """The same values as plain arrays, so losses built on them record nothing."""
     return Predictions(
@@ -80,9 +77,9 @@ def _rfa_domain(pred, ref_depth: np.ndarray, alpha: float, fixed_c: float = None
 
     d_plain = raw(pred.dep_plain)
     d_fused = raw(pred.dep_fused)
-    c_plain = _berhu_threshold(d_plain, ref_depth) if fixed_c is None else fixed_c
-    c_fused = _berhu_threshold(d_fused, ref_depth) if fixed_c is None else fixed_c
-    c_cross = _berhu_threshold(d_plain, d_fused) if fixed_c is None else fixed_c
+    c_plain = berhu_threshold(d_plain - ref_depth) if fixed_c is None else fixed_c
+    c_fused = berhu_threshold(d_fused - ref_depth) if fixed_c is None else fixed_c
+    c_cross = berhu_threshold(d_plain - d_fused) if fixed_c is None else fixed_c
     e_dp = depth_energy_map(d_plain, ref_depth, c_plain)
     e_df = depth_energy_map(d_fused, ref_depth, c_fused)
     dep_mask = reliability_mask(e_dp, e_df)
@@ -107,8 +104,8 @@ def compute_losses(
     """
     if scene_s.labels_eval_only:
         raise ContractError("evaluation-only labels cannot drive a training loss")
-    pred_s = forward_pass(model, scene_s, Mode.TRAIN, weights)
-    pred_t = forward_pass(model, scene_t, Mode.TRAIN, weights)
+    pred_s = forward_pass(model, scene_s, weights)
+    pred_t = forward_pass(model, scene_t, weights)
 
     pseudo = pseudo_label(raw(pred_t.seg_fused), cfg.pseudo_threshold)
 

@@ -14,7 +14,7 @@ from . import fusion, numeric
 from .autodiff import DiffGraph, grad_check
 from .config import RunConfig
 from .fusion import FusionParams, PatternPair, Scheme, eb2f_apply, fuse, hopfield_energy, hopfield_update
-from .model import Mode, forward_pass, init_model
+from .model import forward_pass, init_model
 from .numeric import softmax_cols
 from .objectives import IGNORE, berhu_loss, berhu_map, pseudo_label, seg_nll
 from .reliability import (
@@ -236,7 +236,7 @@ def check_end_to_end_gradients() -> CheckResult:
         # reference-point values to freeze into the FD route
         frozen = []
         for scene in (scene_s, scene_t):
-            pred0 = forward_pass(model, scene, Mode.TRAIN)
+            pred0 = forward_pass(model, scene)
             seg_mask = reliability_mask(
                 free_energy_map(pred0.seg_plain), free_energy_map(pred0.seg_fused)
             )
@@ -255,12 +255,12 @@ def check_end_to_end_gradients() -> CheckResult:
                     (seg_mask, dep_mask),
                 )
             )
-        pred_t0 = forward_pass(model, scene_t, Mode.TRAIN)
+        pred_t0 = forward_pass(model, scene_t)
         pseudo0 = pseudo_label(pred_t0.seg_fused, cfg.pseudo_threshold)
 
         def frozen_overall(wd):
-            pred_s = forward_pass(model, scene_s, Mode.TRAIN, wd)
-            pred_t = forward_pass(model, scene_t, Mode.TRAIN, wd)
+            pred_s = forward_pass(model, scene_s, wd)
+            pred_t = forward_pass(model, scene_t, wd)
             seg_total = (
                 seg_nll(pred_s.seg_plain, scene_s.labels)
                 + seg_nll(pred_s.seg_fused, scene_s.labels)

@@ -11,6 +11,7 @@ from energyfuse.config import CONFIG_KEYS, RunConfig, load_config, parse_config_
 from energyfuse.metrics import MetricsRow
 from energyfuse.numeric import ContractError
 from energyfuse.rng import RngState
+from energyfuse.scenes import ShiftSpec
 from energyfuse.sweep import (
     metrics_csv_rows,
     metrics_header,
@@ -127,6 +128,22 @@ def test_config_rejects_non_integer_ints(key):
 def test_config_rejects_non_positive_alpha():
     with pytest.raises(ContractError, match="alpha must be positive"):
         RunConfig(alpha=0.0)
+
+
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [
+        ("feature_scale", 0.0, "feature_scale must be positive"),
+        ("noise_sd", -0.1, "noise levels must be >= 0"),
+        ("depth_noise_sd", -1, "noise levels must be >= 0"),
+    ],
+)
+def test_config_shift_fields_are_checked_by_shift_spec(key, bad, message):
+    with pytest.raises(ContractError, match=message) as spec_err:
+        ShiftSpec(**{key: bad})
+    with pytest.raises(ContractError) as cfg_err:
+        RunConfig(**{key: bad})
+    assert str(cfg_err.value) == str(spec_err.value)
 
 
 def test_config_file_layering(tmp_path):
@@ -307,6 +324,19 @@ def test_sweep_rejects_values_sharing_a_run_id_before_any_run(monkeypatch):
         sweep(RunConfig(), "gamma", [0.1234567, 0.1234568], [0])
 
 
+def test_sweep_rejects_out_of_range_values_before_any_run(monkeypatch):
+    def must_not_run(cfg, run_id):
+        raise AssertionError(f"run {run_id} started")
+
+    sweep_module = importlib.import_module("energyfuse.sweep")
+    monkeypatch.setattr(sweep_module, "run_experiment", must_not_run)
+    # the bad value sorts after a good one, whose runs would come first
+    with pytest.raises(ContractError, match="gamma must be in"):
+        sweep(RunConfig(), "gamma", [0.5, 1.5], [0, 1])
+    with pytest.raises(ContractError, match="pseudo_threshold must be in"):
+        sweep(RunConfig(), "threshold", [0.5, 2.0], [0])
+
+
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(ContractError, match="axis"):
         sweep(RunConfig(), "lr", [0.1], [0])
@@ -383,6 +413,12 @@ def test_cli_non_finite_value_exits_2(capsys):
     code = main(["train", *TINY, "--beta", "nan"])
     assert code == 2
     assert "beta must be finite" in capsys.readouterr().err
+
+
+def test_cli_bad_shift_value_exits_2(capsys):
+    code = main(["train", *TINY, "--feature_scale", "0"])
+    assert code == 2
+    assert "feature_scale must be positive" in capsys.readouterr().err
 
 
 def test_cli_unparsable_flag_value_exits_2(capsys):

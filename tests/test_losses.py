@@ -7,7 +7,6 @@ from energyfuse.numeric import ContractError, lse_cols, softmax_cols
 from energyfuse.objectives import (
     IGNORE,
     LabelMap,
-    LabelSource,
     LossBundle,
     berhu_loss,
     berhu_map,
@@ -22,8 +21,8 @@ SEG_NLL_2_0 = 0.1269280110429725  # lse([2,0]) - 2 at 40 digits, rounded
 CONF_2_0 = 0.8807970779778824  # top softmax probability of [2, 0]
 
 
-def _labels(values, source=LabelSource.GROUND_TRUTH):
-    return LabelMap(labels=np.asarray(values, dtype=np.int64), source=source)
+def _labels(values):
+    return LabelMap(labels=np.asarray(values, dtype=np.int64))
 
 
 def test_seg_nll_hand_value():
@@ -138,7 +137,6 @@ def test_pseudo_label_threshold_zero_labels_everything():
     rng = np.random.default_rng(2)
     logits = rng.normal(size=(4, 11))
     out = pseudo_label(logits, 0.0)
-    assert out.source == LabelSource.PSEUDO
     np.testing.assert_array_equal(out.labels, np.argmax(logits, axis=0))
 
 

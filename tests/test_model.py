@@ -1,14 +1,12 @@
 """Tests for the shared encoder and dual decoder heads."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
 from energyfuse import model as model_mod
 from energyfuse.autodiff import DiffGraph, raw
 from energyfuse.fusion import Scheme
-from energyfuse.model import Mode, bind, forward_pass, init_model
+from energyfuse.model import bind, forward_pass, init_model
 from energyfuse.numeric import ContractError
 from energyfuse.objectives import berhu_map, seg_nll
 from energyfuse.rng import RngState
@@ -28,45 +26,18 @@ def test_train_mode_prediction_shapes():
     assert pred.dep_fused.shape == (1, n)
 
 
-def test_infer_mode_fills_fused_heads_only():
-    model = init_model(RngState(0, (1,)), 4, 6)
-    pred = forward_pass(model, _features(2), mode=Mode.INFER)
-    assert pred.seg_plain is None
-    assert pred.dep_plain is None
-    assert pred.seg_fused.shape == (4, 40)
-    assert pred.dep_fused.shape == (1, 40)
-
-
-def test_infer_never_evaluates_plain_decoders(monkeypatch):
-    model = init_model(RngState(3, (1,)), 4, 6)
-    x = _features(3)
-    calls = Counter()
-    dense = model_mod._dense
-
-    def counted(o, w, name, *args, **kwargs):
-        calls[name] += 1
-        return dense(o, w, name, *args, **kwargs)
-
-    monkeypatch.setattr(model_mod, "_dense", counted)
-    before = dict(calls)
-    for _ in range(7):
-        forward_pass(model, x, mode=Mode.INFER)
-    after = calls
-    assert after["seg_dec_plain"] == before.get("seg_dec_plain", 0)
-    assert after["dep_dec_plain"] == before.get("dep_dec_plain", 0)
-    assert after["seg_dec_fused"] == before.get("seg_dec_fused", 0) + 7
-    assert after["dep_dec_fused"] == before.get("dep_dec_fused", 0) + 7
-
-
-def test_infer_outputs_ignore_plain_decoder_weights():
+def test_fused_heads_ignore_plain_decoder_weights():
     model = init_model(RngState(4, (1,)), 4, 6)
     x = _features(4)
-    ref = forward_pass(model, x, mode=Mode.INFER)
+    ref = forward_pass(model, x)
     for name in ("seg_dec_plain_w", "seg_dec_plain_b", "dep_dec_plain_w", "dep_dec_plain_b"):
         model.weights[name] = model.weights[name] + 1e6
-    out = forward_pass(model, x, mode=Mode.INFER)
+    out = forward_pass(model, x)
     assert np.array_equal(ref.seg_fused, out.seg_fused)
     assert np.array_equal(ref.dep_fused, out.dep_fused)
+    # the shifted weights do reach the plain heads
+    assert not np.array_equal(ref.seg_plain, out.seg_plain)
+    assert not np.array_equal(ref.dep_plain, out.dep_plain)
 
 
 def test_zero_gate_with_tied_decoders_collapses_fusion():

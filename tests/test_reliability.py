@@ -105,8 +105,10 @@ def test_mask_partition_property():
 def test_mask_validation():
     with pytest.raises(ContractError):
         ReliabilityMask(m=np.array([[0.5, 1.0]]))
-    with pytest.raises(ContractError):
-        ReliabilityMask(m=np.array([[1.0, 0.0]]), count=2)
+    # the count is derived from the entries, never passed in
+    assert ReliabilityMask(m=np.array([[1.0, 0.0, 1.0]])).count == 2
+    with pytest.raises(TypeError):
+        ReliabilityMask(m=np.array([[1.0, 0.0]]), count=1)
 
 
 def test_rfa_seg_zero_for_identical_logits():

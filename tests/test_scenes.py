@@ -7,11 +7,9 @@ from conftest import REFERENCE
 from energyfuse.config import RunConfig
 from energyfuse.metrics import build_data, confusion_matrix, iou_from_confusion
 from energyfuse.numeric import ContractError
-from energyfuse.objectives import LabelSource
 from energyfuse.rng import RngState
 from energyfuse.scenes import (
     DEPTH_FLOOR,
-    Domain,
     Scene,
     ShiftSpec,
     gen_scene,
@@ -77,7 +75,6 @@ def test_null_shift_is_byte_equal():
     shifted = shift_scene(scene, ShiftSpec(), RngState(9, (3,)))
     assert np.array_equal(shifted.features, scene.features)
     assert np.array_equal(shifted.depth, scene.depth)
-    assert shifted.domain == Domain.TARGET
     assert shifted.labels_eval_only
 
 
@@ -109,11 +106,8 @@ def test_make_domain_pair_counts_and_tags():
     rng = RngState(5, (1,))
     source, target = make_domain_pair(rng, ShiftSpec(), 6, (4, 5), 3)
     assert len(source) == len(target) == 6
-    assert all(s.domain == Domain.SOURCE for s in source)
-    assert all(t.domain == Domain.TARGET for t in target)
     assert all(not s.labels_eval_only for s in source)
     assert all(t.labels_eval_only for t in target)
-    assert all(s.labels.source == LabelSource.GROUND_TRUTH for s in source)
 
 
 def test_make_domain_pair_deterministic():
@@ -131,7 +125,6 @@ def test_scene_validation():
             features=good.features,
             labels=good.labels,
             depth=-good.depth,
-            domain=Domain.SOURCE,
             h=4,
             w=4,
         )
@@ -140,7 +133,6 @@ def test_scene_validation():
             features=good.features[:, :3],
             labels=good.labels,
             depth=good.depth,
-            domain=Domain.SOURCE,
             h=4,
             w=4,
         )
