@@ -65,6 +65,8 @@ class RunConfig:
             raise ContractError("need h, w >= 1, k >= 2, channels >= 1")
         if self.n_scenes < 1:
             raise ContractError("n_scenes must be >= 1")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         self.shift_spec()
 
     def shift_spec(self) -> ShiftSpec:

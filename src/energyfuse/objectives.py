@@ -16,7 +16,7 @@ from . import numeric
 from .autodiff import ops, raw
 from .numeric import ContractError
 
-IGNORE = -1
+IGNORE = -1  # the one negative label: LabelMap rejects every label below it
 
 
 @dataclass
@@ -27,9 +27,9 @@ class LabelMap:
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64).ravel()
-        bad = self.labels[(self.labels != IGNORE) & (self.labels < 0)]
-        if bad.size:
-            raise ContractError(f"negative label {bad[0]} is not the IGNORE sentinel")
+        if self.labels.size and self.labels.min() < IGNORE:
+            bad = self.labels[self.labels < IGNORE][0]
+            raise ContractError(f"negative label {bad} is not the IGNORE sentinel")
 
 
 @dataclass

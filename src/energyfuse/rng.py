@@ -27,6 +27,10 @@ class RngState:
     def uniform(self, lo: float, hi: float, rows: int, cols: int) -> np.ndarray:
         return self._gen.uniform(lo, hi, size=(rows, cols))
 
-    def integers(self, lo: int, hi: int, n: int = 1) -> np.ndarray:
+    def integers(self, lo: int, hi: int, n: int) -> np.ndarray:
         """n integers in [lo, hi)."""
         return self._gen.integers(lo, hi, size=n)
+
+    def integer(self, lo: int, hi: int) -> int:
+        """One integer in [lo, hi): the same draw as `integers(lo, hi, 1)[0]`."""
+        return int(self._gen.integers(lo, hi))

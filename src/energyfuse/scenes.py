@@ -44,7 +44,7 @@ class Scene:
             raise ContractError("depth / labels do not cover the grid")
         if not np.all(self.depth > 0):
             raise ContractError("depth must be strictly positive")
-        if np.unique(self.labels.labels).size < 2:
+        if n == 0 or self.labels.labels.min() == self.labels.labels.max():
             raise ContractError("a scene must show at least 2 classes")
 
 
@@ -122,14 +122,13 @@ def _class_map(rng: RngState, h: int, w: int, k: int) -> np.ndarray:
         grid = _strips(rng, w, h, k).T.copy()
     else:
         grid = (np.arange(h * w, dtype=np.int64) % k).reshape(h, w)
-    n_boxes = int(rng.integers(1, 4, 1)[0])
-    for _ in range(n_boxes):
-        bh = int(rng.integers(1, max(2, h // 2 + 1), 1)[0])
-        bw = int(rng.integers(1, max(2, w // 2 + 1), 1)[0])
-        r0 = int(rng.integers(0, h - bh + 1, 1)[0])
-        c0 = int(rng.integers(0, w - bw + 1, 1)[0])
-        grid[r0 : r0 + bh, c0 : c0 + bw] = int(rng.integers(0, k, 1)[0])
-    if np.unique(grid).size < 2:
+    for _ in range(rng.integer(1, 4)):
+        bh = rng.integer(1, max(2, h // 2 + 1))
+        bw = rng.integer(1, max(2, w // 2 + 1))
+        r0 = rng.integer(0, h - bh + 1)
+        c0 = rng.integer(0, w - bw + 1)
+        grid[r0 : r0 + bh, c0 : c0 + bw] = rng.integer(0, k)
+    if grid.min() == grid.max():
         grid = (np.arange(h * w, dtype=np.int64) % k).reshape(h, w)
     return grid
 
@@ -166,6 +165,11 @@ def gen_scene(rng: RngState, h: int, w: int, k: int, channels: int = 8) -> Scene
 
 def shift_scene(scene: Scene, spec: ShiftSpec, rng: RngState) -> Scene:
     """Apply the domain gap: a null spec returns byte-equal data."""
+    channels = scene.features.shape[0]
+    for name in ("feature_shift", "feature_scale"):
+        size = getattr(spec, name).size
+        if size not in (1, channels):
+            raise ContractError(f"{name} has {size} entries for {channels} channels")
     features = scene.features * spec.feature_scale + spec.feature_shift
     features = features + rng.normal(*scene.features.shape, spec.noise_sd)
     pseudo = scene.depth + rng.normal(1, scene.depth.size, spec.depth_noise_sd)

@@ -1,5 +1,6 @@
 """Tests for tensor dumps, config parsing, CSV output, and the CLI."""
 
+import hashlib
 import importlib
 from dataclasses import fields
 
@@ -123,6 +124,12 @@ def test_config_rejects_non_integer_ints(key):
     for bad in (default + 0.5, float(default), True):
         with pytest.raises(ContractError, match=rf"^{key} must be an integer"):
             RunConfig(**{key: bad})
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(ContractError, match="^seed must be >= 0, got -1$"):
+        RunConfig(seed=-1)
+    assert RunConfig(seed=0).seed == 0
 
 
 def test_config_rejects_non_positive_alpha():
@@ -337,6 +344,17 @@ def test_sweep_rejects_out_of_range_values_before_any_run(monkeypatch):
         sweep(RunConfig(), "threshold", [0.5, 2.0], [0])
 
 
+def test_sweep_rejects_negative_seeds_before_any_run(monkeypatch):
+    def must_not_run(cfg, run_id):
+        raise AssertionError(f"run {run_id} started")
+
+    sweep_module = importlib.import_module("energyfuse.sweep")
+    monkeypatch.setattr(sweep_module, "run_experiment", must_not_run)
+    # the bad seed comes after a good one, whose run would come first
+    with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
+        sweep(RunConfig(), "gamma", [0.5], [0, -1])
+
+
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(ContractError, match="axis"):
         sweep(RunConfig(), "lr", [0.1], [0])
@@ -421,6 +439,20 @@ def test_cli_bad_shift_value_exits_2(capsys):
     assert "feature_scale must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["train", "--seed", "-1"],
+        ["sweep", "--axis", "gamma", "--values", "1", "--seeds=0,-1"],
+    ],
+)
+def test_cli_negative_seed_exits_2(tmp_path, capsys, args):
+    out = tmp_path / "run"
+    assert main([*args, *TINY, "--out_dir", str(out)]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_unparsable_flag_value_exits_2(capsys):
     code = main(["train", *TINY, "--t1", "soon"])
     assert code == 2
@@ -473,3 +505,52 @@ def test_cli_gen_data_dumps_loadable_scenes(tmp_path, capsys):
         assert labels.min() >= 0 and labels.max() < 3
         assert np.array_equal(labels, np.round(labels))
     assert "wrote 4 scenes" in capsys.readouterr().out
+
+
+# The outputs of the two RNG-driven commands at their defaults. The
+# initial commit's CLI prints and writes the same bytes.
+DEMO_HOPFIELD_SEED_0 = """\
+retrieving stored pattern 0 from a noisy probe
+iter  0  energy -1.384173  step size 7.69e-01
+iter  1  energy -1.726481  step size 1.51e-01
+iter  2  energy -1.740604  step size 3.67e-02
+iter  3  energy -1.741441  step size 9.10e-03
+iter  4  energy -1.741493  step size 2.30e-03
+iter  5  energy -1.741496  step size 5.86e-04
+iter  6  energy -1.741497  step size 1.50e-04
+iter  7  energy -1.741497  step size 3.86e-05
+iter  8  energy -1.741497  step size 9.90e-06
+iter  9  energy -1.741497  step size 2.55e-06
+closest stored pattern: 2
+"""
+
+GEN_DATA_2_SCENES = {
+    "manifest.txt": "18bddd7e3455c288f777f6ab04f99a7d4c5457c0d332a6df8dca1cfe3fc01d2d",
+    "source_000_depth.txt": "914b7792c84884bf3d8ed0f4e71e4317e7b45c60c2ad8e2f6505b835cc56de21",
+    "source_000_features.txt": "02353441a583a2a5780b39d2c9cc21808ff01c33ef6ea3f743c31715d8fd0ba1",
+    "source_000_labels.txt": "7867ef42409d10c9f3c6905dece43513fe15d0198acb5cc584abff2e9c9f9b57",
+    "source_001_depth.txt": "b4e6887073f51a356b6bb94c64af23dfdeacb4be9b1043d048ad553fff7b04c4",
+    "source_001_features.txt": "20908165703c464941c9a12fe6d1a82130ca9daa9ad8e733ce22529ef983f6e0",
+    "source_001_labels.txt": "eb659e0551c42ecf3fce476ee001289375a64caed11e1e46e14043f9a50237e0",
+    "target_000_depth.txt": "07cb2a77707c608aa7a6d6f6ee137f82c7e5b6d063fcb504163ba80fba809933",
+    "target_000_features.txt": "137261b55daa195c666cbba2907ae472f41a3f33df57f25301dea1a6ae5e2e58",
+    "target_000_labels.txt": "9c4a954a9d37b2a200c4ed75ee338a2e871407be44af30c9fb47bd6b33fd39a6",
+    "target_001_depth.txt": "85671453dddadd11aa37ee4863927f8c746b95a44add8a28ff352cdedf92dd42",
+    "target_001_features.txt": "7c2b16dee98f01f507ede99a7a8f6af328b9ba6a716cb6c01220725a7b625aab",
+    "target_001_labels.txt": "b19777cfaf4d462e9f7e0fd8af72f6f8f5ecfd689b2024ae6e98cbc8d3054986",
+}
+
+
+def test_cli_demo_hopfield_output_is_pinned(capsys):
+    assert main(["demo-hopfield", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == DEMO_HOPFIELD_SEED_0
+
+
+def test_cli_gen_data_files_are_pinned(tmp_path):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--n_scenes", "2", "--out_dir", str(out)]) == 0
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.iterdir()
+    }
+    assert written == GEN_DATA_2_SCENES

@@ -75,6 +75,11 @@ def test_seg_nll_rejects_label_out_of_range():
 def test_label_map_rejects_negative_non_ignore():
     with pytest.raises(ContractError):
         _labels([0, -2])
+    # the message names the first offender in order, not the smallest
+    with pytest.raises(ContractError, match="negative label -2 is"):
+        _labels([0, IGNORE, -2, -5])
+    assert _labels([]).labels.size == 0
+    assert _labels([IGNORE, 0]).labels.tolist() == [IGNORE, 0]
 
 
 def test_berhu_zero_residual():

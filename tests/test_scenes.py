@@ -1,5 +1,7 @@
 """Synthetic paired-domain scenes: determinism, structure, domain gap."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from conftest import REFERENCE
 from energyfuse.config import RunConfig
 from energyfuse.metrics import build_data, confusion_matrix, iou_from_confusion
 from energyfuse.numeric import ContractError
+from energyfuse.objectives import LabelMap
 from energyfuse.rng import RngState
 from energyfuse.scenes import (
     DEPTH_FLOOR,
@@ -16,6 +19,78 @@ from energyfuse.scenes import (
     make_domain_pair,
     shift_scene,
 )
+
+
+SHIFT = {
+    key: REFERENCE[key]
+    for key in ("feature_shift", "feature_scale", "noise_sd", "depth_noise_sd")
+}
+
+# sha256 of every scene's features, depth and labels bytes from
+# build_data, source scenes then target scenes. The initial commit's
+# generator gives the same bytes. The small shapes reach each
+# `_class_map` branch: strips along w (w >= k), transposed strips
+# (w < k <= h) and the cyclic pattern (h, w < k). In "overlay", boxes
+# leave one class in 7 of the 16 class maps, which then fall back to
+# the cyclic pattern; in "collided", 6 maps fall back to even strips
+# because their cut draws collided.
+PINNED_DATA = [
+    pytest.param(
+        {**REFERENCE, "seed": 0},
+        "683d46a19e31d1f338e58dde29a9ffde23b12a9c0d4f0d0f4bb1def273bc2c64",
+        id="reference-seed0",
+    ),
+    pytest.param(
+        {**REFERENCE, "seed": 1},
+        "0a3dc60b314ff03429bed21453db12b30c34ea8b2648147990158fe4954a09a5",
+        id="reference-seed1",
+    ),
+    pytest.param(
+        dict(SHIFT, h=4, w=6, k=4, n_scenes=8),
+        "7a8ebdaf26de8d4d45a7da38f98e1d61f0aee440df7656d31fdc85279d058188",
+        id="strips",
+    ),
+    pytest.param(
+        dict(SHIFT, h=6, w=3, k=4, n_scenes=8),
+        "48532829e9d49c77a2226859ee389b8eda5648b7e8078cd3e5656cf55fbabf93",
+        id="transposed-strips",
+    ),
+    pytest.param(
+        dict(SHIFT, h=3, w=3, k=4, n_scenes=8),
+        "c5e5146ef3fda39a6f45fdb87aac70fe8abae62a5f3ab5bc975e3137e2fe0c04",
+        id="cyclic",
+    ),
+    pytest.param(
+        dict(SHIFT, h=1, w=2, k=2, n_scenes=8),
+        "d738103d2093099e71846a5ebd745efcd4c004723b7b876beb90429a67749f1c",
+        id="overlay-fallback",
+    ),
+    pytest.param(
+        dict(SHIFT, h=2, w=5, k=5, n_scenes=8),
+        "6a5bc50d300170c9f6e9f1be29a71cd817b9d9876e7e194e2dd739772669cfd0",
+        id="collided-draws",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, digest", PINNED_DATA)
+def test_build_data_is_pinned_bit_for_bit(config, digest):
+    source, target = build_data(RunConfig(**config))
+    h = hashlib.sha256()
+    for scene in source + target:
+        for array in (scene.features, scene.depth, scene.labels.labels):
+            h.update(array.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_integer_is_a_one_value_integers_draw():
+    """Same value, and the same stream state after it, as a size-1 draw."""
+    a, b = RngState(4, (2,)), RngState(4, (2,))
+    for hi in range(1, 2001):
+        lo = hi // 3
+        x = a.integer(lo, hi + 1)
+        assert type(x) is int and x == b.integers(lo, hi + 1, 1)[0]
+    assert np.array_equal(a.normal(1, 4), b.normal(1, 4))
 
 
 def test_same_seed_bitwise_identical():
@@ -102,6 +177,16 @@ def test_shift_spec_validation():
         ShiftSpec(depth_noise_sd=-1.0)
 
 
+@pytest.mark.parametrize("key", ["feature_shift", "feature_scale"])
+def test_shift_entries_must_match_channels(key):
+    scene = gen_scene(RngState(12, (2,)), 4, 4, 2)
+    with pytest.raises(ContractError, match=f"{key} has 3 entries for 8 channels"):
+        shift_scene(scene, ShiftSpec(**{key: [1.0, 2.0, 3.0]}), RngState(12, (3,)))
+    spec = ShiftSpec(**{key: np.linspace(1.0, 2.0, 8)})
+    shifted = shift_scene(scene, spec, RngState(12, (3,)))
+    assert shifted.features.shape == scene.features.shape
+
+
 def test_make_domain_pair_counts_and_tags():
     rng = RngState(5, (1,))
     source, target = make_domain_pair(rng, ShiftSpec(), 6, (4, 5), 3)
@@ -135,6 +220,22 @@ def test_scene_validation():
             depth=good.depth,
             h=4,
             w=4,
+        )
+    with pytest.raises(ContractError, match="at least 2 classes"):
+        Scene(
+            features=good.features,
+            labels=LabelMap(np.full(16, 1)),
+            depth=good.depth,
+            h=4,
+            w=4,
+        )
+    with pytest.raises(ContractError, match="at least 2 classes"):
+        Scene(
+            features=np.zeros((8, 0)),
+            labels=LabelMap(np.zeros(0)),
+            depth=np.ones((1, 0)),
+            h=0,
+            w=0,
         )
 
 
