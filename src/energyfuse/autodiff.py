@@ -76,9 +76,6 @@ class Tensor:
     def __neg__(self):
         return self.graph.scale(self, -1.0)
 
-    def __matmul__(self, other):
-        return self.graph.matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(nid={self.nid}, shape={self.data.shape})"
 
@@ -151,17 +148,6 @@ class DiffGraph:
     def shift(self, a, c: float) -> Tensor:
         return self._record("shift", (a,), a.data + c, lambda g: (g,))
 
-    def add_col(self, a, b) -> Tensor:
-        """a (K, N) plus a column vector b (K, 1) broadcast over columns."""
-        a, b = self._lift(a), self._lift(b)
-        self._same_graph(a, b)
-        if b.cols != 1 or a.rows != b.rows:
-            raise ContractError(f"add_col shapes: {a.shape} vs {b.shape}")
-        return self._record(
-            "add_col", (a, b), a.data + b.data,
-            lambda g: (g, g.sum(axis=1, keepdims=True)),
-        )
-
     def sub_row(self, a, b) -> Tensor:
         """a (K, N) minus a row vector b (1, N) broadcast over rows."""
         a, b = self._lift(a), self._lift(b)
@@ -181,29 +167,11 @@ class DiffGraph:
         av, bv = a.data, b.data
         return self._record("matmul", (a, b), av @ bv, lambda g: (g @ bv.T, av.T @ g))
 
-    def transpose(self, a) -> Tensor:
-        return self._record("transpose", (a,), a.data.T.copy(), lambda g: (g.T,))
-
     # ---- nonlinearities ----
 
     def sigmoid(self, a) -> Tensor:
         s = numeric.sigmoid(a.data)
         return self._record("sigmoid", (a,), s, lambda g: (g * s * (1.0 - s),))
-
-    def tanh(self, a) -> Tensor:
-        y = np.tanh(a.data)
-        return self._record("tanh", (a,), y, lambda g: (g * (1.0 - y * y),))
-
-    def abs(self, a) -> Tensor:
-        av = a.data
-        return self._record("abs", (a,), np.abs(av), lambda g: (g * np.sign(av),))
-
-    def softmax_cols(self, a) -> Tensor:
-        s = numeric.softmax_cols(a.data)
-        return self._record(
-            "softmax_cols", (a,), s,
-            lambda g: (s * (g - np.sum(g * s, axis=0, keepdims=True)),),
-        )
 
     def lse_cols(self, a) -> Tensor:
         av = a.data

@@ -96,8 +96,8 @@ def bind(model: ModelParams, graph) -> dict:
 def _dense(o, w, name, x, tanh=False, skip=None):
     """[skip +] [tanh](W x + b) of layer `name`, recorded as one node.
 
-    The value and the adjoint terms are the op-by-op tape's (matmul,
-    add_col, tanh, add) in its order, so both match it bit for bit. A
+    The value and the adjoint terms are the op-by-op chain's (matmul,
+    add_col, tanh, add; the tests' reference) in its order, bit for bit. A
     plain-array x is a constant of the block and gets no adjoint.
     """
     wt, bt = w[name + "_w"], w[name + "_b"]

@@ -72,7 +72,8 @@ def seg_nll(logits, labels) -> object:
     valid = lab != IGNORE
     used = lab[valid]
     if used.size and (used.min() < 0 or used.max() >= k):
-        raise ContractError(f"label out of range [0, {k}): {used.max()}")
+        bad = used[(used < 0) | (used >= k)][0]
+        raise ContractError(f"label out of range [0, {k}): {bad}")
     n_valid = int(valid.sum())
     if n_valid == 0:
         return 0.0

@@ -14,7 +14,7 @@ from . import fusion, numeric
 from .autodiff import DiffGraph, grad_check
 from .config import RunConfig
 from .fusion import FusionParams, PatternPair, Scheme, eb2f_apply, fuse, hopfield_energy, hopfield_update
-from .model import forward_pass, init_model
+from .model import _dense, forward_pass, init_model
 from .numeric import softmax_cols
 from .objectives import IGNORE, berhu_loss, berhu_map, pseudo_label, seg_nll
 from .reliability import (
@@ -476,18 +476,25 @@ def check_berhu_continuity(n: int = 100) -> CheckResult:
 
 
 def check_autodiff_composite() -> CheckResult:
-    """One function touching most tape ops against finite differences."""
+    """Every op a training step records, and one node of each fused kind
+    (dense, hopfield, seg_nll, berhu_map), against finite differences."""
     rng = _rng(16)
-    w = rng.normal(4, 4, 1.0)
+    w = rng.normal(5, 4, 1.0)
+    labels = np.array([2, IGNORE, 0, 3, 1])
 
     def f(x):
         g = x.graph
-        y = g.matmul(g.constant(w), g.tanh(x))
-        y = g.softmax_cols(y) * g.sigmoid(x) + g.tanh(x * 0.1 - 0.2)
-        z = g.sub_row(y, g.lse_cols(y * 0.5))
-        z = g.add_col(z, g.constant(np.ones((4, 1))))
-        t = g.abs(g.transpose(z))
-        return g.sum(z * z) * 0.25 + g.sum(t) * 0.01 + g.sum(g.sub(x * x, x)) * 0.01
+        # W and b computed from x, so the dense weight terms reach the leaf
+        layer = {
+            "l_w": g.matmul(x, g.constant(w)) * 0.3,
+            "l_b": g.matmul(x, g.constant(np.ones((5, 1)))) * 0.2,
+        }
+        h = _dense(g, layer, "l", x, tanh=True, skip=g.sigmoid(x))
+        u = fusion._update(g, h, x * 0.5 + 0.3, 0.7, 2)
+        z = g.sub_row(u, g.lse_cols(u))
+        # u - x has entries on both sides of c = 0.5, so both branches count
+        dep = g.sum(berhu_map(u - x, 0.5)) * 0.2
+        return seg_nll(u, labels) + g.sum(z * z) * 0.05 + dep
 
     worst = grad_check(f, rng.normal(4, 5, 0.8))
     return CheckResult("autodiff-composite-vs-fd", worst, 1e-6, worst < 1e-6)

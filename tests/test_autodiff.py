@@ -1,5 +1,7 @@
 """Reverse-mode tape: hand gradients, finite differences, fused blocks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,37 @@ from energyfuse.autodiff import (
     ops,
     raw,
 )
-from energyfuse.fusion import _update, hopfield_steps
-from energyfuse.model import _dense
-from energyfuse.numeric import ContractError
+from energyfuse.fusion import Scheme, _update, hopfield_steps
+from energyfuse.model import _dense, bind
+from energyfuse.numeric import ContractError, softmax_cols
 from energyfuse.objectives import IGNORE, berhu_map, seg_nll
 from energyfuse.reliability import ReliabilityMask, rfa_dep_loss, rfa_seg_loss
+from energyfuse.train import compute_losses
+from energyfuse.verify import _tiny_setup
+
+
+def _op(g, op, a, b=None):
+    """transpose, tanh, abs, softmax_cols or add_col (b a column added to
+    every column of a), recorded through g.fused: the tape holds only the
+    ops a training step records, and the op-by-op reference chains below
+    need these too."""
+    av = a.data
+    if op == "transpose":
+        return g.fused(op, (a,), av.T.copy(), lambda gy: (gy.T,))
+    if op == "tanh":
+        y = np.tanh(av)
+        return g.fused(op, (a,), y, lambda gy: (gy * (1.0 - y * y),))
+    if op == "abs":
+        return g.fused(op, (a,), np.abs(av), lambda gy: (gy * np.sign(av),))
+    if op == "softmax_cols":
+        s = softmax_cols(av)
+        return g.fused(
+            op, (a,), s, lambda gy: (s * (gy - np.sum(gy * s, axis=0, keepdims=True)),)
+        )
+    assert op == "add_col" and b.shape == (a.rows, 1), (op, b.shape)
+    return g.fused(
+        op, (a, b), av + b.data, lambda gy: (gy, gy.sum(axis=1, keepdims=True))
+    )
 
 
 def test_lse_gradient_is_softmax():
@@ -40,7 +68,7 @@ def test_backward_rejects_non_scalar_output():
     g = DiffGraph()
     x = g.leaf(np.ones((2, 3)))
     with pytest.raises(ContractError):
-        g.backward(g.tanh(x))
+        g.backward(_op(g, "tanh", x))
 
 
 def test_grad_check_accepts_correct_gradient():
@@ -98,25 +126,32 @@ OPS = [
     ("mul", lambda g, x, y: g.mul(x, y)),
     ("scale", lambda g, x, y: g.scale(x, -1.7)),
     ("shift", lambda g, x, y: g.shift(x, 0.3)),
-    ("add_col", lambda g, x, y: g.add_col(x, g.matmul(x, np.ones((x.cols, 1))))),
+    (
+        "add_col",
+        lambda g, x, y: _op(g, "add_col", x, g.matmul(x, np.ones((x.cols, 1)))),
+    ),
     ("sub_row", lambda g, x, y: g.sub_row(x, g.matmul(np.ones((1, x.rows)), x))),
-    ("matmul", lambda g, x, y: g.matmul(x, g.transpose(y))),
-    ("transpose", lambda g, x, y: g.transpose(x)),
+    ("matmul", lambda g, x, y: g.matmul(x, _op(g, "transpose", y))),
+    ("transpose", lambda g, x, y: _op(g, "transpose", x)),
     ("sigmoid", lambda g, x, y: g.sigmoid(x)),
-    ("tanh", lambda g, x, y: g.tanh(x)),
-    ("abs", lambda g, x, y: g.abs(x)),
-    ("softmax_cols", lambda g, x, y: g.softmax_cols(x)),
+    ("tanh", lambda g, x, y: _op(g, "tanh", x)),
+    ("abs", lambda g, x, y: _op(g, "abs", x)),
+    ("softmax_cols", lambda g, x, y: _op(g, "softmax_cols", x)),
     ("lse_cols", lambda g, x, y: g.lse_cols(x)),
     ("sum", lambda g, x, y: g.sum(x)),
     # a plain-array operand on the left, as a detached teacher in reliability
     ("array operands", lambda g, x, y: np.exp(y.data) * (y.data - x)),
     ("hopfield", lambda g, x, y: _update(g, x, y, 0.7, 2)),
     ("dense", lambda g, x, y: _layer(g, x, y.data.T)),
-    ("dense tanh", lambda g, x, y: _layer(g, x, g.transpose(x), tanh=True)),
+    ("dense tanh", lambda g, x, y: _layer(g, x, _op(g, "transpose", x), tanh=True)),
     (
         "dense tanh skip",
         lambda g, x, y: _layer(
-            g, x, g.transpose(y), tanh=True, skip=g.matmul(x, g.transpose(x))
+            g,
+            x,
+            _op(g, "transpose", y),
+            tanh=True,
+            skip=g.matmul(x, _op(g, "transpose", x)),
         ),
     ),
     ("seg_nll", lambda g, x, y: seg_nll(x, _labels_of(y))),
@@ -146,12 +181,32 @@ def test_every_op_matches_finite_differences():
         assert worst < 1e-6, f"{name}: worst rel err {worst:.3e}"
 
 
-def test_every_public_op_has_a_finite_difference_case():
-    """The OPS list and the class cannot drift apart: each recording op of
-    DiffGraph (all but the inputs, the caller-computed block and the
-    reverse pass) has an entry."""
+def _recording_ops():
+    """DiffGraph's public ops that record a node: all but the inputs, the
+    caller-computed block and the reverse pass."""
     public = {n for n, v in vars(DiffGraph).items() if callable(v) and n[0] != "_"}
-    missing = public - {"leaf", "constant", "fused", "backward"} - {n for n, _ in OPS}
+    return public - {"leaf", "constant", "fused", "backward"}
+
+
+def test_every_public_op_has_a_finite_difference_case():
+    """The OPS list and the class cannot drift apart."""
+    missing = _recording_ops() - {n for n, _ in OPS}
+    assert not missing, sorted(missing)
+
+
+def test_every_public_op_is_recorded_by_a_training_step():
+    """One phase-2 step of each fusion scheme records every op the tape
+    offers, so the tape holds no op that only its tests run. The add step
+    runs at beta = 0, as the ref-direct workload does: its distillation
+    loss is then a plain value, and adding that records a shift."""
+    recorded = set()
+    for scheme, beta in ((Scheme.ADD, 0.0), (Scheme.GATED, 1.0)):
+        cfg, model, scene_s, scene_t = _tiny_setup(scheme)
+        cfg = replace(cfg, beta=beta)
+        g = DiffGraph()
+        compute_losses(model, scene_s, scene_t, cfg, phase=2, weights=bind(model, g))
+        recorded |= {node.op for node in g.nodes}
+    missing = _recording_ops() - recorded
     assert not missing, sorted(missing)
 
 
@@ -165,16 +220,16 @@ def test_row_and_col_broadcast_ops():
 
         def f(x):
             g = x.graph
-            y = g.add_col(x, g.constant(b_col))
+            y = _op(g, "add_col", x, g.constant(b_col))
             z = g.sub_row(y, g.constant(b_row))
-            return g.sum(g.tanh(z))
+            return g.sum(_op(g, "tanh", z))
 
         assert grad_check(f, rng.normal(size=(rows, cols))) < 1e-6
 
         def f_col(c, shape=(rows, cols)):
             g = c.graph
             x = g.constant(np.ones(shape))
-            return g.sum(g.sigmoid(g.add_col(x, c)))
+            return g.sum(g.sigmoid(_op(g, "add_col", x, c)))
 
         assert grad_check(f_col, b_col) < 1e-6
 
@@ -213,7 +268,7 @@ def _unfused_hopfield(g, xi, nu, gamma, steps):
     """The damped update op by op, as the tape recorded it before fusion."""
     x = xi
     for _ in range(steps):
-        attn = g.softmax_cols(g.matmul(g.transpose(nu), x))
+        attn = _op(g, "softmax_cols", g.matmul(_op(g, "transpose", nu), x))
         x = g.add(g.scale(x, 1.0 - gamma), g.scale(g.matmul(nu, attn), gamma))
     return x
 
@@ -231,8 +286,8 @@ def test_fused_hopfield_matches_unfused_chain_bit_for_bit():
             results = []
             for fused in (True, False):
                 g = DiffGraph()
-                xi = g.tanh(g.leaf(xi0))
-                nu = g.tanh(g.leaf(nu0))
+                xi = _op(g, "tanh", g.leaf(xi0))
+                nu = _op(g, "tanh", g.leaf(nu0))
                 if fused:
                     out = _update(g, xi, nu, gamma, steps)
                 else:
@@ -255,7 +310,7 @@ def _fused_and_unfused(inputs, build_fused, build_unfused):
     for build in (build_fused, build_unfused):
         rng = np.random.default_rng(9)  # the same readouts for both builds
         g = DiffGraph()
-        ts = [g.tanh(g.leaf(a)) for a in inputs]
+        ts = [_op(g, "tanh", g.leaf(a)) for a in inputs]
         out = build(g, *ts)
         total = g.sum(g.mul(out, g.constant(rng.normal(size=out.shape))))
         for t in ts:
@@ -267,9 +322,9 @@ def _fused_and_unfused(inputs, build_fused, build_unfused):
 
 def _unfused_dense(g, w, name, x, tanh=False, skip=None):
     """The dense block op by op, as the tape recorded it before fusion."""
-    y = g.add_col(g.matmul(w[name + "_w"], x), w[name + "_b"])
+    y = _op(g, "add_col", g.matmul(w[name + "_w"], x), w[name + "_b"])
     if tanh:
-        y = g.tanh(y)
+        y = _op(g, "tanh", y)
     return y if skip is None else g.add(skip, y)
 
 
@@ -322,7 +377,7 @@ def test_fused_seg_nll_matches_unfused_chain_bit_for_bit():
 
 def _unfused_berhu_map(g, diff, c):
     """berhu_map op by op, as the tape recorded it before fusion."""
-    a = g.abs(diff)
+    a = _op(g, "abs", diff)
     quad = (diff * diff) * (1.0 / (2.0 * c)) + (c / 2.0)
     sel = (a.data <= c).astype(np.float64)
     return a * sel + quad * (1.0 - sel)
@@ -349,8 +404,8 @@ def test_hopfield_reverse_pass_reuses_no_saved_memory():
     rng = np.random.default_rng(8)
     steps = 8
     g = DiffGraph()
-    xi = g.tanh(g.leaf(rng.normal(size=(6, 10))))
-    nu = g.tanh(g.leaf(rng.normal(size=(6, 12))))
+    xi = _op(g, "tanh", g.leaf(rng.normal(size=(6, 10))))
+    nu = _op(g, "tanh", g.leaf(rng.normal(size=(6, 12))))
     saved = []
     hopfield_steps(xi.data, nu.data, 0.7, steps, saved)
     attn = [a for _, a in saved]
@@ -379,8 +434,8 @@ def test_backward_never_writes_into_a_borrowed_adjoint():
     x = g.leaf(xv)
     a = g.add(x, x)
     s = g.shift(x, 1.5)
-    t = g.transpose(x)
-    tt = g.transpose(t)
+    t = _op(g, "transpose", x)
+    tt = _op(g, "transpose", t)
     total = g.add(g.add(a, s), tt)
     out = g.sum(g.mul(total, g.constant(w)))
     grads = g.backward(out)

@@ -58,7 +58,7 @@ def test_gradient_matches_finite_differences():
         def f(x, nu=nu):
             g = x.graph
             quad = g.scale(g.sum(g.mul(x, x)), 0.5)
-            return g.sub(quad, g.sum(g.lse_cols(g.matmul(g.transpose(g.constant(nu)), x))))
+            return g.sub(quad, g.sum(g.lse_cols(g.matmul(g.constant(nu.T), x))))
 
         xi = rng.normal(size=(d, 1))
         fd = grad_check(f, xi)
@@ -70,7 +70,7 @@ def test_gradient_matches_finite_differences():
         g = ad.DiffGraph()
         x = g.leaf(xi)
         quad = g.scale(g.sum(g.mul(x, x)), 0.5)
-        out = g.sub(quad, g.sum(g.lse_cols(g.matmul(g.transpose(g.constant(nu)), x))))
+        out = g.sub(quad, g.sum(g.lse_cols(g.matmul(g.constant(nu.T), x))))
         gg = g.backward(out)[x.nid]
         np.testing.assert_allclose(np.ravel(analytic), gg.ravel(), atol=1e-12)
     assert worst < 1e-6

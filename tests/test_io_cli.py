@@ -554,3 +554,64 @@ def test_cli_gen_data_files_are_pinned(tmp_path):
         for path in out.iterdir()
     }
     assert written == GEN_DATA_2_SCENES
+
+
+# Paths that bench/golden.json does not reach (it pins scheme = add at
+# gamma = 1, beta in {0, 1} and threshold 0.9): (metrics.csv, loss_trace.csv)
+# sha256 of one short `train` per path, with the reference shifts and seed 0.
+# metrics.csv echoes out_dir, so every run writes to the same relative one.
+# The initial commit's CLI writes the same bytes.
+REFERENCE_SHIFTS = [
+    "--alpha", "1.0", "--feature_shift", "0.85", "--feature_scale", "1.5",
+    "--noise_sd", "0.3", "--depth_noise_sd", "0.2", "--seed", "0",
+]
+PINNED_TRAIN_RUNS = {
+    "gated, 1 step": (
+        ["--scheme", "gated", "--steps", "1", "--t1", "60", "--t2", "30"],
+        "eae5a888927bcce2253d468f1e8cf33ce3bd1b15efde802e8b68bc4b564fc6b0",
+        "5d0dc64861064071d65b83288b1fb62740b8ee461d6242c10549b6e7eb40e6d2",
+    ),
+    "gated, 8 steps": (
+        ["--scheme", "gated", "--steps", "8", "--t1", "20", "--t2", "10"],
+        "4d8dc71f7d0688d8925f09d8540ba8d1e8ed32392ab0772d8437cca7ee026082",
+        "421c23c3e5d27b801899c786c22949e360c7e8a2faf5e4cabe3745ea71973029",
+    ),
+    "gamma 0.5, 2 steps": (
+        ["--gamma", "0.5", "--steps", "2", "--t1", "60", "--t2", "30"],
+        "2a90a247080ea7d97d4776ff4c943128e05182170a365819deca1ff4baba8437",
+        "44aa0ad31a77406f0714624e02b38ba0a0ea8ca7eec9f3df9b5e0f1694b72e9b",
+    ),
+    "beta 0.5": (
+        ["--beta", "0.5", "--t1", "60", "--t2", "30"],
+        "46f1d6190e585c3c1c20f4c34cb364635817b4615952b59e6993624933ff3583",
+        "4f83f055f7aad46f4db7288ac5839b2046fe5d925663a493667c41b75e4098c4",
+    ),
+    "threshold 0.6": (
+        ["--pseudo_threshold", "0.6", "--t1", "60", "--t2", "30"],
+        "dd874bb9f480223d6010bcadcbd4c8859c7ceed44eea2fa18aa37b3c90e80696",
+        "92b37a02c0a92b8cd11be5679b49dcce6e8ed45b90e24b21b5190e59ce891ae0",
+    ),
+}
+PINNED_SWEEP = (
+    ["--axis", "gamma", "--values", "0.5,1", "--seeds", "0,1"],
+    "6adadaf38c2a4ed2dd189419e25d7e8036d968baf0fe426df8bdc69ba2127d45",
+)
+
+
+def test_cli_train_and_sweep_outputs_off_the_golden_paths_are_pinned(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+
+    def digest(name):
+        return hashlib.sha256((tmp_path / "pinned" / name).read_bytes()).hexdigest()
+
+    got, want = {}, {}
+    for run, (flags, metrics, trace) in PINNED_TRAIN_RUNS.items():
+        assert main(["train", *flags, *REFERENCE_SHIFTS, "--out_dir", "pinned"]) == 0
+        got[run] = (digest("metrics.csv"), digest("loss_trace.csv"))
+        want[run] = (metrics, trace)
+    flags, metrics = PINNED_SWEEP
+    assert main(["sweep", *TINY, *flags, "--out_dir", "pinned"]) == 0
+    got["sweep"], want["sweep"] = digest("metrics.csv"), metrics
+    assert got == want
