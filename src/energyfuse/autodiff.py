@@ -263,33 +263,42 @@ def raw(a) -> np.ndarray:
     return a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
 
 
-def grad_check(f, point: np.ndarray, h: float = 1e-5) -> float:
-    """Max relative error between analytic gradient of f and central FD.
+FD_STEP = 1e-5
+
+
+def central_differences(value_at, point: np.ndarray) -> np.ndarray:
+    """Central differences of the scalar function value_at at point: per
+    coordinate, add FD_STEP to a copy, evaluate, subtract twice the step
+    from the same copy, evaluate."""
+    h = FD_STEP
+    two_h = 2 * h
+    fd = np.zeros_like(point)
+    for idx in np.ndindex(point.shape):
+        probe = point.copy()
+        probe[idx] += h
+        up = value_at(probe)
+        probe[idx] -= two_h
+        fd[idx] = (up - value_at(probe)) / two_h
+    return fd
+
+
+def relative_error(analytic, fd) -> float:
+    """Max over coordinates of |analytic - fd| / max(1e-12, |analytic| + |fd|)."""
+    denom = np.maximum(1e-12, np.abs(analytic) + np.abs(fd))
+    return float(np.max(np.abs(analytic - fd) / denom))
+
+
+def grad_check(f, point: np.ndarray) -> float:
+    """relative_error between the analytic gradient of f and central_differences.
 
     f maps a Tensor to a scalar Tensor; it is re-run on fresh graphs for
-    the finite-difference probes. Error per coordinate is
-    |analytic - fd| / max(1e-12, |analytic| + |fd|).
+    the finite-difference probes.
     """
     point = as_matrix(point)
     g = DiffGraph()
     x = g.leaf(point)
-    out = f(x)
-    analytic = g.backward(out)[x.nid]
+    analytic = g.backward(f(x))[x.nid]
     if analytic is None:
         analytic = np.zeros_like(point)
-
-    def value_at(p):
-        gg = DiffGraph()
-        return f(gg.leaf(p)).item()
-
-    fd = np.zeros_like(point)
-    for idx in np.ndindex(point.shape):
-        dp = point.copy()
-        dp[idx] += h
-        up = value_at(dp)
-        dp[idx] -= 2 * h
-        dn = value_at(dp)
-        fd[idx] = (up - dn) / (2 * h)
-
-    denom = np.maximum(1e-12, np.abs(analytic) + np.abs(fd))
-    return float(np.max(np.abs(analytic - fd) / denom))
+    fd = central_differences(lambda p: f(DiffGraph().leaf(p)).item(), point)
+    return relative_error(analytic, fd)

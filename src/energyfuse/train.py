@@ -93,7 +93,7 @@ def compute_losses(
     scene_t,
     cfg: RunConfig,
     phase: int,
-    weights: dict = None,
+    weights: dict,
     fixed_c: float = None,
 ) -> dict:
     """All loss terms of one step, as a dict of scalars (graph tensors
@@ -121,19 +121,20 @@ def compute_losses(
         berhu_loss(pred_t.dep_plain, scene_t.depth, fixed_c),
         berhu_loss(pred_t.dep_fused, scene_t.depth, fixed_c),
     )
-    supervised = supervised_loss(seg_total, dep_total, cfg.alpha)
+    overall = supervised = supervised_loss(seg_total, dep_total, cfg.alpha)
 
+    # a reliability loss that is zero or weighted by zero contributes its
+    # value, not a subgraph, and adding it to overall would tape a no-op shift
+    l_rfa = 0.0
     if phase == 2:
         rfa_s, rfa_t = pred_s, pred_t
         if cfg.beta == 0.0:
-            # a loss weighted by zero contributes its value, not a subgraph
             rfa_s, rfa_t = _raw_predictions(pred_s), _raw_predictions(pred_t)
         l_rfa = _rfa_domain(rfa_s, scene_s.depth, cfg.alpha, fixed_c) + _rfa_domain(
             rfa_t, scene_t.depth, cfg.alpha, fixed_c
         )
-    else:
-        l_rfa = 0.0
-    overall = overall_loss(supervised, l_rfa, cfg.beta)
+        if cfg.beta != 0.0:
+            overall = overall_loss(supervised, l_rfa, cfg.beta)
     return {
         "seg_total": seg_total,
         "dep_total": dep_total,
@@ -174,14 +175,12 @@ def _train_step(
         if not np.isfinite(v):
             raise TrainingDiverged(f"{name} became {v} in phase {phase}")
 
-    overall = parts["overall"]
-    if isinstance(overall, Tensor):
-        grads = graph.backward(overall)
-        for name, leaf in w.items():
-            g = grads[leaf.nid]
-            if g is not None:
-                model.weights[name] = model.weights[name] - lr * g
-        check_finite(model)
+    grads = graph.backward(parts["overall"])
+    for name, leaf in w.items():
+        g = grads[leaf.nid]
+        if g is not None:
+            model.weights[name] = model.weights[name] - lr * g
+    check_finite(model)
     return bundle
 
 

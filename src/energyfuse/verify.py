@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion, numeric
-from .autodiff import DiffGraph, grad_check
+from .autodiff import DiffGraph, central_differences, grad_check, relative_error
 from .config import RunConfig
 from .fusion import FusionParams, PatternPair, Scheme, eb2f_apply, fuse, hopfield_energy, hopfield_update
-from .model import _dense, forward_pass, init_model
+from .model import _dense, bind, forward_pass, init_model
 from .numeric import softmax_cols
 from .objectives import IGNORE, berhu_loss, berhu_map, pseudo_label, seg_nll
 from .reliability import (
@@ -126,20 +126,12 @@ def check_seg_nll_is_cross_entropy(n: int = 200) -> CheckResult:
 
 def check_hopfield_gradient_fd(n: int = 100) -> CheckResult:
     rng = _rng(4)
-    h = 1e-5
     worst = 0.0
     for i in range(n):
         xi, nu = _patterns(rng, i)
         x = xi.ravel()
-        analytic = fusion.hopfield_gradient(x, nu)
-        fd = np.zeros_like(x)
-        for j in range(x.size):
-            up, dn = x.copy(), x.copy()
-            up[j] += h
-            dn[j] -= h
-            fd[j] = (hopfield_energy(up, nu) - hopfield_energy(dn, nu)) / (2 * h)
-        denom = np.maximum(1e-12, np.abs(analytic) + np.abs(fd))
-        worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
+        fd = central_differences(lambda p, nu=nu: hopfield_energy(p, nu), x)
+        worst = max(worst, relative_error(fusion.hopfield_gradient(x, nu), fd))
     return CheckResult("hopfield-gradient-vs-fd", worst, 1e-6, worst < 1e-6)
 
 
@@ -184,7 +176,8 @@ def _frozen_kl_rows(teacher_logits0, student_logits):
 
 
 def _frozen_rfa(pred, ref0, masks, c, alpha):
-    """Value route mirroring the RFA losses with teachers held constant.
+    """Value route mirroring the RFA losses with teachers held constant
+    at ref0, the reference point's Predictions.
 
     The production losses detach their teachers, so plain finite
     differences of them measure a different function; this frozen form
@@ -195,18 +188,18 @@ def _frozen_rfa(pred, ref0, masks, c, alpha):
     on, off = seg_mask.count, n - seg_mask.count
     seg = 0.0
     if off:
-        rows = _frozen_kl_rows(ref0["seg_plain"], pred.seg_fused)
+        rows = _frozen_kl_rows(ref0.seg_plain, pred.seg_fused)
         seg += float(np.sum(rows * (1.0 - seg_mask.m))) / off
     if on:
-        rows = _frozen_kl_rows(ref0["seg_fused"], pred.seg_plain)
+        rows = _frozen_kl_rows(ref0.seg_fused, pred.seg_plain)
         seg += float(np.sum(rows * seg_mask.m)) / on
     on, off = dep_mask.count, n - dep_mask.count
     dep = 0.0
     if off:
-        res = berhu_map(pred.dep_fused - ref0["dep_plain"], c)
+        res = berhu_map(pred.dep_fused - ref0.dep_plain, c)
         dep += float(np.sum(res * (1.0 - dep_mask.m))) / off
     if on:
-        res = berhu_map(pred.dep_plain - ref0["dep_fused"], c)
+        res = berhu_map(pred.dep_plain - ref0.dep_fused, c)
         dep += float(np.sum(res * dep_mask.m)) / on
     return seg + alpha * dep
 
@@ -221,13 +214,12 @@ def check_end_to_end_gradients() -> CheckResult:
     differentiates.
     """
     c_fix = 0.7
-    h = 1e-5
     worst = 0.0
     for scheme in (Scheme.ADD, Scheme.GATED):
         cfg, model, scene_s, scene_t = _tiny_setup(scheme)
 
         graph = DiffGraph()
-        leaves = {n: graph.leaf(a) for n, a in model.weights.items()}
+        leaves = bind(model, graph)
         parts = compute_losses(
             model, scene_s, scene_t, cfg, phase=2, weights=leaves, fixed_c=c_fix
         )
@@ -244,19 +236,8 @@ def check_end_to_end_gradients() -> CheckResult:
                 depth_energy_map(pred0.dep_plain, scene.depth, c_fix),
                 depth_energy_map(pred0.dep_fused, scene.depth, c_fix),
             )
-            frozen.append(
-                (
-                    {
-                        "seg_plain": pred0.seg_plain,
-                        "seg_fused": pred0.seg_fused,
-                        "dep_plain": pred0.dep_plain,
-                        "dep_fused": pred0.dep_fused,
-                    },
-                    (seg_mask, dep_mask),
-                )
-            )
-        pred_t0 = forward_pass(model, scene_t)
-        pseudo0 = pseudo_label(pred_t0.seg_fused, cfg.pseudo_threshold)
+            frozen.append((pred0, (seg_mask, dep_mask)))
+        pseudo0 = pseudo_label(frozen[1][0].seg_fused, cfg.pseudo_threshold)
 
         def frozen_overall(wd):
             pred_s = forward_pass(model, scene_s, wd)
@@ -273,33 +254,20 @@ def check_end_to_end_gradients() -> CheckResult:
                 + berhu_loss(pred_t.dep_plain, scene_t.depth, c_fix)
                 + berhu_loss(pred_t.dep_fused, scene_t.depth, c_fix)
             )
-            rfa = _frozen_rfa(
-                pred_s, frozen[0][0], frozen[0][1], c_fix, cfg.alpha
-            ) + _frozen_rfa(pred_t, frozen[1][0], frozen[1][1], c_fix, cfg.alpha)
+            rfa = _frozen_rfa(pred_s, *frozen[0], c_fix, cfg.alpha) + _frozen_rfa(
+                pred_t, *frozen[1], c_fix, cfg.alpha
+            )
             return seg_total + cfg.alpha * dep_total + cfg.beta * rfa
 
         names = ["enc0_w", "seg_dec_fused_w", "dep_dec_plain_w", "seg_net_b_w"]
         if scheme == Scheme.GATED:
             names += ["fuse_seg_w1", "fuse_dep_w2"]
         for name in names:
-            base = model.weights[name]
-            analytic = grads[leaves[name].nid]
-            if analytic is None:
-                analytic = np.zeros_like(base)
-            fd = np.zeros_like(base)
-            for idx in np.ndindex(base.shape):
-                probe = dict(model.weights)
-                arr = base.copy()
-                arr[idx] += h
-                probe[name] = arr
-                up = frozen_overall(probe)
-                arr = base.copy()
-                arr[idx] -= h
-                probe[name] = arr
-                dn = frozen_overall(probe)
-                fd[idx] = (up - dn) / (2 * h)
-            denom = np.maximum(1e-12, np.abs(analytic) + np.abs(fd))
-            worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
+            fd = central_differences(
+                lambda arr, name=name: frozen_overall({**model.weights, name: arr}),
+                model.weights[name],
+            )
+            worst = max(worst, relative_error(grads[leaves[name].nid], fd))
     return CheckResult("end-to-end-gradients-vs-fd", worst, 1e-4, worst < 1e-4)
 
 

@@ -197,17 +197,31 @@ def test_every_public_op_has_a_finite_difference_case():
 def test_every_public_op_is_recorded_by_a_training_step():
     """One phase-2 step of each fusion scheme records every op the tape
     offers, so the tape holds no op that only its tests run. The add step
-    runs at beta = 0, as the ref-direct workload does: its distillation
-    loss is then a plain value, and adding that records a shift."""
+    runs at pseudo_threshold = 1.0, where no target position clears the
+    threshold (as can happen on ref-direct at 0.9): each target seg_nll is
+    then a plain 0.0, and adding that to a tape loss records a shift."""
     recorded = set()
-    for scheme, beta in ((Scheme.ADD, 0.0), (Scheme.GATED, 1.0)):
+    for scheme, threshold in ((Scheme.ADD, 1.0), (Scheme.GATED, 0.0)):
         cfg, model, scene_s, scene_t = _tiny_setup(scheme)
-        cfg = replace(cfg, beta=beta)
+        cfg = replace(cfg, pseudo_threshold=threshold)
         g = DiffGraph()
         compute_losses(model, scene_s, scene_t, cfg, phase=2, weights=bind(model, g))
         recorded |= {node.op for node in g.nodes}
     missing = _recording_ops() - recorded
     assert not missing, sorted(missing)
+
+
+def test_a_step_without_reliability_on_the_tape_records_no_shift():
+    """Phase 1, and phase 2 at beta = 0, keep the reliability loss off the
+    tape: the overall loss is the supervised loss itself, not a shift of it
+    by a plain 0.0."""
+    cfg, model, scene_s, scene_t = _tiny_setup(Scheme.ADD)
+    for phase, beta in ((1, 1.0), (2, 0.0)):
+        g = DiffGraph()
+        run_cfg = replace(cfg, beta=beta)
+        parts = compute_losses(model, scene_s, scene_t, run_cfg, phase, bind(model, g))
+        assert parts["overall"] is parts["supervised"]
+        assert "shift" not in {node.op for node in g.nodes}
 
 
 def test_row_and_col_broadcast_ops():

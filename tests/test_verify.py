@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from energyfuse import verify
+from energyfuse import train, verify
 
 
 def test_full_verification_passes():
@@ -25,6 +25,21 @@ def test_gradient_check_catches_a_broken_gradient(monkeypatch):
     result = verify.check_hopfield_gradient_fd(n=5)
     assert not result.passed
     assert result.name == "hopfield-gradient-vs-fd"
+    assert result.worst > result.tol
+
+
+def test_end_to_end_check_catches_a_broken_production_gradient(monkeypatch):
+    # the finite differences run verify's own frozen loss route, so scaling
+    # the production depth distillation loss moves only the analytic side
+    right = train.rfa_dep_loss
+
+    def scaled(*args):
+        return right(*args) * 1.001
+
+    monkeypatch.setattr(train, "rfa_dep_loss", scaled)
+    result = verify.check_end_to_end_gradients()
+    assert not result.passed
+    assert result.name == "end-to-end-gradients-vs-fd"
     assert result.worst > result.tol
 
 
