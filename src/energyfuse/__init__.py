@@ -4,8 +4,6 @@ reliability-masked distillation, on deterministic synthetic scenes."""
 from .autodiff import DiffGraph, Tensor, grad_check
 from .config import CONFIG_KEYS, RunConfig, load_config, parse_config_text
 from .fusion import (
-    FusionParams,
-    PatternPair,
     Scheme,
     eb2f_apply,
     fuse,

@@ -7,13 +7,14 @@ named after config keys override values from --config files.
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from .config import CONFIG_KEYS, RunConfig, _coerce, load_config
-from .fusion import PatternPair, hopfield_energy, hopfield_update
+from .fusion import hopfield_energy, hopfield_update
 from .metrics import build_data, run_experiment
 from .numeric import ContractError
 from .rng import RngState
@@ -113,7 +114,7 @@ def cmd_demo_hopfield(args) -> int:
     print(f"retrieving stored pattern {target_col} from a noisy probe")
     for it in range(10):
         energy = hopfield_energy(xi, nu)
-        nxt = hopfield_update(PatternPair(xi, nu), cfg.gamma, 1)
+        nxt = hopfield_update(xi, nu, cfg.gamma, 1)
         delta = float(np.linalg.norm(nxt - xi))
         print(f"iter {it:2d}  energy {energy: .6f}  step size {delta:.2e}")
         xi = nxt
@@ -170,6 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads the value of `--seeds -1,0` as an unknown flag;
+    # `--seeds=-1,0` hands the list to its own checks
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--values", "--seeds") and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

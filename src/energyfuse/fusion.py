@@ -9,7 +9,6 @@ arrays the same hopfield_steps computes it without a tape.
 """
 
 import numbers
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,24 +23,6 @@ class Scheme(Enum):
     GATED = "gated"
 
 
-@dataclass
-class PatternPair:
-    """Input patterns xi (d x N) and stored patterns nu (d x M)."""
-
-    xi: np.ndarray
-    nu: np.ndarray
-
-    def __post_init__(self):
-        self.xi = as_matrix(self.xi)
-        self.nu = as_matrix(self.nu)
-        if self.xi.shape[0] != self.nu.shape[0]:
-            raise ContractError(
-                f"channel mismatch: xi {self.xi.shape} vs nu {self.nu.shape}"
-            )
-        if self.xi.shape[1] < 1 or self.nu.shape[1] < 1:
-            raise ContractError("patterns need at least one column")
-
-
 def check_schedule(gamma, steps):
     """gamma in [0, 1] and a whole number of steps >= 0."""
     if not 0.0 <= gamma <= 1.0:
@@ -52,40 +33,27 @@ def check_schedule(gamma, steps):
         raise ContractError(f"steps must be >= 0, got {steps}")
 
 
-@dataclass
-class FusionParams:
-    """Fusion configuration; w1/w2 are the gate weights (Gated scheme only)."""
-
-    scheme: Scheme = Scheme.ADD
-    gamma: float = 1.0
-    steps: int = 1
-    w1: object = None  # d x d, ndarray or graph Tensor
-    w2: object = None
-
-    def __post_init__(self):
-        check_schedule(self.gamma, self.steps)
-        if self.scheme == Scheme.GATED:
-            if self.w1 is None or self.w2 is None:
-                raise ContractError("Gated scheme requires w1 and w2")
-        elif self.w1 is not None or self.w2 is not None:
-            raise ContractError("Add scheme takes no gate weights")
+def _pattern_pair(xi, nu):
+    """Input patterns xi (d x N), stored nu (d x M) as matrices; N, M >= 1."""
+    xi, nu = as_matrix(xi), as_matrix(nu)
+    if xi.shape[0] != nu.shape[0]:
+        raise ContractError(f"channel mismatch: xi {xi.shape} vs nu {nu.shape}")
+    if xi.shape[1] < 1 or nu.shape[1] < 1:
+        raise ContractError("patterns need at least one column")
+    return xi, nu
 
 
 def hopfield_energy(xi_col, nu) -> float:
     """0.5 * xi.xi - lse(nu^T xi) for one input column."""
-    x = np.asarray(xi_col, dtype=np.float64).ravel()
-    nu = as_matrix(nu)
-    if nu.shape[0] != x.size:
-        raise ContractError(f"dimension mismatch: xi {x.size} vs nu {nu.shape}")
+    xi, nu = _pattern_pair(np.ravel(xi_col), nu)
+    x = xi.ravel()
     return 0.5 * float(x @ x) - lse(nu.T @ x)
 
 
 def hopfield_gradient(xi_col, nu) -> np.ndarray:
     """d/dxi of hopfield_energy: xi - nu softmax(nu^T xi)."""
-    x = np.asarray(xi_col, dtype=np.float64).ravel()
-    nu = as_matrix(nu)
-    if nu.shape[0] != x.size:
-        raise ContractError(f"dimension mismatch: xi {x.size} vs nu {nu.shape}")
+    xi, nu = _pattern_pair(np.ravel(xi_col), nu)
+    x = xi.ravel()
     return x - nu @ numeric.softmax(nu.T @ x)
 
 
@@ -151,40 +119,43 @@ def _update(o, xi, nu, gamma: float, steps: int):
     return o.fused("hopfield", inputs, x, vjp)
 
 
-def hopfield_update(pair: PatternPair, gamma: float, steps: int) -> np.ndarray:
-    """Run the damped update on a PatternPair; steps = 0 is the identity."""
+def hopfield_update(xi, nu, gamma: float, steps: int) -> np.ndarray:
+    """Damped update of xi (d x N) toward nu (d x M); steps = 0 is the identity."""
+    xi, nu = _pattern_pair(xi, nu)
     check_schedule(gamma, steps)
-    return _update(ARRAY_OPS, pair.xi, pair.nu, gamma, steps)
+    return _update(ARRAY_OPS, xi, nu, gamma, steps)
 
 
-def fuse(xi_updated, nu, params: FusionParams):
+def fuse(xi_updated, nu, gate=None):
     """Combine updated input patterns with stored patterns.
 
-    Add: xi + nu. Gated: nu + (W1 xi) * sigmoid(W2 xi), the W's acting as
-    per-position channel mixes (1x1 convolution semantics).
+    Add (gate None): xi + nu. Gated, gate = (W1, W2): nu + (W1 xi) *
+    sigmoid(W2 xi), the W's acting as per-position channel mixes (1x1
+    convolution semantics).
     """
     if xi_updated.shape != nu.shape:
         raise ContractError(
             f"fuse shape mismatch: {xi_updated.shape} vs {nu.shape}"
         )
-    if params.scheme == Scheme.ADD:
+    if gate is None:
         return xi_updated + nu
-    o = ops(xi_updated, nu, params.w1, params.w2)
-    gate = o.sigmoid(o.matmul(params.w2, xi_updated))
-    return nu + o.matmul(params.w1, xi_updated) * gate
+    w1, w2 = gate
+    o = ops(xi_updated, nu, w1, w2)
+    sig = o.sigmoid(o.matmul(w2, xi_updated))
+    return nu + o.matmul(w1, xi_updated) * sig
 
 
-def eb2f_apply(query_task, other_task, params: FusionParams):
+def eb2f_apply(query_task, other_task, gamma: float, steps: int, gate=None):
     """Fused features for the query task.
 
     The other task's features are the input patterns (updated toward the
     query task's features, the stored patterns), then fused. With steps=0
-    this is exactly fuse(other, query).
+    this is exactly fuse(other, query, gate).
     """
     if query_task.shape != other_task.shape:
         raise ContractError(
             f"feature shape mismatch: {query_task.shape} vs {other_task.shape}"
         )
     o = ops(other_task, query_task)
-    xi = _update(o, other_task, query_task, params.gamma, params.steps)
-    return fuse(xi, query_task, params)
+    xi = _update(o, other_task, query_task, gamma, steps)
+    return fuse(xi, query_task, gate)

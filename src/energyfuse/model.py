@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ARRAY_OPS, Tensor, ops, raw
-from .fusion import FusionParams, Scheme, eb2f_apply
+from .fusion import Scheme, check_schedule, eb2f_apply
 from .numeric import ContractError
 from .rng import RngState
 
@@ -31,7 +31,8 @@ class Predictions:
 
 @dataclass
 class ModelParams:
-    """All weights in one flat name -> array dict, plus fusion settings."""
+    """All weights in one flat name -> array dict, plus fusion settings
+    (gamma and steps checked once, here)."""
 
     weights: dict
     scheme: Scheme
@@ -40,18 +41,8 @@ class ModelParams:
     k: int
     channels: int
 
-    def fusion_params(self, direction: str, weights: dict = None) -> FusionParams:
-        """FusionParams for 'seg' or 'dep' queries, from the given weights."""
-        w = self.weights if weights is None else weights
-        if self.scheme == Scheme.GATED:
-            return FusionParams(
-                scheme=self.scheme,
-                gamma=self.gamma,
-                steps=self.steps,
-                w1=w[f"fuse_{direction}_w1"],
-                w2=w[f"fuse_{direction}_w2"],
-            )
-        return FusionParams(scheme=self.scheme, gamma=self.gamma, steps=self.steps)
+    def __post_init__(self):
+        check_schedule(self.gamma, self.steps)
 
 
 def init_model(
@@ -144,8 +135,11 @@ def forward_pass(model: ModelParams, scene, weights: dict = None) -> Predictions
     f_seg = _task_features(o, w, "seg", h)
     f_dep = _task_features(o, w, "dep", h)
 
-    fused_seg_in = eb2f_apply(f_seg, f_dep, model.fusion_params("seg", w))
-    fused_dep_in = eb2f_apply(f_dep, f_seg, model.fusion_params("dep", w))
+    gates = {"seg": None, "dep": None}  # Add fuses without weights
+    if model.scheme == Scheme.GATED:
+        gates = {t: (w[f"fuse_{t}_w1"], w[f"fuse_{t}_w2"]) for t in gates}
+    fused_seg_in = eb2f_apply(f_seg, f_dep, model.gamma, model.steps, gates["seg"])
+    fused_dep_in = eb2f_apply(f_dep, f_seg, model.gamma, model.steps, gates["dep"])
     seg_fused = _dense(o, w, "seg_dec_fused", fused_seg_in)
     dep_fused = _dense(o, w, "dep_dec_fused", fused_dep_in)
     seg_plain = _dense(o, w, "seg_dec_plain", f_seg)

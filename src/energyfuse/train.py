@@ -63,12 +63,11 @@ def _raw_predictions(pred: Predictions) -> Predictions:
     )
 
 
-def _rfa_domain(pred, ref_depth: np.ndarray, alpha: float, fixed_c: float = None):
+def _rfa_domain(pred, ref_depth: np.ndarray, alpha: float):
     """Reliability loss of one domain: seg distillation + weighted depth.
 
     Masks come from current values only; each branch's depth energy uses
-    its own berHu threshold against the reference depth unless a fixed
-    one is forced (gradient checks need thresholds that do not move).
+    its own berHu threshold against the reference depth.
     """
     e_plain = free_energy_map(raw(pred.seg_plain))
     e_fused = free_energy_map(raw(pred.seg_fused))
@@ -77,9 +76,9 @@ def _rfa_domain(pred, ref_depth: np.ndarray, alpha: float, fixed_c: float = None
 
     d_plain = raw(pred.dep_plain)
     d_fused = raw(pred.dep_fused)
-    c_plain = berhu_threshold(d_plain - ref_depth) if fixed_c is None else fixed_c
-    c_fused = berhu_threshold(d_fused - ref_depth) if fixed_c is None else fixed_c
-    c_cross = berhu_threshold(d_plain - d_fused) if fixed_c is None else fixed_c
+    c_plain = berhu_threshold(d_plain - ref_depth)
+    c_fused = berhu_threshold(d_fused - ref_depth)
+    c_cross = berhu_threshold(d_plain - d_fused)
     e_dp = depth_energy_map(d_plain, ref_depth, c_plain)
     e_df = depth_energy_map(d_fused, ref_depth, c_fused)
     dep_mask = reliability_mask(e_dp, e_df)
@@ -88,13 +87,7 @@ def _rfa_domain(pred, ref_depth: np.ndarray, alpha: float, fixed_c: float = None
 
 
 def compute_losses(
-    model: ModelParams,
-    scene_s,
-    scene_t,
-    cfg: RunConfig,
-    phase: int,
-    weights: dict,
-    fixed_c: float = None,
+    model: ModelParams, scene_s, scene_t, cfg: RunConfig, phase: int, weights: dict
 ) -> dict:
     """All loss terms of one step, as a dict of scalars (graph tensors
     when `weights` are bound leaves).
@@ -116,10 +109,10 @@ def compute_losses(
         seg_nll(pred_t.seg_fused, pseudo),
     )
     dep_total = four_term_total(
-        berhu_loss(pred_s.dep_plain, scene_s.depth, fixed_c),
-        berhu_loss(pred_s.dep_fused, scene_s.depth, fixed_c),
-        berhu_loss(pred_t.dep_plain, scene_t.depth, fixed_c),
-        berhu_loss(pred_t.dep_fused, scene_t.depth, fixed_c),
+        berhu_loss(pred_s.dep_plain, scene_s.depth),
+        berhu_loss(pred_s.dep_fused, scene_s.depth),
+        berhu_loss(pred_t.dep_plain, scene_t.depth),
+        berhu_loss(pred_t.dep_fused, scene_t.depth),
     )
     overall = supervised = supervised_loss(seg_total, dep_total, cfg.alpha)
 
@@ -130,8 +123,8 @@ def compute_losses(
         rfa_s, rfa_t = pred_s, pred_t
         if cfg.beta == 0.0:
             rfa_s, rfa_t = _raw_predictions(pred_s), _raw_predictions(pred_t)
-        l_rfa = _rfa_domain(rfa_s, scene_s.depth, cfg.alpha, fixed_c) + _rfa_domain(
-            rfa_t, scene_t.depth, cfg.alpha, fixed_c
+        l_rfa = _rfa_domain(rfa_s, scene_s.depth, cfg.alpha) + _rfa_domain(
+            rfa_t, scene_t.depth, cfg.alpha
         )
         if cfg.beta != 0.0:
             overall = overall_loss(supervised, l_rfa, cfg.beta)

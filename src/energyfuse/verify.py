@@ -13,10 +13,10 @@ import numpy as np
 from . import fusion, numeric
 from .autodiff import DiffGraph, central_differences, grad_check, relative_error
 from .config import RunConfig
-from .fusion import FusionParams, PatternPair, Scheme, eb2f_apply, fuse, hopfield_energy, hopfield_update
+from .fusion import Scheme, eb2f_apply, fuse, hopfield_energy, hopfield_update
 from .model import _dense, bind, forward_pass, init_model
 from .numeric import softmax_cols
-from .objectives import IGNORE, berhu_loss, berhu_map, pseudo_label, seg_nll
+from .objectives import IGNORE, berhu_loss, berhu_map, berhu_threshold, pseudo_label, seg_nll
 from .reliability import (
     ReliabilityMask,
     depth_energy_map,
@@ -85,7 +85,7 @@ def check_two_form_identity(n: int = 1000) -> CheckResult:
     for i in range(n):
         xi, nu = _patterns(rng, i)
         gamma = 0.25 + 0.75 * (i % 4) / 3.0
-        a = hopfield_update(PatternPair(xi, nu), gamma, 1)
+        a = hopfield_update(xi, nu, gamma, 1)
         b = xi - gamma * fusion.hopfield_gradient(xi, nu).reshape(-1, 1)
         worst = max(worst, float(np.max(np.abs(a - b))))
     return CheckResult("hopfield-two-form-identity", worst, 1e-12, worst < 1e-12)
@@ -175,9 +175,10 @@ def _frozen_kl_rows(teacher_logits0, student_logits):
     return np.sum(t * (t_log - s_log), axis=0, keepdims=True)
 
 
-def _frozen_rfa(pred, ref0, masks, c, alpha):
+def _frozen_rfa(pred, ref0, masks, c_cross, alpha):
     """Value route mirroring the RFA losses with teachers held constant
-    at ref0, the reference point's Predictions.
+    at ref0, the reference point's Predictions, and the cross threshold
+    at c_cross.
 
     The production losses detach their teachers, so plain finite
     differences of them measure a different function; this frozen form
@@ -196,10 +197,10 @@ def _frozen_rfa(pred, ref0, masks, c, alpha):
     on, off = dep_mask.count, n - dep_mask.count
     dep = 0.0
     if off:
-        res = berhu_map(pred.dep_fused - ref0.dep_plain, c)
+        res = berhu_map(pred.dep_fused - ref0.dep_plain, c_cross)
         dep += float(np.sum(res * (1.0 - dep_mask.m))) / off
     if on:
-        res = berhu_map(pred.dep_plain - ref0.dep_fused, c)
+        res = berhu_map(pred.dep_plain - ref0.dep_fused, c_cross)
         dep += float(np.sum(res * dep_mask.m)) / on
     return seg + alpha * dep
 
@@ -207,36 +208,36 @@ def _frozen_rfa(pred, ref0, masks, c, alpha):
 def check_end_to_end_gradients() -> CheckResult:
     """Overall phase-2 loss gradient against central finite differences.
 
-    Analytic side: backward through the production losses. FD side: the
-    same loss with everything value-derived (pseudo labels, masks,
-    berHu thresholds, distillation teachers) frozen at the reference
-    point, which is exactly the function the analytic pass
-    differentiates.
+    Analytic side: backward through the production losses, thresholds
+    and all. FD side: the same loss with everything value-derived
+    (pseudo labels, masks, each scene's plain, fused and cross berHu
+    thresholds, distillation teachers) frozen at the reference point,
+    which is exactly the function the analytic pass differentiates.
     """
-    c_fix = 0.7
     worst = 0.0
     for scheme in (Scheme.ADD, Scheme.GATED):
         cfg, model, scene_s, scene_t = _tiny_setup(scheme)
 
         graph = DiffGraph()
         leaves = bind(model, graph)
-        parts = compute_losses(
-            model, scene_s, scene_t, cfg, phase=2, weights=leaves, fixed_c=c_fix
-        )
+        parts = compute_losses(model, scene_s, scene_t, cfg, phase=2, weights=leaves)
         grads = graph.backward(parts["overall"])
 
         # reference-point values to freeze into the FD route
         frozen = []
         for scene in (scene_s, scene_t):
             pred0 = forward_pass(model, scene)
+            c_plain = berhu_threshold(pred0.dep_plain - scene.depth)
+            c_fused = berhu_threshold(pred0.dep_fused - scene.depth)
+            c_cross = berhu_threshold(pred0.dep_plain - pred0.dep_fused)
             seg_mask = reliability_mask(
                 free_energy_map(pred0.seg_plain), free_energy_map(pred0.seg_fused)
             )
             dep_mask = reliability_mask(
-                depth_energy_map(pred0.dep_plain, scene.depth, c_fix),
-                depth_energy_map(pred0.dep_fused, scene.depth, c_fix),
+                depth_energy_map(pred0.dep_plain, scene.depth, c_plain),
+                depth_energy_map(pred0.dep_fused, scene.depth, c_fused),
             )
-            frozen.append((pred0, (seg_mask, dep_mask)))
+            frozen.append((pred0, (seg_mask, dep_mask), (c_plain, c_fused, c_cross)))
         pseudo0 = pseudo_label(frozen[1][0].seg_fused, cfg.pseudo_threshold)
 
         def frozen_overall(wd):
@@ -248,15 +249,13 @@ def check_end_to_end_gradients() -> CheckResult:
                 + seg_nll(pred_t.seg_plain, pseudo0)
                 + seg_nll(pred_t.seg_fused, pseudo0)
             )
-            dep_total = (
-                berhu_loss(pred_s.dep_plain, scene_s.depth, c_fix)
-                + berhu_loss(pred_s.dep_fused, scene_s.depth, c_fix)
-                + berhu_loss(pred_t.dep_plain, scene_t.depth, c_fix)
-                + berhu_loss(pred_t.dep_fused, scene_t.depth, c_fix)
-            )
-            rfa = _frozen_rfa(pred_s, *frozen[0], c_fix, cfg.alpha) + _frozen_rfa(
-                pred_t, *frozen[1], c_fix, cfg.alpha
-            )
+            dep_total = rfa = 0.0
+            for pred, scene, (pred0, masks, (c_plain, c_fused, c_cross)) in zip(
+                (pred_s, pred_t), (scene_s, scene_t), frozen
+            ):
+                dep_total += berhu_loss(pred.dep_plain, scene.depth, c_plain)
+                dep_total += berhu_loss(pred.dep_fused, scene.depth, c_fused)
+                rfa += _frozen_rfa(pred, pred0, masks, c_cross, cfg.alpha)
             return seg_total + cfg.alpha * dep_total + cfg.beta * rfa
 
         names = ["enc0_w", "seg_dec_fused_w", "dep_dec_plain_w", "seg_net_b_w"]
@@ -278,7 +277,7 @@ def check_full_step_descent(n: int = 1000) -> CheckResult:
     for i in range(n):
         xi, nu = _patterns(rng, i)
         before = hopfield_energy(xi, nu)
-        after_xi = hopfield_update(PatternPair(xi, nu), 1.0, 1)
+        after_xi = hopfield_update(xi, nu, 1.0, 1)
         worst = max(worst, hopfield_energy(after_xi, nu) - before)
     return CheckResult("full-step-energy-descent", worst, 1e-10, worst < 1e-10)
 
@@ -292,7 +291,7 @@ def check_damped_descent_unit_norm(n: int = 300) -> CheckResult:
             xi, nu = _patterns(rng, i, unit_norm=True)
             prev = hopfield_energy(xi, nu)
             for _ in range(5):
-                xi = hopfield_update(PatternPair(xi, nu), gamma, 1)
+                xi = hopfield_update(xi, nu, gamma, 1)
                 cur = hopfield_energy(xi, nu)
                 worst = max(worst, cur - prev)
                 prev = cur
@@ -307,7 +306,7 @@ def check_retrieval_convergence(n: int = 100) -> CheckResult:
         xi, nu = _patterns(rng, i, unit_norm=True)
         delta = np.inf
         for _ in range(500):
-            nxt = hopfield_update(PatternPair(xi, nu), 1.0, 1)
+            nxt = hopfield_update(xi, nu, 1.0, 1)
             delta = float(np.linalg.norm(nxt - xi))
             xi = nxt
             if delta < 1e-6:
@@ -412,18 +411,9 @@ def check_gamma_zero_bypass(n: int = 200) -> CheckResult:
         q = rng.normal(d, cols, 2.0)
         o = rng.normal(d, cols, 2.0)
         steps = (0, 1, 3, 7)[i % 4]
-        if i % 2 == 0:
-            params = FusionParams(scheme=Scheme.ADD, gamma=0.0, steps=steps)
-        else:
-            params = FusionParams(
-                scheme=Scheme.GATED,
-                gamma=0.0,
-                steps=steps,
-                w1=rng.normal(d, d, 1.0),
-                w2=rng.normal(d, d, 1.0),
-            )
-        got = eb2f_apply(q, o, params)
-        want = fuse(o, q, params)
+        gate = None if i % 2 == 0 else (rng.normal(d, d, 1.0), rng.normal(d, d, 1.0))
+        got = eb2f_apply(q, o, 0.0, steps, gate)
+        want = fuse(o, q, gate)
         diff = float(np.max(np.abs(got - want)))
         if not np.array_equal(got, want):
             diff = max(diff, np.inf)

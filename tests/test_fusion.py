@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from energyfuse.fusion import (
-    FusionParams,
-    PatternPair,
     Scheme,
     eb2f_apply,
     fuse,
@@ -14,7 +12,9 @@ from energyfuse.fusion import (
     hopfield_update,
 )
 from energyfuse.autodiff import grad_check, raw
+from energyfuse.model import init_model
 from energyfuse.numeric import ContractError, softmax
+from energyfuse.rng import RngState
 
 LN2 = 0.6931471805599453
 
@@ -98,20 +98,20 @@ def test_gradient_zero_by_symmetry():
 def test_update_gamma_zero_returns_input_object_values():
     rng = np.random.default_rng(3)
     xi, nu = _pair(rng)
-    out = hopfield_update(PatternPair(xi, nu), gamma=0.0, steps=5)
+    out = hopfield_update(xi, nu, gamma=0.0, steps=5)
     np.testing.assert_array_equal(out, xi)
 
 
 def test_update_steps_zero_returns_input():
     rng = np.random.default_rng(4)
     xi, nu = _pair(rng)
-    out = hopfield_update(PatternPair(xi, nu), gamma=1.0, steps=0)
+    out = hopfield_update(xi, nu, gamma=1.0, steps=0)
     np.testing.assert_array_equal(out, xi)
 
 
 def test_update_identity_patterns_hand_value():
     """gamma=1, stored = I2, xi = e1: the update is softmax([1, 0])."""
-    out = hopfield_update(PatternPair(np.array([[1.0], [0.0]]), np.eye(2)), 1.0, 1)
+    out = hopfield_update(np.array([[1.0], [0.0]]), np.eye(2), 1.0, 1)
     np.testing.assert_allclose(
         out, [[0.7310585786300049], [0.2689414213699951]], atol=1e-15
     )
@@ -124,7 +124,7 @@ def test_update_two_algebraic_forms_agree():
     for _ in range(1000):
         xi, nu = _pair(rng)
         gamma = float(rng.uniform())
-        a = hopfield_update(PatternPair(xi, nu), gamma, 1)
+        a = hopfield_update(xi, nu, gamma, 1)
         grad = np.column_stack(
             [hopfield_gradient(xi[:, j : j + 1], nu).ravel() for j in range(xi.shape[1])]
         )
@@ -139,7 +139,7 @@ def test_full_step_never_raises_energy():
     for _ in range(1000):
         xi, nu = _pair(rng, n=1)
         before = hopfield_energy(xi, nu)
-        after = hopfield_energy(hopfield_update(PatternPair(xi, nu), 1.0, 1), nu)
+        after = hopfield_energy(hopfield_update(xi, nu, 1.0, 1), nu)
         worst = max(worst, after - before)
     assert worst <= 1e-10
 
@@ -152,7 +152,7 @@ def test_damped_step_descends_under_unit_norm():
             xi, nu = _pair(rng, n=1, unit_nu=True)
             cur = xi
             for _ in range(5):
-                nxt = hopfield_update(PatternPair(cur, nu), gamma, 1)
+                nxt = hopfield_update(cur, nu, gamma, 1)
                 worst = max(
                     worst, hopfield_energy(nxt, nu) - hopfield_energy(cur, nu)
                 )
@@ -172,7 +172,7 @@ def test_retrieval_converges_within_500_iterations():
         prev_delta = np.inf
         cur = xi
         for it in range(500):
-            nxt = hopfield_update(PatternPair(cur, nu), 1.0, 1)
+            nxt = hopfield_update(cur, nu, 1.0, 1)
             delta = float(np.linalg.norm(nxt - cur))
             assert delta <= prev_delta + 1e-12
             prev_delta = delta
@@ -185,9 +185,8 @@ def test_retrieval_converges_within_500_iterations():
 def test_fuse_add_identities():
     xi = np.array([[1.0], [2.0]])
     nu = np.array([[3.0], [4.0]])
-    params = FusionParams(scheme=Scheme.ADD, gamma=1.0, steps=1)
-    np.testing.assert_array_equal(fuse(xi, np.zeros_like(xi), params), xi)
-    np.testing.assert_array_equal(fuse(xi, nu, params), [[4.0], [6.0]])
+    np.testing.assert_array_equal(fuse(xi, np.zeros_like(xi)), xi)
+    np.testing.assert_array_equal(fuse(xi, nu), [[4.0], [6.0]])
 
 
 def test_fuse_gated_zero_gate_passes_stored():
@@ -195,46 +194,36 @@ def test_fuse_gated_zero_gate_passes_stored():
     d, n = 4, 6
     xi = rng.normal(size=(d, n))
     nu = rng.normal(size=(d, n))
-    params = FusionParams(
-        scheme=Scheme.GATED,
-        gamma=1.0,
-        steps=1,
-        w1=np.zeros((d, d)),
-        w2=rng.normal(size=(d, d)),
-    )
-    np.testing.assert_array_equal(fuse(xi, nu, params), nu)
+    gate = (np.zeros((d, d)), rng.normal(size=(d, d)))
+    np.testing.assert_array_equal(fuse(xi, nu, gate), nu)
 
 
-def test_gated_requires_weights():
-    with pytest.raises(ContractError):
-        FusionParams(scheme=Scheme.GATED, gamma=1.0, steps=1)
-
-
-def test_add_rejects_weights():
-    with pytest.raises(ContractError):
-        FusionParams(scheme=Scheme.ADD, gamma=1.0, steps=1, w1=np.eye(2), w2=np.eye(2))
+def _model(gamma, steps):
+    return init_model(RngState(0, (1,)), 3, 2, gamma=gamma, steps=steps, width=2)
 
 
 def test_gamma_out_of_range_rejected():
-    for gamma in (-0.1, 1.1):
+    """init_model and hopfield_update share one gamma/steps check."""
+    eye = np.eye(2)
+    for gamma, steps in ((-0.1, 1), (1.1, 1), (0.5, -1)):
         with pytest.raises(ContractError):
-            FusionParams(scheme=Scheme.ADD, gamma=gamma, steps=1)
-    with pytest.raises(ContractError):
-        FusionParams(scheme=Scheme.ADD, gamma=0.5, steps=-1)
+            _model(gamma, steps)
+        with pytest.raises(ContractError):
+            hopfield_update(eye, eye, gamma, steps)
 
 
 def test_fractional_and_bool_steps_rejected():
     """Both entries share one check: steps must be a whole number, so 1.5,
     2.0 and True fail with a ContractError naming steps, not later in numpy."""
-    pair = PatternPair(np.eye(2), np.eye(2))
+    eye = np.eye(2)
     for steps in (1.5, 2.0, True):
         with pytest.raises(ContractError, match="steps must be an integer"):
-            FusionParams(scheme=Scheme.ADD, gamma=0.5, steps=steps)
+            _model(0.5, steps)
         with pytest.raises(ContractError, match="steps must be an integer"):
-            hopfield_update(pair, 0.5, steps)
-    assert FusionParams(scheme=Scheme.ADD, gamma=0.5, steps=np.int64(2)).steps == 2
+            hopfield_update(eye, eye, 0.5, steps)
+    assert _model(0.5, np.int64(2)).steps == 2
     np.testing.assert_array_equal(
-        hopfield_update(pair, 0.5, np.int64(2)), hopfield_update(pair, 0.5, 2)
+        hopfield_update(eye, eye, 0.5, np.int64(2)), hopfield_update(eye, eye, 0.5, 2)
     )
 
 
@@ -244,12 +233,11 @@ def test_eb2f_steps_zero_equals_plain_fuse():
         d, n = 5, 7
         query = rng.normal(size=(d, n))
         other = rng.normal(size=(d, n))
-        kw = {}
+        gate = None
         if scheme == Scheme.GATED:
-            kw = dict(w1=rng.normal(size=(d, d)), w2=rng.normal(size=(d, d)))
-        params = FusionParams(scheme=scheme, gamma=1.0, steps=0, **kw)
-        out = eb2f_apply(query, other, params)
-        np.testing.assert_array_equal(out, fuse(other, query, params))
+            gate = (rng.normal(size=(d, d)), rng.normal(size=(d, d)))
+        out = eb2f_apply(query, other, 1.0, 0, gate)
+        np.testing.assert_array_equal(out, fuse(other, query, gate))
 
 
 def test_eb2f_preserves_shape():
@@ -259,8 +247,7 @@ def test_eb2f_preserves_shape():
         n = int(rng.integers(1, 33))
         query = rng.normal(size=(d, n))
         other = rng.normal(size=(d, n))
-        params = FusionParams(scheme=Scheme.ADD, gamma=1.0, steps=2)
-        assert eb2f_apply(query, other, params).shape == (d, n)
+        assert eb2f_apply(query, other, 1.0, 2).shape == (d, n)
 
 
 def test_eb2f_single_step_manual_composition():
@@ -269,8 +256,7 @@ def test_eb2f_single_step_manual_composition():
     d, n = 4, 5
     query = rng.normal(size=(d, n))
     other = rng.normal(size=(d, n))
-    params = FusionParams(scheme=Scheme.ADD, gamma=1.0, steps=1)
-    out = eb2f_apply(query, other, params)
+    out = eb2f_apply(query, other, 1.0, 1)
     for j in range(n):
         attn = softmax(query.T @ other[:, j : j + 1])
         want = query[:, j] + (query @ attn.reshape(-1, 1)).ravel()
@@ -278,13 +264,14 @@ def test_eb2f_single_step_manual_composition():
 
 
 def test_eb2f_shape_mismatch_rejected():
-    params = FusionParams(scheme=Scheme.ADD, gamma=1.0, steps=1)
     with pytest.raises(ContractError):
-        eb2f_apply(np.ones((3, 4)), np.ones((2, 4)), params)
+        eb2f_apply(np.ones((3, 4)), np.ones((2, 4)), 1.0, 1)
 
 
 def test_pattern_pair_validates_rows():
-    with pytest.raises(ContractError):
-        PatternPair(np.ones((3, 2)), np.ones((4, 2)))
-    with pytest.raises(ContractError):
-        PatternPair(np.ones((3, 0)), np.ones((3, 2)))
+    with pytest.raises(ContractError, match="channel mismatch"):
+        hopfield_update(np.ones((3, 2)), np.ones((4, 2)), 0.5, 1)
+    with pytest.raises(ContractError, match="at least one column"):
+        hopfield_update(np.ones((3, 0)), np.ones((3, 2)), 0.5, 1)
+    with pytest.raises(ContractError, match="at least one column"):
+        hopfield_update(np.ones((3, 2)), np.ones((3, 0)), 0.5, 1)

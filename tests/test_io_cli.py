@@ -453,6 +453,21 @@ def test_cli_negative_seed_exits_2(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "lists, message",
+    [
+        (["--values", "1", "--seeds", "-1,0"], "seed must be >= 0, got -1"),
+        (["--values", "-0.5,1"], "gamma must be in [0, 1], got -0.5"),
+    ],
+)
+def test_cli_negative_list_reaches_its_check(tmp_path, capsys, lists, message):
+    """A list value that starts with a minus is a value, not an unknown flag."""
+    out = tmp_path / "run"
+    assert main(["sweep", "--axis", "gamma", *lists, *TINY, "--out_dir", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_unparsable_flag_value_exits_2(capsys):
     code = main(["train", *TINY, "--t1", "soon"])
     assert code == 2

@@ -129,14 +129,22 @@ def test_array_and_graph_forward_agree_bit_for_bit(scheme, steps):
         assert np.array_equal(raw(getattr(bound, name)), getattr(plain, name)), name
 
 
-def test_fusion_params_pull_direction_specific_gates():
+def test_each_fusion_direction_pulls_its_own_gate():
+    """fuse_seg_* gates only the seg queries' fusion, fuse_dep_* only dep's."""
     model = init_model(RngState(15, (1,)), 4, 6, scheme=Scheme.GATED)
-    model.weights["fuse_seg_w2"] = model.weights["fuse_seg_w2"] + 1.0
-    p_seg = model.fusion_params("seg")
-    p_dep = model.fusion_params("dep")
-    assert p_seg.w2 is model.weights["fuse_seg_w2"]
-    assert p_dep.w2 is model.weights["fuse_dep_w2"]
-    assert not np.array_equal(p_seg.w2, p_dep.w2)
+    for direction in ("seg", "dep"):  # open both gates so w2 counts
+        model.weights[f"fuse_{direction}_w1"] = RngState(15, (2,)).normal(32, 32, 0.2)
+    x = _features(15)
+    base = forward_pass(model, x)
+    for direction, other in (("seg", "dep"), ("dep", "seg")):
+        w = {**model.weights}
+        w[f"fuse_{direction}_w2"] = w[f"fuse_{direction}_w2"] + 1.0
+        pred = forward_pass(model, x, weights=w)
+        assert not np.array_equal(
+            getattr(pred, f"{direction}_fused"), getattr(base, f"{direction}_fused")
+        )
+        for name in (f"{other}_fused", "seg_plain", "dep_plain"):
+            assert np.array_equal(getattr(pred, name), getattr(base, name)), name
 
 
 def test_bind_covers_every_weight():

@@ -43,6 +43,21 @@ def test_end_to_end_check_catches_a_broken_production_gradient(monkeypatch):
     assert result.worst > result.tol
 
 
+def test_end_to_end_check_runs_the_training_threshold_rule(monkeypatch):
+    # verify freezes the berHu thresholds objectives' rule gives at the
+    # reference point, so a training threshold 1% off it moves only the
+    # analytic side
+    right = train.berhu_threshold
+
+    def scaled(diff):
+        return right(diff) * 1.01
+
+    monkeypatch.setattr(train, "berhu_threshold", scaled)
+    result = verify.check_end_to_end_gradients()
+    assert not result.passed
+    assert result.worst > result.tol
+
+
 def test_report_text_flags_failures():
     bad = verify.CheckResult(name="x", worst=1.0, tol=1e-6, passed=False)
     good = verify.CheckResult(name="y", worst=0.0, tol=1e-6, passed=True)
