@@ -24,20 +24,6 @@ from .train import TrainingDiverged
 from .verify import run_verification
 
 
-def _float_list(text: str) -> list:
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number list: {text!r}") from None
-
-
-def _int_list(text: str) -> list:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list: {text!r}") from None
-
-
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key = value config file")
     for key in CONFIG_KEYS:
@@ -89,7 +75,10 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from(args)
-    rows = sweep(cfg, args.axis, args.values, args.seeds)
+    key = SWEEP_AXES[args.axis]
+    values = [_coerce(key, item) for item in args.values.split(",") if item.strip()]
+    seeds = [_coerce("seed", item) for item in args.seeds.split(",") if item.strip()]
+    rows = sweep(cfg, args.axis, values, seeds)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "metrics.csv")
     write_metrics_csv(rows, cfg.k, path)
@@ -111,7 +100,7 @@ def cmd_demo_hopfield(args) -> int:
     nu = nu / np.linalg.norm(nu, axis=0, keepdims=True)
     target_col = 0
     xi = nu[:, [target_col]] + rng.normal(d, 1, 0.2)
-    print(f"retrieving stored pattern {target_col} from a noisy probe")
+    print(f"descending the Hopfield energy from a noisy probe of stored pattern {target_col}")
     for it in range(10):
         energy = hopfield_energy(xi, nu)
         nxt = hopfield_update(xi, nu, cfg.gamma, 1)
@@ -161,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=fn)
         if name == "sweep":
             p.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
-            p.add_argument("--values", required=True, type=_float_list)
-            p.add_argument("--seeds", type=_int_list, default=[0])
+            p.add_argument("--values", required=True)
+            p.add_argument("--seeds", default="0")
 
     p = sub.add_parser("verify", help="run every invariant suite and report")
     p.set_defaults(handler=cmd_verify)

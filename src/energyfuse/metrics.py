@@ -11,7 +11,6 @@ import numpy as np
 
 from .autodiff import raw
 from .config import RunConfig, config_echo
-from .fusion import Scheme
 from .model import forward_pass, init_model
 from .numeric import ContractError
 from .reliability import free_energy_map
@@ -107,7 +106,7 @@ def build_model(cfg: RunConfig):
         RngState(cfg.seed, (MODEL_STREAM,)),
         cfg.k,
         cfg.channels,
-        Scheme(cfg.scheme),
+        cfg.scheme,
         cfg.gamma,
         cfg.steps,
     )

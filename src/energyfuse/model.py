@@ -54,7 +54,9 @@ def init_model(
     steps: int = 1,
     width: int = 32,
 ) -> ModelParams:
-    """Random weights; gate mixes start at zero so fusion opens gradually."""
+    """Random weights; gate mixes start at zero so fusion opens gradually.
+    scheme is a Scheme or its value; Scheme(scheme) rejects any other."""
+    scheme = Scheme(scheme)
     w = {}
 
     def dense(name, rows, cols):

@@ -127,19 +127,16 @@ def berhu_threshold(diff: np.ndarray) -> float:
     return float(np.max(np.abs(diff))) / 5.0
 
 
-def berhu_loss(pred, gt, c: float = None) -> object:
+def berhu_loss(pred, gt) -> object:
     """Mean reverse Huber loss with c = berhu_threshold(pred - gt).
 
     The threshold is computed from current values and held fixed for
-    differentiation; pass c explicitly to freeze it entirely (finite
-    difference probes need that). Identical maps give 0 without
-    dividing by c = 0.
+    differentiation. Identical maps give 0 without dividing by c = 0.
     """
     if pred.shape != gt.shape:
         raise ContractError(f"depth shape mismatch: {pred.shape} vs {gt.shape}")
     e = pred - gt
-    if c is None:
-        c = berhu_threshold(raw(e))
+    c = berhu_threshold(raw(e))
     if c == 0.0:
         return 0.0
     per = berhu_map(e, c)

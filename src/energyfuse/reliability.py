@@ -68,29 +68,35 @@ def _kl_row(o, teacher, student):
     return o.matmul(np.ones((1, k)), numeric.softmax_cols(tv) * (t_log - s_log))
 
 
-def rfa_seg_loss(p_plain, p_fused, mask: ReliabilityMask):
-    """Masked bidirectional distillation between the two logit maps.
+def _distil(rows, plain, fused, mask: ReliabilityMask):
+    """Masked bidirectional distillation between two branch maps.
 
-    Where the mask is 0 the plain branch teaches the fused one, where it
-    is 1 the fused branch teaches the plain one; each side is averaged
-    over its own positions and a side with no positions is dropped.
+    rows(o, teacher, student) is the per-position loss of the student
+    against the detached teacher. Where the mask is 0 the plain branch
+    teaches the fused one, where it is 1 the fused branch teaches the
+    plain one; each side is averaged over its own positions and a side
+    with no positions is dropped.
     """
-    if p_plain.shape != p_fused.shape:
-        raise ContractError(f"shape mismatch: {p_plain.shape} vs {p_fused.shape}")
-    n = p_plain.shape[1]
+    if plain.shape != fused.shape:
+        raise ContractError(f"shape mismatch: {plain.shape} vs {fused.shape}")
+    n = plain.shape[1]
     if mask.size != n:
-        raise ContractError(f"mask covers {mask.size} positions, logits have {n}")
-    o = ops(p_plain, p_fused)
-    m_on = mask.count
-    m_off = n - m_on
+        raise ContractError(f"mask covers {mask.size} positions, the maps have {n}")
+    o = ops(plain, fused)
     loss = None
-    if m_off > 0:
-        off = o.sum(_kl_row(o, p_plain, p_fused) * (1.0 - mask.m)) * (1.0 / m_off)
-        loss = off
-    if m_on > 0:
-        on = o.sum(_kl_row(o, p_fused, p_plain) * mask.m) * (1.0 / m_on)
-        loss = on if loss is None else loss + on
+    for teacher, student, weight, count in (
+        (plain, fused, 1.0 - mask.m, n - mask.count),
+        (fused, plain, mask.m, mask.count),
+    ):
+        if count > 0:
+            side = o.sum(rows(o, teacher, student) * weight) * (1.0 / count)
+            loss = side if loss is None else loss + side
     return loss
+
+
+def rfa_seg_loss(p_plain, p_fused, mask: ReliabilityMask):
+    """Masked bidirectional KL distillation between the two logit maps."""
+    return _distil(_kl_row, p_plain, p_fused, mask)
 
 
 def rfa_dep_loss(d_plain, d_fused, mask: ReliabilityMask, c: float):
@@ -100,23 +106,12 @@ def rfa_dep_loss(d_plain, d_fused, mask: ReliabilityMask, c: float):
     teacher (the branch that won that side's energy comparison) is
     detached and only the student receives gradients.
     """
-    if d_plain.shape != d_fused.shape:
-        raise ContractError(f"shape mismatch: {d_plain.shape} vs {d_fused.shape}")
-    n = raw(d_plain).size
-    if mask.size != n:
-        raise ContractError(f"mask covers {mask.size} positions, depth has {n}")
-    o = ops(d_plain, d_fused)
-    m_on = mask.count
-    m_off = n - m_on
-    loss = None
-    if m_off > 0:
-        res = berhu_map(d_fused - raw(d_plain), c)
-        loss = o.sum(res * (1.0 - mask.m)) * (1.0 / m_off)
-    if m_on > 0:
-        res = berhu_map(d_plain - raw(d_fused), c)
-        on = o.sum(res * mask.m) * (1.0 / m_on)
-        loss = on if loss is None else loss + on
-    return loss
+    return _distil(
+        lambda o, teacher, student: berhu_map(student - raw(teacher), c),
+        d_plain,
+        d_fused,
+        mask,
+    )
 
 
 def rfa_total(seg_loss, dep_loss, alpha: float):

@@ -105,38 +105,20 @@ def sweep(base: RunConfig, axis: str, values: list, seeds: list) -> list:
     if not seeds:
         raise ContractError("sweep needs at least one seed")
     key = SWEEP_AXES[axis]
-    if key == "steps":
-        for value in values:
-            if not float(value).is_integer():
-                raise ContractError(f"steps must be whole numbers, got {value!r}")
-        values = [int(value) for value in values]
-    for seed in seeds:
-        if not float(seed).is_integer():
-            raise ContractError(f"seeds must be whole numbers, got {seed!r}")
-    for name, items in ((axis, values), ("seed", seeds)):
-        repeated = [item for item in items if items.count(item) > 1]
-        if repeated:
-            raise ContractError(
-                f"sweep repeats {name} {repeated[0]!r}; every run must be distinct"
-            )
-    labels = {}
-    for value in values:
-        # run ids print values at 6 significant digits
-        label = format(value, "g")
-        if label in labels:
-            raise ContractError(
-                f"sweep {axis} values {labels[label]!r} and {value!r} share the "
-                f"run id label {label}; every run id must be distinct"
-            )
-        labels[label] = value
     # every config is built, and so checked, before the first run
-    plan = []
+    plan = {}
     for value in sorted(values):
         for seed in sorted(seeds):
+            # run ids print values at 6 significant digits
             run_id = f"{axis}={format(value, 'g')}_seed={seed}"
-            plan.append((run_id, replace(base, **{key: value, "seed": int(seed)})))
+            if run_id in plan:
+                raise ContractError(
+                    f"sweep {axis} {getattr(plan[run_id], key)!r} and {value!r} "
+                    f"with seed {seed} both make run {run_id}"
+                )
+            plan[run_id] = replace(base, **{key: value, "seed": seed})
     rows = []
-    for run_id, cfg in plan:
+    for run_id, cfg in plan.items():
         try:
             row, _ = run_experiment(cfg, run_id)
         except (ContractError, TrainingDiverged, FloatingPointError) as err:

@@ -16,7 +16,7 @@ from .config import RunConfig
 from .fusion import Scheme, eb2f_apply, fuse, hopfield_energy, hopfield_update
 from .model import _dense, bind, forward_pass, init_model
 from .numeric import softmax_cols
-from .objectives import IGNORE, berhu_loss, berhu_map, berhu_threshold, pseudo_label, seg_nll
+from .objectives import IGNORE, berhu_map, berhu_threshold, pseudo_label, seg_nll
 from .reliability import (
     ReliabilityMask,
     depth_energy_map,
@@ -253,8 +253,9 @@ def check_end_to_end_gradients() -> CheckResult:
             for pred, scene, (pred0, masks, (c_plain, c_fused, c_cross)) in zip(
                 (pred_s, pred_t), (scene_s, scene_t), frozen
             ):
-                dep_total += berhu_loss(pred.dep_plain, scene.depth, c_plain)
-                dep_total += berhu_loss(pred.dep_fused, scene.depth, c_fused)
+                for dep, c in ((pred.dep_plain, c_plain), (pred.dep_fused, c_fused)):
+                    e = dep - scene.depth
+                    dep_total += float(np.sum(berhu_map(e, c))) * (1.0 / e.size)
                 rfa += _frozen_rfa(pred, pred0, masks, c_cross, cfg.alpha)
             return seg_total + cfg.alpha * dep_total + cfg.beta * rfa
 

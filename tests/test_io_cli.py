@@ -246,7 +246,7 @@ def test_sweep_rerun_writes_identical_bytes(tmp_path):
     base = RunConfig(t1=2, t2=1, h=5, w=5, k=3, channels=4, n_scenes=2)
     blobs = []
     for name in ("a.csv", "b.csv"):
-        rows = sweep(base, "steps", [0.0, 1.0], [0])
+        rows = sweep(base, "steps", [0, 1], [0])
         path = tmp_path / name
         write_metrics_csv(rows, base.k, str(path))
         blobs.append(path.read_bytes())
@@ -284,75 +284,56 @@ def test_sweep_raises_on_a_programming_error(monkeypatch):
         sweep(RunConfig(), "gamma", [1.0], [0])
 
 
-def test_sweep_rejects_fractional_steps_before_any_run(monkeypatch):
+@pytest.fixture
+def no_sweep_runs(monkeypatch):
+    """Fail the test if a sweep starts any run."""
+
     def must_not_run(cfg, run_id):
         raise AssertionError(f"run {run_id} started")
 
+    # the package re-exports the function `sweep`, which shadows the module
     sweep_module = importlib.import_module("energyfuse.sweep")
     monkeypatch.setattr(sweep_module, "run_experiment", must_not_run)
-    with pytest.raises(ContractError, match="1.5"):
-        sweep(RunConfig(), "steps", [1.5, 1.0], [0])
 
 
-def test_sweep_rejects_duplicate_runs_before_any_run(monkeypatch):
-    def must_not_run(cfg, run_id):
-        raise AssertionError(f"run {run_id} started")
-
-    sweep_module = importlib.import_module("energyfuse.sweep")
-    monkeypatch.setattr(sweep_module, "run_experiment", must_not_run)
-    with pytest.raises(ContractError, match="gamma 0.5"):
-        sweep(RunConfig(), "gamma", [0.5, 0.5], [0, 0])
-    with pytest.raises(ContractError, match="seed 3"):
-        sweep(RunConfig(), "gamma", [0.5, 1.0], [3, 1, 3])
-    # steps are compared after their whole-number normalisation
-    with pytest.raises(ContractError, match="steps 2"):
-        sweep(RunConfig(), "steps", [2.0, 1, 2], [0])
-
-
-def test_sweep_rejects_fractional_seeds_before_any_run(monkeypatch):
-    def must_not_run(cfg, run_id):
-        raise AssertionError(f"run {run_id} started")
-
-    sweep_module = importlib.import_module("energyfuse.sweep")
-    monkeypatch.setattr(sweep_module, "run_experiment", must_not_run)
-    # int(1.5) would run seed 1 a second time under the id seed=1.5
-    with pytest.raises(ContractError, match="1.5"):
-        sweep(RunConfig(), "gamma", [0.5], [1, 1.5])
-
-
-def test_sweep_rejects_values_sharing_a_run_id_before_any_run(monkeypatch):
-    def must_not_run(cfg, run_id):
-        raise AssertionError(f"run {run_id} started")
-
-    sweep_module = importlib.import_module("energyfuse.sweep")
-    monkeypatch.setattr(sweep_module, "run_experiment", must_not_run)
-    # run ids print 6 significant digits: both values would read 0.123457
-    with pytest.raises(ContractError, match="0.1234567 and 0.1234568"):
-        sweep(RunConfig(), "gamma", [0.1234567, 0.1234568], [0])
+@pytest.mark.parametrize(
+    "axis, values, seeds, message",
+    [
+        pytest.param("steps", [1.5, 1], [0], "1.5", id="fractional-steps"),
+        pytest.param(
+            "steps", [1.0], [0], "steps must be an integer, got 1.0", id="float-steps"
+        ),
+        pytest.param("gamma", [0.5, 0.5], [0, 0], "gamma 0.5", id="repeated-value"),
+        pytest.param("gamma", [0.5, 1.0], [3, 1, 3], "seed 3", id="repeated-seed"),
+        pytest.param("steps", [2, 1, 2], [0], "steps 2", id="repeated-steps"),
+        # the good seed 1 would run first, and int(1.5) would repeat it
+        pytest.param("gamma", [0.5], [1, 1.5], "1.5", id="fractional-seed"),
+        # run ids print 6 significant digits: both values would read 0.123457
+        pytest.param(
+            "gamma", [0.1234567, 0.1234568], [0], "0.1234567 and 0.1234568",
+            id="shared-run-id",
+        ),
+        # each bad value or seed sorts after a good one, whose runs come first
+        pytest.param(
+            "gamma", [0.5, 1.5], [0, 1], "gamma must be in", id="gamma-out-of-range"
+        ),
+        pytest.param(
+            "threshold", [0.5, 2.0], [0], "pseudo_threshold must be in",
+            id="threshold-out-of-range",
+        ),
+        pytest.param(
+            "gamma", [0.5], [0, -1], "seed must be >= 0, got -1", id="negative-seed"
+        ),
+    ],
+)
+def test_sweep_rejects_before_any_run(no_sweep_runs, axis, values, seeds, message):
+    with pytest.raises(ContractError, match=message):
+        sweep(RunConfig(), axis, values, seeds)
 
 
-def test_sweep_rejects_out_of_range_values_before_any_run(monkeypatch):
-    def must_not_run(cfg, run_id):
-        raise AssertionError(f"run {run_id} started")
-
-    sweep_module = importlib.import_module("energyfuse.sweep")
-    monkeypatch.setattr(sweep_module, "run_experiment", must_not_run)
-    # the bad value sorts after a good one, whose runs would come first
-    with pytest.raises(ContractError, match="gamma must be in"):
-        sweep(RunConfig(), "gamma", [0.5, 1.5], [0, 1])
-    with pytest.raises(ContractError, match="pseudo_threshold must be in"):
-        sweep(RunConfig(), "threshold", [0.5, 2.0], [0])
-
-
-def test_sweep_rejects_negative_seeds_before_any_run(monkeypatch):
-    def must_not_run(cfg, run_id):
-        raise AssertionError(f"run {run_id} started")
-
-    sweep_module = importlib.import_module("energyfuse.sweep")
-    monkeypatch.setattr(sweep_module, "run_experiment", must_not_run)
-    # the bad seed comes after a good one, whose run would come first
-    with pytest.raises(ContractError, match="seed must be >= 0, got -1"):
-        sweep(RunConfig(), "gamma", [0.5], [0, -1])
+def test_cli_sweep_list_items_are_checked_as_config_values(no_sweep_runs, capsys):
+    assert main(["sweep", "--axis", "steps", "--values", "1.5"]) == 2
+    assert "error: bad value for steps: '1.5'" in capsys.readouterr().err
 
 
 def test_sweep_rejects_unknown_axis():
@@ -523,9 +504,10 @@ def test_cli_gen_data_dumps_loadable_scenes(tmp_path, capsys):
 
 
 # The outputs of the two RNG-driven commands at their defaults. The
-# initial commit's CLI prints and writes the same bytes.
+# initial commit's CLI prints and writes the same bytes, except the demo's
+# first line, which used to claim a retrieval the run does not show.
 DEMO_HOPFIELD_SEED_0 = """\
-retrieving stored pattern 0 from a noisy probe
+descending the Hopfield energy from a noisy probe of stored pattern 0
 iter  0  energy -1.384173  step size 7.69e-01
 iter  1  energy -1.726481  step size 1.51e-01
 iter  2  energy -1.740604  step size 3.67e-02

@@ -82,6 +82,24 @@ def test_init_model_deterministic():
         assert np.array_equal(a.weights[name], b.weights[name]), name
 
 
+def test_init_model_takes_a_scheme_by_value():
+    by_enum, by_value = (
+        init_model(RngState(19, (1,)), 4, 6, scheme=scheme)
+        for scheme in (Scheme.GATED, "gated")
+    )
+    assert by_value.scheme is Scheme.GATED
+    assert sorted(by_value.weights) == sorted(by_enum.weights)
+    x = _features(19)
+    for model in (by_enum, by_value):  # open the gate so the gated branch counts
+        for direction in ("seg", "dep"):
+            model.weights[f"fuse_{direction}_w1"] = RngState(18, (1,)).normal(32, 32, 0.2)
+    a, b = forward_pass(by_enum, x), forward_pass(by_value, x)
+    for name in ("seg_plain", "seg_fused", "dep_plain", "dep_fused"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    with pytest.raises(ValueError, match="junk"):
+        init_model(RngState(19, (1,)), 4, 6, scheme="junk")
+
+
 def test_gated_init_weight_ranges():
     model = init_model(RngState(12, (1,)), 4, 6, scheme=Scheme.GATED, width=16)
     for direction in ("seg", "dep"):
