@@ -105,20 +105,23 @@ def sweep(base: RunConfig, axis: str, values: list, seeds: list) -> list:
     if not seeds:
         raise ContractError("sweep needs at least one seed")
     key = SWEEP_AXES[axis]
-    # every config is built, and so checked, before the first run
-    plan = {}
+    # every config is built, and so checked, before the first run; two
+    # entries are one run if their configs are equal (-0.0 == 0.0) or their
+    # run ids are (run ids print values at 6 significant digits)
+    plan = []
     for value in sorted(values):
         for seed in sorted(seeds):
-            # run ids print values at 6 significant digits
             run_id = f"{axis}={format(value, 'g')}_seed={seed}"
-            if run_id in plan:
-                raise ContractError(
-                    f"sweep {axis} {getattr(plan[run_id], key)!r} and {value!r} "
-                    f"with seed {seed} both make run {run_id}"
-                )
-            plan[run_id] = replace(base, **{key: value, "seed": seed})
+            cfg = replace(base, **{key: value, "seed": seed})
+            for other_id, other in plan:
+                if other_id == run_id or other == cfg:
+                    raise ContractError(
+                        f"sweep {axis} {getattr(other, key)!r} and {value!r} "
+                        f"with seed {seed} both make run {other_id}"
+                    )
+            plan.append((run_id, cfg))
     rows = []
-    for run_id, cfg in plan.items():
+    for run_id, cfg in plan:
         try:
             row, _ = run_experiment(cfg, run_id)
         except (ContractError, TrainingDiverged, FloatingPointError) as err:

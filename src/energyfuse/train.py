@@ -3,9 +3,12 @@
 Phase 1 minimizes the supervised loss (segmentation plus weighted depth,
 four branch/domain terms each); phase 2 keeps it and adds the weighted
 reliability loss on both domains, at a reduced learning rate. Plain SGD,
-one source and one target scene per step, cycled in order. Everything is
-a pure function of (seed, config, data): rerunning reproduces the final
-weights bit for bit.
+one source and one target scene per step, cycled in order. A step
+differentiates each scene on its own tape, source first, and lets that
+tape go before the target's forward pass, so one tape is live at a time;
+the update adds the two scenes' gradients. Everything is a pure function
+of (seed, config, data): rerunning reproduces the final weights bit for
+bit.
 """
 
 import ctypes
@@ -87,59 +90,86 @@ def _rfa_domain(pred, ref_depth: np.ndarray, alpha: float):
 
 
 def compute_losses(
-    model: ModelParams, scene_s, scene_t, cfg: RunConfig, phase: int, weights: dict
+    model: ModelParams, scene, cfg: RunConfig, phase: int, weights: dict,
+    target: bool = False,
 ) -> dict:
-    """All loss terms of one step, as a dict of scalars (graph tensors
-    when `weights` are bound leaves).
+    """One scene's loss terms and its share of the supervised and overall
+    losses, as scalars (graph tensors when `weights` are bound leaves).
 
-    Target supervision is always self-generated; the taint-flagged
-    target labels are never read here.
+    A source scene is supervised by its labels; a target scene (`target`)
+    by pseudo-labels from its own fused head, so the taint-flagged target
+    labels are never read here. Each term gets the adjoint the whole
+    step's overall loss gives it: 1, alpha, beta or beta * alpha.
     """
-    if scene_s.labels_eval_only:
+    if not target and scene.labels_eval_only:
         raise ContractError("evaluation-only labels cannot drive a training loss")
-    pred_s = forward_pass(model, scene_s, weights)
-    pred_t = forward_pass(model, scene_t, weights)
+    pred = forward_pass(model, scene, weights)
+    labels = scene.labels
+    if target:
+        labels = pseudo_label(raw(pred.seg_fused), cfg.pseudo_threshold)
 
-    pseudo = pseudo_label(raw(pred_t.seg_fused), cfg.pseudo_threshold)
-
-    seg_total = four_term_total(
-        seg_nll(pred_s.seg_plain, scene_s.labels),
-        seg_nll(pred_s.seg_fused, scene_s.labels),
-        seg_nll(pred_t.seg_plain, pseudo),
-        seg_nll(pred_t.seg_fused, pseudo),
+    terms = {
+        "seg_plain": seg_nll(pred.seg_plain, labels),
+        "seg_fused": seg_nll(pred.seg_fused, labels),
+        "dep_plain": berhu_loss(pred.dep_plain, scene.depth),
+        "dep_fused": berhu_loss(pred.dep_fused, scene.depth),
+    }
+    overall = supervised = supervised_loss(
+        terms["seg_plain"] + terms["seg_fused"],
+        terms["dep_plain"] + terms["dep_fused"],
+        cfg.alpha,
     )
-    dep_total = four_term_total(
-        berhu_loss(pred_s.dep_plain, scene_s.depth),
-        berhu_loss(pred_s.dep_fused, scene_s.depth),
-        berhu_loss(pred_t.dep_plain, scene_t.depth),
-        berhu_loss(pred_t.dep_fused, scene_t.depth),
-    )
-    overall = supervised = supervised_loss(seg_total, dep_total, cfg.alpha)
 
     # a reliability loss that is zero or weighted by zero contributes its
     # value, not a subgraph, and adding it to overall would tape a no-op shift
     l_rfa = 0.0
     if phase == 2:
-        rfa_s, rfa_t = pred_s, pred_t
-        if cfg.beta == 0.0:
-            rfa_s, rfa_t = _raw_predictions(pred_s), _raw_predictions(pred_t)
-        l_rfa = _rfa_domain(rfa_s, scene_s.depth, cfg.alpha) + _rfa_domain(
-            rfa_t, scene_t.depth, cfg.alpha
+        l_rfa = _rfa_domain(
+            pred if cfg.beta != 0.0 else _raw_predictions(pred), scene.depth, cfg.alpha
         )
         if cfg.beta != 0.0:
             overall = overall_loss(supervised, l_rfa, cfg.beta)
-    return {
-        "seg_total": seg_total,
-        "dep_total": dep_total,
-        "supervised": supervised,
-        "rfa": l_rfa,
-        "overall": overall,
-    }
+    return {**terms, "rfa": l_rfa, "supervised": supervised, "overall": overall}
+
+
+def scene_gradients(
+    model: ModelParams, scene, cfg: RunConfig, phase: int, target: bool = False
+) -> tuple:
+    """One scene's loss terms as floats, and the gradient of its share of
+    the overall loss for each weight that reaches it.
+
+    The scene's tape lives only inside this call: nothing returned holds a
+    Tensor. No reverse pass runs on a non-finite term; the gradients are
+    then empty.
+    """
+    graph = DiffGraph()
+    leaves = bind(model, graph)
+    parts = compute_losses(model, scene, cfg, phase, leaves, target)
+    values = {name: _value(part) for name, part in parts.items()}
+    if not all(np.isfinite(v) for v in values.values()):
+        return values, {}
+    adjoints = graph.backward(parts["overall"])
+    grads = {name: adjoints[leaf.nid] for name, leaf in leaves.items()}
+    return values, {name: g for name, g in grads.items() if g is not None}
+
+
+def step_gradients(
+    model: ModelParams, scene_s, scene_t, cfg: RunConfig, phase: int
+) -> tuple:
+    """(source values, target values, gradients) of one step. The source
+    scene is differentiated, and its tape freed, before the target's
+    forward pass; each weight's gradient is the sum of the two scenes'."""
+    values_s, grads = scene_gradients(model, scene_s, cfg, phase)
+    values_t, grads_t = scene_gradients(model, scene_t, cfg, phase, target=True)
+    for name, g in grads_t.items():
+        grads[name] = g + grads[name] if name in grads else g
+    return values_s, values_t, grads
 
 
 def _pin_malloc_thresholds():
     """Keep freed step memory mapped, process-wide: pin glibc's mmap (-3) and
-    trim (-1) thresholds at its 64-bit caps; one alone freezes the other at 128 KiB."""
+    trim (-1) thresholds at its 64-bit caps; one alone freezes the other at 128 KiB.
+    A step frees two tapes, and the target's reuses the source's pages."""
     if platform.libc_ver()[0] == "glibc":
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
@@ -150,16 +180,24 @@ def _pin_malloc_thresholds():
 def _train_step(
     model: ModelParams, scene_s, scene_t, cfg: RunConfig, phase: int, lr: float
 ) -> LossBundle:
-    graph = DiffGraph()
-    w = bind(model, graph)
-    parts = compute_losses(model, scene_s, scene_t, cfg, phase, w)
-
+    s, t, grads = step_gradients(model, scene_s, scene_t, cfg, phase)
+    seg_total = four_term_total(
+        s["seg_plain"], s["seg_fused"], t["seg_plain"], t["seg_fused"]
+    )
+    dep_total = four_term_total(
+        s["dep_plain"], s["dep_fused"], t["dep_plain"], t["dep_fused"]
+    )
+    supervised = supervised_loss(seg_total, dep_total, cfg.alpha)
+    l_rfa = s["rfa"] + t["rfa"]
+    overall = supervised
+    if phase == 2 and cfg.beta != 0.0:
+        overall = overall_loss(supervised, l_rfa, cfg.beta)
     bundle = LossBundle(
-        seg_total=_value(parts["seg_total"]),
-        dep_total=_value(parts["dep_total"]),
-        supervised=_value(parts["supervised"]),
-        rfa=_value(parts["rfa"]),
-        overall=_value(parts["overall"]),
+        seg_total=seg_total,
+        dep_total=dep_total,
+        supervised=supervised,
+        rfa=l_rfa,
+        overall=overall,
         alpha=cfg.alpha,
         beta=cfg.beta,
     )
@@ -168,11 +206,8 @@ def _train_step(
         if not np.isfinite(v):
             raise TrainingDiverged(f"{name} became {v} in phase {phase}")
 
-    grads = graph.backward(parts["overall"])
-    for name, leaf in w.items():
-        g = grads[leaf.nid]
-        if g is not None:
-            model.weights[name] = model.weights[name] - lr * g
+    for name, g in grads.items():
+        model.weights[name] = model.weights[name] - lr * g
     check_finite(model)
     return bundle
 

@@ -14,7 +14,7 @@ from . import fusion, numeric
 from .autodiff import DiffGraph, central_differences, grad_check, relative_error
 from .config import RunConfig
 from .fusion import Scheme, eb2f_apply, fuse, hopfield_energy, hopfield_update
-from .model import _dense, bind, forward_pass, init_model
+from .model import _dense, forward_pass, init_model
 from .numeric import softmax_cols
 from .objectives import IGNORE, berhu_map, berhu_threshold, pseudo_label, seg_nll
 from .reliability import (
@@ -28,7 +28,7 @@ from .reliability import (
 )
 from .rng import RngState
 from .scenes import ShiftSpec, gen_scene, shift_scene
-from .train import compute_losses
+from .train import step_gradients
 
 MASTER_SEED = 20240915
 
@@ -208,20 +208,17 @@ def _frozen_rfa(pred, ref0, masks, c_cross, alpha):
 def check_end_to_end_gradients() -> CheckResult:
     """Overall phase-2 loss gradient against central finite differences.
 
-    Analytic side: backward through the production losses, thresholds
-    and all. FD side: the same loss with everything value-derived
-    (pseudo labels, masks, each scene's plain, fused and cross berHu
-    thresholds, distillation teachers) frozen at the reference point,
-    which is exactly the function the analytic pass differentiates.
+    Analytic side: the gradients a training step takes, one scene's tape
+    at a time, through the production losses, thresholds and all. FD
+    side: the same loss with everything value-derived (pseudo labels,
+    masks, each scene's plain, fused and cross berHu thresholds,
+    distillation teachers) frozen at the reference point, which is
+    exactly the function the analytic pass differentiates.
     """
     worst = 0.0
     for scheme in (Scheme.ADD, Scheme.GATED):
         cfg, model, scene_s, scene_t = _tiny_setup(scheme)
-
-        graph = DiffGraph()
-        leaves = bind(model, graph)
-        parts = compute_losses(model, scene_s, scene_t, cfg, phase=2, weights=leaves)
-        grads = graph.backward(parts["overall"])
+        _, _, grads = step_gradients(model, scene_s, scene_t, cfg, phase=2)
 
         # reference-point values to freeze into the FD route
         frozen = []
@@ -267,7 +264,7 @@ def check_end_to_end_gradients() -> CheckResult:
                 lambda arr, name=name: frozen_overall({**model.weights, name: arr}),
                 model.weights[name],
             )
-            worst = max(worst, relative_error(grads[leaves[name].nid], fd))
+            worst = max(worst, relative_error(grads[name], fd))
     return CheckResult("end-to-end-gradients-vs-fd", worst, 1e-4, worst < 1e-4)
 
 

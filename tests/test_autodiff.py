@@ -195,33 +195,36 @@ def test_every_public_op_has_a_finite_difference_case():
 
 
 def test_every_public_op_is_recorded_by_a_training_step():
-    """One phase-2 step of each fusion scheme records every op the tape
-    offers, so the tape holds no op that only its tests run. The add step
-    runs at pseudo_threshold = 1.0, where no target position clears the
-    threshold (as can happen on ref-direct at 0.9): each target seg_nll is
-    then a plain 0.0, and adding that to a tape loss records a shift."""
+    """One phase-2 step of each fusion scheme records, over its two
+    per-scene tapes, every op the tape offers, so the tape holds no op that
+    only its tests run. The add step runs at pseudo_threshold = 1.0, where
+    no target position clears the threshold (as can happen on ref-direct at
+    0.9): each target seg_nll is then a plain 0.0, and adding that to a
+    tape loss records a shift."""
     recorded = set()
     for scheme, threshold in ((Scheme.ADD, 1.0), (Scheme.GATED, 0.0)):
         cfg, model, scene_s, scene_t = _tiny_setup(scheme)
         cfg = replace(cfg, pseudo_threshold=threshold)
-        g = DiffGraph()
-        compute_losses(model, scene_s, scene_t, cfg, phase=2, weights=bind(model, g))
-        recorded |= {node.op for node in g.nodes}
+        for scene, target in ((scene_s, False), (scene_t, True)):
+            g = DiffGraph()
+            compute_losses(model, scene, cfg, 2, bind(model, g), target)
+            recorded |= {node.op for node in g.nodes}
     missing = _recording_ops() - recorded
     assert not missing, sorted(missing)
 
 
 def test_a_step_without_reliability_on_the_tape_records_no_shift():
-    """Phase 1, and phase 2 at beta = 0, keep the reliability loss off the
-    tape: the overall loss is the supervised loss itself, not a shift of it
-    by a plain 0.0."""
+    """Phase 1, and phase 2 at beta = 0, keep the reliability loss off
+    either scene's tape: each scene's share of the overall loss is its
+    supervised share itself, not a shift of it by a plain 0.0."""
     cfg, model, scene_s, scene_t = _tiny_setup(Scheme.ADD)
     for phase, beta in ((1, 1.0), (2, 0.0)):
-        g = DiffGraph()
         run_cfg = replace(cfg, beta=beta)
-        parts = compute_losses(model, scene_s, scene_t, run_cfg, phase, bind(model, g))
-        assert parts["overall"] is parts["supervised"]
-        assert "shift" not in {node.op for node in g.nodes}
+        for scene, target in ((scene_s, False), (scene_t, True)):
+            g = DiffGraph()
+            parts = compute_losses(model, scene, run_cfg, phase, bind(model, g), target)
+            assert parts["overall"] is parts["supervised"]
+            assert "shift" not in {node.op for node in g.nodes}
 
 
 def test_row_and_col_broadcast_ops():

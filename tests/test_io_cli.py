@@ -313,6 +313,15 @@ def no_sweep_runs(monkeypatch):
             "gamma", [0.1234567, 0.1234568], [0], "0.1234567 and 0.1234568",
             id="shared-run-id",
         ),
+        # -0.0 == 0.0 builds one config, though the run ids read -0 and 0
+        pytest.param(
+            "gamma", [-0.0, 0.0], [0], "gamma -0.0 and 0.0 with seed 0",
+            id="signed-zero",
+        ),
+        pytest.param(
+            "threshold", [0.0, -0.0], [1], "0.0 and -0.0 with seed 1",
+            id="signed-zero-threshold",
+        ),
         # each bad value or seed sorts after a good one, whose runs come first
         pytest.param(
             "gamma", [0.5, 1.5], [0, 1], "gamma must be in", id="gamma-out-of-range"

@@ -124,24 +124,25 @@ def test_phase_two_reliability_call_pattern(monkeypatch):
 
 def test_zero_weighted_reliability_loss_is_valued_but_not_taped():
     """beta = 0: the reliability loss keeps the value beta = 1 records, as a
-    plain number in the step's bundle, and records no more tape nodes than
-    phase 1 does."""
+    plain number in the step's bundle, and neither scene's tape records
+    more nodes than in phase 1."""
     cfg, model, source, target = _setup(t1=0, t2=1)
-    parts, nodes, traces = {}, {}, {}
+    traces = {}
     for beta in (0.0, 1.0):
         run_cfg = dataclasses.replace(cfg, beta=beta)
-        graph = DiffGraph()
-        w = bind(model, graph)
-        parts[beta] = compute_losses(model, source[0], target[0], run_cfg, 2, w)
-        nodes[beta] = len(graph.nodes)
         _, traces[beta] = train(build_model(run_cfg), source, target, run_cfg)
-    assert not isinstance(parts[0.0]["rfa"], Tensor)
-    assert parts[0.0]["rfa"] == parts[1.0]["rfa"].item()
     assert traces[0.0][0].bundle.rfa == traces[1.0][0].bundle.rfa > 0.0
-    graph = DiffGraph()
-    w = bind(model, graph)
-    compute_losses(model, source[0], target[0], cfg, 1, w)
-    assert nodes[0.0] == len(graph.nodes) < nodes[1.0]
+    for scene, is_target in ((source[0], False), (target[0], True)):
+        parts, nodes = {}, {}
+        for phase, beta in ((2, 0.0), (2, 1.0), (1, 1.0)):
+            run_cfg = dataclasses.replace(cfg, beta=beta)
+            graph = DiffGraph()
+            w = bind(model, graph)
+            parts[phase, beta] = compute_losses(model, scene, run_cfg, phase, w, is_target)
+            nodes[phase, beta] = len(graph.nodes)
+        assert not isinstance(parts[2, 0.0]["rfa"], Tensor)
+        assert parts[2, 0.0]["rfa"] == parts[2, 1.0]["rfa"].item()
+        assert nodes[2, 0.0] == nodes[1, 1.0] < nodes[2, 1.0]
 
 
 def test_supervised_phase_reduces_the_loss():
@@ -193,20 +194,62 @@ def test_phase_two_learning_rate_is_reduced():
 
 
 def test_a_step_tape_is_freed_without_the_garbage_collector():
-    """Nothing on the tape refers back to its graph, so a phase-2 step's
+    """Nothing on the tape refers back to its graph, so a phase-2 scene's
     tape (every fused block, reliability included) is freed by reference
     counting alone as soon as the step lets go of it."""
     cfg, model, source, target = _setup(beta=1.0)
     gc.disable()
     try:
-        graph = DiffGraph()
-        parts = compute_losses(model, source[0], target[0], cfg, 2, bind(model, graph))
-        graph.backward(parts["overall"])
-        alive = weakref.ref(graph)
-        del graph, parts
-        assert alive() is None
+        for scene, is_target in ((source[0], False), (target[0], True)):
+            graph = DiffGraph()
+            parts = compute_losses(model, scene, cfg, 2, bind(model, graph), is_target)
+            graph.backward(parts["overall"])
+            alive = weakref.ref(graph)
+            del graph, parts
+            assert alive() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("scheme", ["add", "gated"])
+@pytest.mark.parametrize("phase", [1, 2])
+def test_a_step_keeps_one_tape_alive_at_a_time(monkeypatch, scheme, phase):
+    """A step records each scene on its own tape, source first, and the
+    source tape is freed, by reference counting alone, before the target
+    tape exists: at most one tape's attention maps are held at once."""
+    train_module = importlib.import_module("energyfuse.train")
+    cfg, model, source, target = _setup(scheme=scheme, beta=1.0, steps=2)
+    tapes, alive_at_birth = [], []
+
+    class WatchedGraph(DiffGraph):
+        def __init__(self):
+            alive_at_birth.append(sum(tape() is not None for tape in tapes))
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(train_module, "DiffGraph", WatchedGraph)
+    gc.disable()
+    try:
+        train_module._train_step(model, source[0], target[0], cfg, phase, cfg.lr)
+    finally:
+        gc.enable()
+    assert alive_at_birth == [0, 0]
+    assert all(tape() is None for tape in tapes)
+
+
+def test_a_step_adds_the_two_scene_gradients():
+    """The update is lr * (target gradient + source gradient), each scene's
+    gradient taken on its own tape."""
+    train_module = importlib.import_module("energyfuse.train")
+    cfg, model, source, target = _setup(scheme="gated", beta=1.0)
+    before = {name: arr.copy() for name, arr in model.weights.items()}
+    _, grads_s = train_module.scene_gradients(model, source[0], cfg, 2)
+    _, grads_t = train_module.scene_gradients(model, target[0], cfg, 2, target=True)
+    train_module._train_step(model, source[0], target[0], cfg, 2, cfg.lr)
+    assert set(grads_s) == set(grads_t) == set(model.weights)
+    for name, arr in model.weights.items():
+        want = before[name] - cfg.lr * (grads_t[name] + grads_s[name])
+        assert np.array_equal(arr, want), name
 
 
 def test_package_keeps_train_and_sweep_as_modules():
