@@ -189,9 +189,7 @@ def _train_step(
     )
     supervised = supervised_loss(seg_total, dep_total, cfg.alpha)
     l_rfa = s["rfa"] + t["rfa"]
-    overall = supervised
-    if phase == 2 and cfg.beta != 0.0:
-        overall = overall_loss(supervised, l_rfa, cfg.beta)
+    overall = overall_loss(supervised, l_rfa, cfg.beta)
     bundle = LossBundle(
         seg_total=seg_total,
         dep_total=dep_total,

@@ -6,7 +6,10 @@ budget. Criteria 5 and 6 share a session-scoped batch of twenty
 training runs on the reference configuration.
 """
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +18,17 @@ from conftest import ABLATION_SEEDS, REFERENCE
 from energyfuse import verify
 from energyfuse.config import RunConfig
 from energyfuse.metrics import run_experiment
-from energyfuse.sweep import sweep, write_metrics_csv
+from energyfuse.sweep import sweep, write_loss_trace_csv, write_metrics_csv
 
+ROOT = Path(__file__).resolve().parent.parent
 ARMS = {
     "direct_add": dict(steps=0, beta=0.0),
     "eb2f": dict(steps=1, beta=0.0),
     "full": dict(steps=1, beta=1.0),
     "steps8": dict(steps=8, beta=1.0),
 }
+# arm -> bench/golden.json workload, also the run id its metrics.csv hash includes
+GOLDEN_WORKLOADS = {"direct_add": "ref-direct", "full": "ref-full", "steps8": "ref-steps8"}
 
 
 def _run_suite(checks, budget_s):
@@ -99,20 +105,34 @@ def test_criterion_4_reliability_contracts():
 
 
 @pytest.fixture(scope="session")
-def ablation_miou():
-    """Mean target mIoU of each ablation arm over the shared seeds."""
-    out = {}
+def reference_runs(tmp_path_factory):
+    """(arm, seed) -> the run's target mIoU and the sha256 of the
+    metrics.csv and loss_trace.csv it writes, named as in golden.json."""
+    out = tmp_path_factory.mktemp("reference")
+    runs = {}
     for arm, overrides in ARMS.items():
-        scores = []
         for seed in ABLATION_SEEDS:
             cfg = RunConfig(**{**REFERENCE, **overrides, "seed": seed})
             t0 = time.perf_counter()
-            row, _ = run_experiment(cfg, run_id=f"{arm}_seed{seed}")
+            row, trace = run_experiment(cfg, GOLDEN_WORKLOADS.get(arm, f"{arm}_seed{seed}"))
             elapsed = time.perf_counter() - t0
             assert elapsed <= 300.0, f"{arm} seed {seed} took {elapsed:.0f}s"
-            scores.append(row.miou)
-        out[arm] = float(np.mean(scores))
-    return out
+            write_metrics_csv([row], cfg.k, str(out / "metrics.csv"))
+            write_loss_trace_csv(trace, str(out / "loss_trace.csv"))
+            runs[arm, seed] = {"miou": row.miou} | {
+                f"{name}_csv": hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
+                for name in ("metrics", "loss_trace")
+            }
+    return runs
+
+
+@pytest.fixture(scope="session")
+def ablation_miou(reference_runs):
+    """Mean target mIoU of each ablation arm over the shared seeds."""
+    return {
+        arm: float(np.mean([reference_runs[arm, seed]["miou"] for seed in ABLATION_SEEDS]))
+        for arm in ARMS
+    }
 
 
 def test_criterion_5_ablation_ordering(ablation_miou):
@@ -144,7 +164,7 @@ def test_criterion_7_gamma_zero_bypass():
     _emit(
         "criterion-7 gamma-zero-bypass",
         ok,
-        f"max |eb2f - plain fuse| = {result.worst} (need bit-exact)",
+        f"eb2f at gamma 0 vs plain fuse: worst = {result.worst} (need 0.0, bit-exact)",
     )
 
 
@@ -165,3 +185,15 @@ def test_criterion_8_sweep_reproducibility(tmp_path):
         ok,
         f"two sweep runs, {len(first)} bytes each, byte-identical={first == second}",
     )
+
+
+def test_reference_runs_write_the_golden_bytes(reference_runs):
+    golden = json.loads((ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
+    wrong = [
+        f"{workload} seed {seed}: {name} differs from bench/golden.json"
+        for arm, workload in GOLDEN_WORKLOADS.items()
+        for seed in ABLATION_SEEDS
+        for name in ("metrics_csv", "loss_trace_csv")
+        if reference_runs[arm, seed][name] != golden["workloads"][workload][str(seed)][name]
+    ]
+    assert not wrong, "\n".join(wrong)

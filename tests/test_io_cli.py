@@ -2,11 +2,16 @@
 
 import hashlib
 import importlib
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from energyfuse import cli
 from energyfuse.cli import main
 from energyfuse.config import CONFIG_KEYS, RunConfig, load_config, parse_config_text
 from energyfuse.metrics import MetricsRow
@@ -20,6 +25,7 @@ from energyfuse.sweep import (
     write_metrics_csv,
 )
 from energyfuse.tensor_io import dump_tensor, format_value, load_tensor
+from energyfuse.train import TrainingDiverged
 
 TINY = [
     "--t1", "2", "--t2", "1", "--h", "5", "--w", "5", "--k", "3",
@@ -135,6 +141,26 @@ def test_config_rejects_negative_seed():
 def test_config_rejects_non_positive_alpha():
     with pytest.raises(ContractError, match="alpha must be positive"):
         RunConfig(alpha=0.0)
+
+
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [
+        ("t1", -1, "t1 and t2 must be >= 0"),
+        ("t2", -1, "t1 and t2 must be >= 0"),
+        ("lr_phase2_mult", 0.0, "lr_phase2_mult must be positive"),
+        ("beta", -0.5, "beta must be >= 0, got -0.5"),
+        ("scheme", "mean", "scheme must be add or gated, got 'mean'"),
+        ("h", 0, "need h, w >= 1, k >= 2, channels >= 1"),
+        ("w", 0, "need h, w >= 1, k >= 2, channels >= 1"),
+        ("k", 1, "need h, w >= 1, k >= 2, channels >= 1"),
+        ("channels", 0, "need h, w >= 1, k >= 2, channels >= 1"),
+        ("n_scenes", 0, "n_scenes must be >= 1"),
+    ],
+)
+def test_config_rejects_out_of_range_values(key, bad, message):
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        RunConfig(**{key: bad})
 
 
 @pytest.mark.parametrize(
@@ -333,6 +359,8 @@ def no_sweep_runs(monkeypatch):
         pytest.param(
             "gamma", [0.5], [0, -1], "seed must be >= 0, got -1", id="negative-seed"
         ),
+        pytest.param("gamma", [], [0], "sweep needs at least one value", id="no-values"),
+        pytest.param("gamma", [0.5], [], "sweep needs at least one seed", id="no-seeds"),
     ],
 )
 def test_sweep_rejects_before_any_run(no_sweep_runs, axis, values, seeds, message):
@@ -448,6 +476,7 @@ def test_cli_negative_seed_exits_2(tmp_path, capsys, args):
     [
         (["--values", "1", "--seeds", "-1,0"], "seed must be >= 0, got -1"),
         (["--values", "-0.5,1"], "gamma must be in [0, 1], got -0.5"),
+        (["--values=-0,0"], "sweep gamma -0.0 and 0.0 with seed 0 both make run gamma=-0_seed=0"),
     ],
 )
 def test_cli_negative_list_reaches_its_check(tmp_path, capsys, lists, message):
@@ -462,6 +491,38 @@ def test_cli_unparsable_flag_value_exits_2(capsys):
     code = main(["train", *TINY, "--t1", "soon"])
     assert code == 2
     assert "bad value for t1" in capsys.readouterr().err
+
+
+def test_cli_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["train", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert str(missing) in err
+
+
+def test_cli_training_divergence_exits_1(monkeypatch, capsys):
+    def diverging(cfg, run_id):
+        raise TrainingDiverged("rfa became nan in phase 2")
+
+    monkeypatch.setattr(cli, "run_experiment", diverging)
+    assert main(["train", *TINY]) == 1
+    assert capsys.readouterr().err == "training diverged: rfa became nan in phase 2\n"
+
+
+def test_cli_module_runs_as_a_process_with_its_exit_codes():
+    """A fresh `python -m energyfuse.cli`, with a numpy RuntimeWarning as an
+    error: `verify` passes every check and exits 0, a usage error exits 2."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "energyfuse.cli"]
+    env = {**os.environ, "PYTHONPATH": package_root}
+    run = dict(env=env, capture_output=True, text=True, timeout=300)
+    verify = subprocess.run([*command, "verify"], **run)
+    assert verify.returncode == 0, verify.stdout + verify.stderr
+    assert verify.stdout.splitlines()[-1] == "16 checks, all passing"
+    usage = subprocess.run([*command, "train", "--t1", "soon"], **run)
+    assert usage.returncode == 2
+    assert usage.stderr.splitlines()[-1] == "error: bad value for t1: 'soon'"
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):

@@ -17,7 +17,7 @@ import pytest
 from conftest import REFERENCE
 from energyfuse.autodiff import DiffGraph, Tensor
 from energyfuse.config import RunConfig
-from energyfuse.metrics import build_data, build_model
+from energyfuse.metrics import build_data, build_model, evaluate
 from energyfuse.model import bind
 from energyfuse.numeric import ContractError
 from energyfuse.train import TrainingDiverged, compute_losses, train
@@ -52,6 +52,8 @@ def test_empty_scene_sets_rejected():
         train(model, [], target, cfg)
     with pytest.raises(ContractError, match="nonempty"):
         train(model, source, [], cfg)
+    with pytest.raises(ContractError, match="^evaluate needs at least one scene$"):
+        evaluate(model, [])
 
 
 def test_training_is_bitwise_reproducible():

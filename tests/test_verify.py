@@ -58,6 +58,15 @@ def test_end_to_end_check_runs_the_training_threshold_rule(monkeypatch):
     assert result.worst > result.tol
 
 
+def test_gamma_zero_check_compares_bits_not_values(monkeypatch):
+    # -0.0 == 0.0 as numbers, so only a bitwise comparison fails this pair
+    monkeypatch.setattr(verify, "eb2f_apply", lambda *args: np.array([[1.0, -0.0]]))
+    monkeypatch.setattr(verify, "fuse", lambda *args: np.array([[1.0, 0.0]]))
+    result = verify.check_gamma_zero_bypass(n=4)
+    assert not result.passed
+    assert result.name == "gamma-zero-bypass-bitwise"
+
+
 def test_report_text_flags_failures():
     bad = verify.CheckResult(name="x", worst=1.0, tol=1e-6, passed=False)
     good = verify.CheckResult(name="y", worst=0.0, tol=1e-6, passed=True)
