@@ -7,7 +7,7 @@ columns of metrics.csv.
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .fusion import Scheme, check_schedule
 from .numeric import ContractError
@@ -122,7 +122,3 @@ def load_config(path: str, base: RunConfig = None) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         return parse_config_text(fh.read(), base)
 
-
-def config_echo(cfg: RunConfig) -> dict:
-    """The config as an ordered dict, for CSV echo columns."""
-    return asdict(cfg)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numeric
 from .autodiff import ARRAY_OPS, ops, raw
-from .numeric import ContractError, as_matrix, lse
+from .numeric import ContractError, as_matrix
 
 
 class Scheme(Enum):
@@ -47,14 +47,14 @@ def hopfield_energy(xi_col, nu) -> float:
     """0.5 * xi.xi - lse(nu^T xi) for one input column."""
     xi, nu = _pattern_pair(np.ravel(xi_col), nu)
     x = xi.ravel()
-    return 0.5 * float(x @ x) - lse(nu.T @ x)
+    return 0.5 * float(x @ x) - float(numeric.lse_cols(nu.T @ x)[0, 0])
 
 
 def hopfield_gradient(xi_col, nu) -> np.ndarray:
     """d/dxi of hopfield_energy: xi - nu softmax(nu^T xi)."""
     xi, nu = _pattern_pair(np.ravel(xi_col), nu)
     x = xi.ravel()
-    return x - nu @ numeric.softmax(nu.T @ x)
+    return x - nu @ numeric.softmax_cols(nu.T @ x).ravel()
 
 
 def hopfield_steps(xi, nu, gamma: float, steps: int, saved: list = None):

@@ -5,12 +5,12 @@ order never changes a reported float. Predictions always come from the
 fused heads; the plain head is consulted only for its mean energy.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .autodiff import raw
-from .config import RunConfig, config_echo
+from .config import RunConfig
 from .model import forward_pass, init_model
 from .numeric import ContractError
 from .reliability import free_energy_map
@@ -123,5 +123,5 @@ def run_experiment(cfg: RunConfig, run_id: str = "run"):
     model, trace = train(model, source, target, cfg)
     row = evaluate(model, target)
     row.run_id = run_id
-    row.config = config_echo(cfg)
+    row.config = asdict(cfg)
     return row, trace

@@ -22,24 +22,6 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def lse(x) -> float:
-    """log(sum(exp(x))) over a vector, max-shifted; lse(x) >= max(x)."""
-    a = np.asarray(x, dtype=np.float64).ravel()
-    if a.size == 0:
-        raise ContractError("lse of an empty vector")
-    m = a.max()
-    return float(m + np.log(np.sum(np.exp(a - m))))
-
-
-def softmax(x) -> np.ndarray:
-    """Softmax of a vector; strictly positive, sums to 1, shift invariant."""
-    a = np.asarray(x, dtype=np.float64).ravel()
-    if a.size == 0:
-        raise ContractError("softmax of an empty vector")
-    e = np.exp(a - a.max())
-    return e / e.sum()
-
-
 def lse_cols(x) -> np.ndarray:
     """Column-wise lse of a (K, N) matrix, returned as (1, N)."""
     a = as_matrix(x)

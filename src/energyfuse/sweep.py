@@ -9,9 +9,9 @@ sweep moves on; any other exception is a bug and propagates.
 """
 
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
-from .config import CONFIG_KEYS, RunConfig, config_echo
+from .config import CONFIG_KEYS, RunConfig
 from .metrics import MetricsRow, run_experiment
 from .numeric import ContractError
 from .tensor_io import format_value
@@ -92,7 +92,7 @@ def _failure_row(cfg: RunConfig, run_id: str, err: Exception) -> MetricsRow:
         mean_energy_fused=nan,
         run_id=run_id,
     )
-    row.config = config_echo(cfg)
+    row.config = asdict(cfg)
     return row
 
 

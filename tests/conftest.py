@@ -1,10 +1,14 @@
-"""Shared test constants.
+"""Shared test constants, and the reader of the README's tables.
 
 REFERENCE is the calibrated benchmark configuration used by the
 directional experiments (ablation arms, probe gap). The four shift keys
 and alpha were fixed empirically; everything else is the library
 default. Values are documented in the README.
 """
+
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 REFERENCE = dict(
     t1=150,
@@ -29,3 +33,15 @@ REFERENCE = dict(
 )
 
 ABLATION_SEEDS = [0, 1, 2, 3, 4]
+
+
+def readme_table(header: str) -> dict:
+    """Rows of the README table under `header`: first cell -> other cells."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = {}
+    for line in lines[lines.index(header) + 2 :]:
+        if not line.startswith("|"):
+            break
+        first, *cells = (c.strip() for c in line.strip("|").split("|"))
+        rows[first] = cells
+    return rows

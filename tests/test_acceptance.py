@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ABLATION_SEEDS, REFERENCE
+from conftest import ABLATION_SEEDS, REFERENCE, readme_table
 from energyfuse import verify
 from energyfuse.config import RunConfig
 from energyfuse.metrics import run_experiment
@@ -29,6 +29,7 @@ ARMS = {
 }
 # arm -> bench/golden.json workload, also the run id its metrics.csv hash includes
 GOLDEN_WORKLOADS = {"direct_add": "ref-direct", "full": "ref-full", "steps8": "ref-steps8"}
+README_TABLE = "| arm | steps | beta | mean mIoU |"
 
 
 def _run_suite(checks, budget_s):
@@ -106,8 +107,9 @@ def test_criterion_4_reliability_contracts():
 
 @pytest.fixture(scope="session")
 def reference_runs(tmp_path_factory):
-    """(arm, seed) -> the run's target mIoU and the sha256 of the
-    metrics.csv and loss_trace.csv it writes, named as in golden.json."""
+    """(arm, seed) -> the run's target mIoU, its phase-1 overall losses,
+    and the sha256 of the metrics.csv and loss_trace.csv it writes, named
+    as in golden.json."""
     out = tmp_path_factory.mktemp("reference")
     runs = {}
     for arm, overrides in ARMS.items():
@@ -119,7 +121,8 @@ def reference_runs(tmp_path_factory):
             assert elapsed <= 300.0, f"{arm} seed {seed} took {elapsed:.0f}s"
             write_metrics_csv([row], cfg.k, str(out / "metrics.csv"))
             write_loss_trace_csv(trace, str(out / "loss_trace.csv"))
-            runs[arm, seed] = {"miou": row.miou} | {
+            phase1 = [e.bundle.overall for e in trace if e.phase == 1]
+            runs[arm, seed] = {"miou": row.miou, "phase1_overall": phase1} | {
                 f"{name}_csv": hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
                 for name in ("metrics", "loss_trace")
             }
@@ -187,6 +190,18 @@ def test_criterion_8_sweep_reproducibility(tmp_path):
     )
 
 
+def test_supervised_phase_reduces_the_loss(reference_runs):
+    # the optimizer must actually optimize: on the reference problem the
+    # mean loss over the last tenth of phase 1 beats the first tenth,
+    # for every seed
+    for seed in ABLATION_SEEDS:
+        losses = reference_runs["full", seed]["phase1_overall"]
+        head = int(np.ceil(len(losses) / 10))
+        early = float(np.mean(losses[:head]))
+        late = float(np.mean(losses[-head:]))
+        assert late < early, f"seed {seed}: {late} !< {early}"
+
+
 def test_reference_runs_write_the_golden_bytes(reference_runs):
     golden = json.loads((ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
     wrong = [
@@ -197,3 +212,14 @@ def test_reference_runs_write_the_golden_bytes(reference_runs):
         if reference_runs[arm, seed][name] != golden["workloads"][workload][str(seed)][name]
     ]
     assert not wrong, "\n".join(wrong)
+
+
+def test_readme_seeds_0_4_table_matches_the_runs(ablation_miou):
+    """Each row of the README's seeds 0-4 table gives the mean mIoU, at 4
+    decimals, of the arm with that row's steps and beta."""
+    arm_of = {(o["steps"], o["beta"]): arm for arm, o in ARMS.items()}
+    rows = readme_table(README_TABLE)
+    assert len(rows) == len(ARMS), rows
+    for name, (steps, beta, mean) in rows.items():
+        arm = arm_of[int(steps), float(beta)]
+        assert mean == f"{ablation_miou[arm]:.4f}", (name, arm, mean, ablation_miou[arm])

@@ -13,7 +13,7 @@ from energyfuse.fusion import (
 )
 from energyfuse.autodiff import grad_check, raw
 from energyfuse.model import init_model
-from energyfuse.numeric import ContractError, softmax
+from energyfuse.numeric import ContractError, softmax_cols
 from energyfuse.rng import RngState
 
 LN2 = 0.6931471805599453
@@ -83,7 +83,7 @@ def test_gradient_zero_at_fixed_point():
     nu = nu / np.linalg.norm(nu, axis=0, keepdims=True)
     xi = rng.normal(size=(4, 1))
     for _ in range(600):
-        xi = nu @ softmax(nu.T @ xi).reshape(-1, 1)
+        xi = nu @ softmax_cols(nu.T @ xi)
     g = hopfield_gradient(xi, nu)
     assert np.max(np.abs(g)) < 1e-9
 
@@ -258,8 +258,8 @@ def test_eb2f_single_step_manual_composition():
     other = rng.normal(size=(d, n))
     out = eb2f_apply(query, other, 1.0, 1)
     for j in range(n):
-        attn = softmax(query.T @ other[:, j : j + 1])
-        want = query[:, j] + (query @ attn.reshape(-1, 1)).ravel()
+        attn = softmax_cols(query.T @ other[:, j : j + 1])
+        want = query[:, j] + (query @ attn).ravel()
         np.testing.assert_allclose(out[:, j], want, atol=1e-12)
 
 

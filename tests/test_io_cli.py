@@ -6,12 +6,12 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from energyfuse import cli
+from energyfuse import cli, verify
 from energyfuse.cli import main
 from energyfuse.config import CONFIG_KEYS, RunConfig, load_config, parse_config_text
 from energyfuse.metrics import MetricsRow
@@ -206,8 +206,6 @@ def test_metrics_header_layout():
 
 
 def test_metrics_rows_print_floats_at_full_precision():
-    from energyfuse.config import config_echo
-
     row = MetricsRow(
         iou=[1.0 / 3.0, 0.5],
         miou=5.0 / 12.0,
@@ -216,7 +214,7 @@ def test_metrics_rows_print_floats_at_full_precision():
         mean_energy_fused=-1.5,
         run_id="r0",
     )
-    row.config = config_echo(RunConfig(k=2, lr=0.1))
+    row.config = asdict(RunConfig(k=2, lr=0.1))
     header, line = metrics_csv_rows([row], 2)
     cells = line.split(",")
     named = dict(zip(header.split(","), cells))
@@ -231,8 +229,6 @@ def test_metrics_rows_print_floats_at_full_precision():
 
 def test_metrics_csv_cells_by_type_are_pinned(tmp_path):
     """A bool and an int print with str, a float at 17 digits, a str as is."""
-    from energyfuse.config import config_echo
-
     row = MetricsRow(
         iou=[0.25, 1.0 / 3.0],
         miou=7.0 / 24.0,
@@ -241,7 +237,7 @@ def test_metrics_csv_cells_by_type_are_pinned(tmp_path):
         mean_energy_fused=-1.5,
         run_id="r1",
     )
-    row.config = {**config_echo(RunConfig(k=2, lr=0.1)), "t1": True}
+    row.config = {**asdict(RunConfig(k=2, lr=0.1)), "t1": True}
     path = tmp_path / "metrics.csv"
     write_metrics_csv([row], 2, str(path))
     line = (
@@ -517,12 +513,39 @@ def test_cli_module_runs_as_a_process_with_its_exit_codes():
     command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "energyfuse.cli"]
     env = {**os.environ, "PYTHONPATH": package_root}
     run = dict(env=env, capture_output=True, text=True, timeout=300)
-    verify = subprocess.run([*command, "verify"], **run)
-    assert verify.returncode == 0, verify.stdout + verify.stderr
-    assert verify.stdout.splitlines()[-1] == "16 checks, all passing"
+    checked = subprocess.run([*command, "verify"], **run)
+    assert checked.returncode == 0, checked.stdout + checked.stderr
+    lines = checked.stdout.splitlines()
+    assert sum(line.startswith("PASS") for line in lines) == len(verify.ALL_CHECKS)
+    assert lines[-1] == f"{len(verify.ALL_CHECKS)} checks, all passing"
     usage = subprocess.run([*command, "train", "--t1", "soon"], **run)
     assert usage.returncode == 2
     assert usage.stderr.splitlines()[-1] == "error: bad value for t1: 'soon'"
+
+
+def test_cli_train_writes_the_same_bytes_with_1_and_2_blas_threads(tmp_path):
+    """A short eight-step run, each in a fresh process and its own working
+    directory under the same --out_dir (metrics.csv echoes it), writes the
+    same metrics.csv and loss_trace.csv with 1 and with 2 BLAS threads."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    command = [
+        sys.executable, "-W", "error::RuntimeWarning", "-m", "energyfuse.cli", "train",
+        "--alpha", "1.0", "--feature_shift", "0.85", "--feature_scale", "1.5",
+        "--noise_sd", "0.3", "--depth_noise_sd", "0.2",
+        "--t1", "10", "--t2", "5", "--n_scenes", "8", "--steps", "8", "--out_dir", "run",
+    ]
+    written = ("metrics.csv", "loss_trace.csv")
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"blas{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": threads}
+        run = dict(cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+        done = subprocess.run(command, **run)
+        assert done.returncode == 0, done.stderr
+        outputs.append({name: (cwd / "run" / name).read_bytes() for name in written})
+    for name in outputs[0]:
+        assert outputs[0][name] == outputs[1][name], name
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
