@@ -93,7 +93,8 @@ class _Node:
 class DiffGraph:
     """Single-writer tape of tensor operations.
 
-    Each node's vjp(g) returns one adjoint term per input slot.
+    Each node's vjp(g) returns or yields one adjoint term per input
+    slot, and backward raises ContractError when the count differs.
     A VJP holds arrays, not Tensors: a Tensor holds its graph, and that
     cycle would keep each tape alive until the garbage collector runs.
     """
@@ -195,9 +196,9 @@ class DiffGraph:
         """One node for a block the caller has already computed.
 
         `value` is the block's result (a float for a scalar) and vjp(g)
-        returns one adjoint term per input slot; an input that gets
-        several terms takes several slots, in the order the op-by-op
-        tape would have accumulated them.
+        returns or yields one adjoint term per input slot, a count that
+        backward checks; an input that gets several terms takes several
+        slots, in the order the op-by-op tape would have accumulated them.
         """
         data = np.array([[value]]) if isinstance(value, float) else value
         return self._record(op, inputs, data, vjp)
@@ -224,14 +225,19 @@ class DiffGraph:
             if g is None:
                 continue
             node = self.nodes[nid]
-            for iid, ig in zip(node.inputs, node.vjp(g)):
-                if grads[iid] is None:
-                    grads[iid] = ig
-                elif owned[iid]:
-                    grads[iid] += ig
-                else:
-                    grads[iid] = grads[iid] + ig
-                    owned[iid] = True
+            try:
+                for iid, ig in zip(node.inputs, node.vjp(g), strict=True):
+                    if grads[iid] is None:
+                        grads[iid] = ig
+                    elif owned[iid]:
+                        grads[iid] += ig
+                    else:
+                        grads[iid] = grads[iid] + ig
+                        owned[iid] = True
+            except ValueError as err:  # zip's count check; a VJP's own error passes on
+                if not str(err).startswith("zip()"):
+                    raise
+                raise ContractError(f"{node.op} VJP: {err}; want one term per slot") from err
         return grads
 
 

@@ -92,29 +92,29 @@ def _update(o, xi, nu, gamma: float, steps: int):
     nu = raw(nu)
 
     def vjp(g):
-        """Adjoint terms in the order of the node's input slots."""
+        """Yields the adjoint terms in the order of the node's input slots."""
         # Fortran-ordered nu: the layout the unfused tape's VJP multiplied
         # by (a transpose of a transposed copy), so sums match it bit for bit
         nu_f = np.asfortranarray(nu)
-        # two (M, N) workspaces serve every step; each returned term is a
-        # fresh product, so none of them aliases gs or tmp
+        # one (M, N) workspace serves every step; each yielded term is a
+        # fresh product, so none of them aliases gs
         gs = np.empty(saved[0][1].shape)
-        tmp = np.empty_like(gs)
-        terms = []
         for k in range(len(saved) - 1, -1, -1):
             x, attn = saved[k]
             gm = g * gamma
             np.matmul(nu.T, gm, out=gs)
-            np.multiply(gs, attn, out=tmp)
-            gs -= tmp.sum(axis=0, keepdims=True)
+            # bit-equal to (gs * attn).sum(axis=0) only while einsum sums
+            # the rows in order with a separate multiply and add (no FMA)
+            gs -= np.einsum("ij,ij->j", gs, attn)
             gs *= attn
-            terms.append(gm @ attn.T)
+            yield gm @ attn.T
             if k == 0:
-                terms += [g * (1.0 - gamma), nu_f @ gs, (gs @ x.T).T]
+                yield g * (1.0 - gamma)
+                yield nu_f @ gs
+                yield (gs @ x.T).T
             else:
-                terms.append((gs @ x.T).T)
+                yield (gs @ x.T).T
                 g = g * (1.0 - gamma) + nu_f @ gs
-        return terms
 
     return o.fused("hopfield", inputs, x, vjp)
 

@@ -1,5 +1,7 @@
 """Reverse-mode tape: hand gradients, finite differences, fused blocks."""
 
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -292,14 +294,16 @@ def _unfused_hopfield(g, xi, nu, gamma, steps):
 
 def test_fused_hopfield_matches_unfused_chain_bit_for_bit():
     """Value and both adjoints equal the op-by-op tape exactly, with xi
-    and nu also feeding consumers after the update."""
+    and nu also feeding consumers after the update. The reference shape
+    d=32, N=M=256 runs the VJP's einsum column dot over 256 rows: it is
+    bit-equal only while einsum sums them in order with a separate
+    multiply and add, as the unfused sum does."""
     rng = np.random.default_rng(6)
-    d, n = 6, 10
-    xi0 = rng.normal(size=(d, n))
-    nu0 = rng.normal(size=(d, n))
-    readout = rng.normal(size=(d, n))
-    for steps in (1, 2, 8):
-        for gamma in (0.3, 1.0):
+    for d, n, all_steps in ((6, 10, (1, 2, 8)), (32, 256, (1, 8))):
+        xi0 = rng.normal(size=(d, n))
+        nu0 = rng.normal(size=(d, n))
+        readout = rng.normal(size=(d, n))
+        for steps, gamma in itertools.product(all_steps, (0.3, 1.0)):
             results = []
             for fused in (True, False):
                 g = DiffGraph()
@@ -313,7 +317,7 @@ def test_fused_hopfield_matches_unfused_chain_bit_for_bit():
                 grads = g.backward(g.sum(g.mul(total, g.constant(readout))))
                 results.append((out.data, grads[xi.nid], grads[nu.nid]))
             for got, want in zip(*results):
-                assert np.array_equal(got, want), (steps, gamma)
+                assert np.array_equal(got, want), (d, n, steps, gamma)
 
 
 def _fused_and_unfused(inputs, build_fused, build_unfused):
@@ -439,6 +443,51 @@ def test_hopfield_reverse_pass_reuses_no_saved_memory():
         assert np.array_equal(first[t.nid], second[t.nid])
     for t, before in zip((xi, nu, out), kept):
         assert np.array_equal(t.data, before)
+
+
+def _hopfield_reverse_pass_peak(steps):
+    """Peak bytes the reverse pass of one reference-shape "hopfield" node
+    (d=32, N=M=256, gamma 1.0) allocates above what it starts with."""
+    rng = np.random.default_rng(19)
+    g = DiffGraph()
+    xi = g.leaf(rng.normal(size=(32, 256)))
+    nu = g.leaf(rng.normal(size=(32, 256)))
+    out = _update(g, xi, nu, 1.0, steps)
+    loss = g.sum(g.mul(out, g.constant(rng.normal(size=out.shape))))
+    tracemalloc.start()
+    try:
+        g.backward(loss)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hopfield_reverse_pass_memory_does_not_grow_with_its_terms():
+    """Each adjoint term is summed before the next one exists, so eight
+    steps' 18 terms cost the reverse pass less than four (d, N) terms more
+    than one step's 4; a VJP that lists its terms first holds all 18."""
+    term = 32 * 256 * 8
+    one, eight = _hopfield_reverse_pass_peak(1), _hopfield_reverse_pass_peak(8)
+    assert eight - one < 4 * term, (one, eight)
+
+
+def test_backward_checks_every_vjp_term_count():
+    """A VJP yielding fewer or more terms than its node has input slots
+    is a ContractError naming the op; a VJP's own ValueError passes on."""
+    g = DiffGraph()
+    a = g.leaf(np.ones((2, 2)))
+    for count in (1, 3):
+        out = g.sum(g.fused("pair", (a, a), a.data, lambda gy: (gy for _ in range(count))))
+        with pytest.raises(ContractError, match="pair VJP"):
+            g.backward(out)
+
+    def bad_vjp(gy):
+        raise ValueError("inside the VJP")
+
+    out = g.sum(g.fused("pair", (a, a), a.data, bad_vjp))
+    with pytest.raises(ValueError, match="inside the VJP") as err:
+        g.backward(out)
+    assert not isinstance(err.value, ContractError)
 
 
 def test_backward_never_writes_into_a_borrowed_adjoint():
