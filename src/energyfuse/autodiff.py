@@ -243,7 +243,7 @@ class DiffGraph:
 
 # DiffGraph's op names computed on plain arrays, recording nothing
 ARRAY_OPS = SimpleNamespace(
-    matmul=numeric.matmul,
+    matmul=np.matmul,
     lse_cols=numeric.lse_cols,
     sub_row=lambda a, b: np.asarray(a) - np.asarray(b),
     sigmoid=numeric.sigmoid,

@@ -18,8 +18,14 @@ from .fusion import hopfield_energy, hopfield_update
 from .metrics import build_data, run_experiment
 from .numeric import ContractError
 from .rng import RngState
-from .sweep import SWEEP_AXES, sweep, write_loss_trace_csv, write_metrics_csv
-from .tensor_io import dump_tensor
+from .sweep import (
+    SWEEP_AXES,
+    format_value,
+    sweep,
+    write_lines,
+    write_loss_trace_csv,
+    write_metrics_csv,
+)
 from .train import TrainingDiverged
 from .verify import run_verification
 
@@ -120,13 +126,19 @@ def cmd_gen_data(args) -> int:
     for name, scenes in (("source", source), ("target", target)):
         for i, scene in enumerate(scenes):
             stem = f"{name}_{i:03d}"
-            dump_tensor(scene.features, os.path.join(cfg.out_dir, f"{stem}_features.txt"))
-            dump_tensor(scene.depth, os.path.join(cfg.out_dir, f"{stem}_depth.txt"))
-            labels = scene.labels.labels.astype(np.float64).reshape(1, -1)
-            dump_tensor(labels, os.path.join(cfg.out_dir, f"{stem}_labels.txt"))
+            parts = {
+                "features": scene.features,
+                "depth": scene.depth,
+                "labels": scene.labels.labels.reshape(1, -1),
+            }
+            for part, a in parts.items():
+                rows, cols = a.shape
+                write_lines(
+                    os.path.join(cfg.out_dir, f"{stem}_{part}.txt"),
+                    [f"{rows} {cols}", *map(format_value, a.ravel())],
+                )
             manifest.append(stem)
-    with open(os.path.join(cfg.out_dir, "manifest.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(manifest) + "\n")
+    write_lines(os.path.join(cfg.out_dir, "manifest.txt"), manifest)
     print(f"wrote {2 * cfg.n_scenes} scenes to {cfg.out_dir}")
     return 0
 

@@ -46,15 +46,6 @@ def softmax_cols(x, out: np.ndarray = None) -> np.ndarray:
     return out
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ContractError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def sigmoid(x) -> np.ndarray:
     """Logistic sigmoid, stable on both tails."""
     a = np.asarray(x, dtype=np.float64)

@@ -1,11 +1,12 @@
-"""Hyperparameter sweeps and deterministic CSV output.
+"""Hyperparameter sweeps, and the one writer of every file the CLI writes.
 
 Every run is independent (fresh data, fresh model), rows are ordered by
 (axis value, seed) no matter how runs are scheduled, and floats are
 printed at 17 significant digits, so rerunning a sweep reproduces
-metrics.csv byte for byte. A run that breaks a contract, diverges or
-hits a floating-point error is kept as a row of nan metrics and the
-sweep moves on; any other exception is a bug and propagates.
+metrics.csv byte for byte and each value reads back as the same double.
+A run that breaks a contract, diverges or hits a floating-point error
+is kept as a row of nan metrics and the sweep moves on; any other
+exception is a bug and propagates.
 """
 
 import sys
@@ -14,7 +15,6 @@ from dataclasses import asdict, replace
 from .config import CONFIG_KEYS, RunConfig
 from .metrics import MetricsRow, run_experiment
 from .numeric import ContractError
-from .tensor_io import format_value
 from .train import TrainingDiverged
 
 SWEEP_AXES = {
@@ -23,6 +23,16 @@ SWEEP_AXES = {
     "steps": "steps",
     "threshold": "pseudo_threshold",
 }
+
+
+def format_value(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def write_lines(path: str, lines):
+    """Write utf-8 text with "\n" after each line, on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def metrics_header(k: int) -> list:
@@ -59,8 +69,7 @@ def metrics_csv_rows(rows: list, k: int) -> list:
 
 
 def write_metrics_csv(rows: list, k: int, path: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(metrics_csv_rows(rows, k)) + "\n")
+    write_lines(path, metrics_csv_rows(rows, k))
 
 
 def write_loss_trace_csv(trace: list, path: str):
@@ -77,8 +86,7 @@ def write_loss_trace_csv(trace: list, path: str):
                 ]
             )
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def _failure_row(cfg: RunConfig, run_id: str, err: Exception) -> MetricsRow:

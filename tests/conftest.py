@@ -1,9 +1,9 @@
 """Shared test constants, and the reader of the README's tables.
 
 REFERENCE is the calibrated benchmark configuration used by the
-directional experiments (ablation arms, probe gap). The four shift keys
-and alpha were fixed empirically; everything else is the library
-default. Values are documented in the README.
+directional experiments (ablation arms, probe gap): the library
+defaults plus the README's five keys, alpha and the four shift keys,
+which were fixed empirically.
 """
 
 from pathlib import Path
@@ -11,21 +11,7 @@ from pathlib import Path
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 REFERENCE = dict(
-    t1=150,
-    t2=50,
-    lr=0.05,
-    lr_phase2_mult=0.1,
     alpha=1.0,
-    beta=1.0,
-    gamma=1.0,
-    steps=1,
-    scheme="add",
-    pseudo_threshold=0.9,
-    h=16,
-    w=16,
-    k=4,
-    channels=8,
-    n_scenes=64,
     feature_shift=0.85,
     feature_scale=1.5,
     noise_sd=0.3,

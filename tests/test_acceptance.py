@@ -30,6 +30,8 @@ ARMS = {
 # arm -> bench/golden.json workload, also the run id its metrics.csv hash includes
 GOLDEN_WORKLOADS = {"direct_add": "ref-direct", "full": "ref-full", "steps8": "ref-steps8"}
 README_TABLE = "| arm | steps | beta | mean mIoU |"
+# a seed has collapsed when self-training loses a target class: its IoU is at most this
+COLLAPSE_IOU = 0.05
 
 
 def _run_suite(checks, budget_s):
@@ -107,9 +109,9 @@ def test_criterion_4_reliability_contracts():
 
 @pytest.fixture(scope="session")
 def reference_runs(tmp_path_factory):
-    """(arm, seed) -> the run's target mIoU, its phase-1 overall losses,
-    and the sha256 of the metrics.csv and loss_trace.csv it writes, named
-    as in golden.json."""
+    """(arm, seed) -> the run's target mIoU and per-class IoU, its phase-1
+    overall losses, and the sha256 of the metrics.csv and loss_trace.csv
+    it writes, named as in golden.json."""
     out = tmp_path_factory.mktemp("reference")
     runs = {}
     for arm, overrides in ARMS.items():
@@ -122,7 +124,7 @@ def reference_runs(tmp_path_factory):
             write_metrics_csv([row], cfg.k, str(out / "metrics.csv"))
             write_loss_trace_csv(trace, str(out / "loss_trace.csv"))
             phase1 = [e.bundle.overall for e in trace if e.phase == 1]
-            runs[arm, seed] = {"miou": row.miou, "phase1_overall": phase1} | {
+            runs[arm, seed] = {"miou": row.miou, "iou": row.iou, "phase1_overall": phase1} | {
                 f"{name}_csv": hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
                 for name in ("metrics", "loss_trace")
             }
@@ -138,7 +140,17 @@ def ablation_miou(reference_runs):
     }
 
 
-def test_criterion_5_ablation_ordering(ablation_miou):
+def _print_seeds(reference_runs, arms):
+    """Each arm's per-seed mIoU and how many of its seeds collapsed."""
+    for arm in arms:
+        runs = [reference_runs[arm, seed] for seed in ABLATION_SEEDS]
+        miou = ", ".join(f"{run['miou']:.4f}" for run in runs)
+        collapsed = sum(min(run["iou"]) <= COLLAPSE_IOU for run in runs)
+        print(f"      {arm}: seeds {ABLATION_SEEDS} mIoU [{miou}], collapsed {collapsed}")
+
+
+def test_criterion_5_ablation_ordering(reference_runs, ablation_miou):
+    _print_seeds(reference_runs, ("direct_add", "eb2f", "full"))
     gain = ablation_miou["full"] - ablation_miou["direct_add"]
     fusion_gain = ablation_miou["eb2f"] - ablation_miou["direct_add"]
     ok = gain >= 0.02 and fusion_gain > 0.0
@@ -151,7 +163,8 @@ def test_criterion_5_ablation_ordering(ablation_miou):
     _emit("criterion-5 ablation-ordering", ok, detail)
 
 
-def test_criterion_6_many_steps_degrade(ablation_miou):
+def test_criterion_6_many_steps_degrade(reference_runs, ablation_miou):
+    _print_seeds(reference_runs, ("full", "steps8"))
     drop = ablation_miou["steps8"] - ablation_miou["full"]
     ok = ablation_miou["steps8"] <= ablation_miou["full"]
     detail = (

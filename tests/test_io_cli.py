@@ -1,4 +1,4 @@
-"""Tests for tensor dumps, config parsing, CSV output, and the CLI."""
+"""Tests for value formatting, config parsing, CSV output, and the CLI."""
 
 import hashlib
 import importlib
@@ -14,17 +14,17 @@ import pytest
 from energyfuse import cli, verify
 from energyfuse.cli import main
 from energyfuse.config import CONFIG_KEYS, RunConfig, load_config, parse_config_text
-from energyfuse.metrics import MetricsRow
+from energyfuse.metrics import MetricsRow, build_data
 from energyfuse.numeric import ContractError
 from energyfuse.rng import RngState
 from energyfuse.scenes import ShiftSpec
 from energyfuse.sweep import (
+    format_value,
     metrics_csv_rows,
     metrics_header,
     sweep,
     write_metrics_csv,
 )
-from energyfuse.tensor_io import dump_tensor, format_value, load_tensor
 from energyfuse.train import TrainingDiverged
 
 TINY = [
@@ -33,46 +33,17 @@ TINY = [
 ]
 
 
-# ---------------------------------------------------------------- tensors
+# ----------------------------------------------------------------- values
 
 
-def test_tensor_round_trip_is_exact(tmp_path):
+def test_tensor_round_trip_is_exact():
     rng = RngState(0, (1,))
     a = rng.normal(7, 11, 3.0)
     a[0, 0] = 1e-300
     a[1, 1] = -1e300
     a[2, 2] = 2.0 / 3.0
-    path = str(tmp_path / "a.txt")
-    dump_tensor(a, path)
-    b = load_tensor(path)
-    assert b.dtype == np.float64
-    assert np.array_equal(a, b)
-
-
-def test_tensor_dump_accepts_vectors(tmp_path):
-    path = str(tmp_path / "v.txt")
-    dump_tensor(np.array([1.0, 2.0, 3.0]), path)
-    v = load_tensor(path)
-    assert v.shape == (3, 1)
-
-
-@pytest.mark.parametrize(
-    "content, line",
-    [
-        ("", 1),
-        ("3\n1.0\n2.0\n3.0\n", 1),
-        ("a b\n1.0\n", 1),
-        ("0 2\n", 1),
-        ("2 1\n1.0\nbogus\n", 3),
-        ("1 2\n1.0\n2.0\n3.0\n", 4),
-        ("2 2\n1.0\n2.0\n3.0\n", 4),
-    ],
-)
-def test_tensor_load_errors_name_the_line(tmp_path, content, line):
-    path = tmp_path / "bad.txt"
-    path.write_text(content, encoding="utf-8")
-    with pytest.raises(ContractError, match=rf"line {line}\)"):
-        load_tensor(str(path))
+    b = np.array([float(format_value(v)) for v in a.ravel()]).reshape(a.shape)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_format_value_uses_17_significant_digits():
@@ -523,10 +494,10 @@ def test_cli_module_runs_as_a_process_with_its_exit_codes():
     assert usage.stderr.splitlines()[-1] == "error: bad value for t1: 'soon'"
 
 
-def test_cli_train_writes_the_same_bytes_with_1_and_2_blas_threads(tmp_path):
+def test_cli_train_writes_the_same_bytes_with_1_2_and_4_blas_threads(tmp_path):
     """A short eight-step run, each in a fresh process and its own working
     directory under the same --out_dir (metrics.csv echoes it), writes the
-    same metrics.csv and loss_trace.csv with 1 and with 2 BLAS threads."""
+    same metrics.csv and loss_trace.csv with 1, 2 and 4 BLAS threads."""
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
     command = [
         sys.executable, "-W", "error::RuntimeWarning", "-m", "energyfuse.cli", "train",
@@ -536,7 +507,7 @@ def test_cli_train_writes_the_same_bytes_with_1_and_2_blas_threads(tmp_path):
     ]
     written = ("metrics.csv", "loss_trace.csv")
     outputs = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         cwd = tmp_path / f"blas{threads}"
         cwd.mkdir()
         env = {**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": threads}
@@ -544,8 +515,9 @@ def test_cli_train_writes_the_same_bytes_with_1_and_2_blas_threads(tmp_path):
         done = subprocess.run(command, **run)
         assert done.returncode == 0, done.stderr
         outputs.append({name: (cwd / "run" / name).read_bytes() for name in written})
-    for name in outputs[0]:
-        assert outputs[0][name] == outputs[1][name], name
+    for other in outputs[1:]:
+        for name in written:
+            assert other[name] == outputs[0][name], name
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
@@ -584,15 +556,18 @@ def test_cli_gen_data_dumps_loadable_scenes(tmp_path, capsys):
     assert main(["gen-data", *TINY, "--out_dir", str(out)]) == 0
     stems = (out / "manifest.txt").read_text(encoding="utf-8").split()
     assert len(stems) == 4  # two source + two target scenes
-    for stem in stems:
-        feats = load_tensor(str(out / f"{stem}_features.txt"))
-        depth = load_tensor(str(out / f"{stem}_depth.txt"))
-        labels = load_tensor(str(out / f"{stem}_labels.txt"))
-        assert feats.shape == (4, 25)
-        assert depth.shape == (1, 25)
-        assert labels.shape == (1, 25)
-        assert labels.min() >= 0 and labels.max() < 3
-        assert np.array_equal(labels, np.round(labels))
+    cfg = cli._config_from(cli.build_parser().parse_args(["gen-data", *TINY]))
+    source, target = build_data(cfg)
+    for stem, scene in zip(stems, source + target):
+        dumps = {}
+        for part in ("features", "depth", "labels"):
+            path = out / f"{stem}_{part}.txt"
+            rows, cols = map(int, path.read_text(encoding="utf-8").splitlines()[0].split())
+            dumps[part] = np.loadtxt(path, skiprows=1).reshape(rows, cols)
+        assert dumps["features"].shape == (4, 25)
+        assert dumps["features"].tobytes() == scene.features.tobytes()
+        assert dumps["depth"].tobytes() == scene.depth.tobytes()
+        assert np.array_equal(dumps["labels"], scene.labels.labels.reshape(1, -1))
     assert "wrote 4 scenes" in capsys.readouterr().out
 
 

@@ -9,7 +9,6 @@ from energyfuse.numeric import (
     ContractError,
     as_matrix,
     lse_cols,
-    matmul,
     sigmoid,
     softmax_cols,
 )
@@ -81,26 +80,6 @@ def test_softmax_shift_invariance():
 def test_softmax_empty_rejected():
     with pytest.raises(ContractError):
         softmax_cols([])
-
-
-def test_matmul_identity():
-    x = np.arange(6.0).reshape(2, 3)
-    np.testing.assert_array_equal(matmul(np.eye(2), x), x)
-
-
-def test_matmul_zero_annihilates():
-    x = np.ones((3, 2))
-    np.testing.assert_array_equal(matmul(np.zeros((2, 3)), x), np.zeros((2, 2)))
-
-
-def test_matmul_hand_value():
-    out = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-    np.testing.assert_array_equal(out, [[3.0], [7.0]])
-
-
-def test_matmul_shape_mismatch_names_shapes():
-    with pytest.raises(ContractError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(np.ones((2, 3)), np.ones((2, 2)))
 
 
 def test_softmax_cols_out_matches_out_of_place_bit_for_bit():

@@ -242,7 +242,7 @@ IMPORT_PACKAGE = """
 import sys
 import energyfuse
 
-tooling = ("verify", "sweep", "tensor_io", "cli")
+tooling = ("verify", "sweep", "cli")
 print([m for m in tooling if "energyfuse." + m in sys.modules])
 print(callable(energyfuse.build_data), callable(energyfuse.build_model))
 """
