@@ -73,12 +73,6 @@ class Tensor:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __neg__(self):
-        return self.graph.scale(self, -1.0)
-
-    def __repr__(self):
-        return f"Tensor(nid={self.nid}, shape={self.data.shape})"
-
 
 class _Node:
     __slots__ = ("op", "inputs", "data", "vjp")
@@ -216,28 +210,21 @@ class DiffGraph:
                 f"backward needs a scalar output, got shape {output.data.shape}"
             )
         grads = [None] * len(self.nodes)
-        # vjps may hand back g itself or a view of it, so a first adjoint is
-        # borrowed and never written; only sums allocated here grow in place
-        owned = [False] * len(self.nodes)
         grads[output.nid] = np.ones((1, 1))
         for nid in range(output.nid, -1, -1):
             g = grads[nid]
             if g is None:
                 continue
             node = self.nodes[nid]
-            try:
-                for iid, ig in zip(node.inputs, node.vjp(g), strict=True):
-                    if grads[iid] is None:
-                        grads[iid] = ig
-                    elif owned[iid]:
-                        grads[iid] += ig
-                    else:
-                        grads[iid] = grads[iid] + ig
-                        owned[iid] = True
-            except ValueError as err:  # zip's count check; a VJP's own error passes on
-                if not str(err).startswith("zip()"):
-                    raise
-                raise ContractError(f"{node.op} VJP: {err}; want one term per slot") from err
+            terms = iter(node.vjp(g))
+            for iid in node.inputs:
+                ig = next(terms, None)
+                if ig is None:
+                    raise ContractError(f"{node.op} VJP: too few terms for its slots")
+                # a term may be g itself or a view of it, so sums are new arrays
+                grads[iid] = ig if grads[iid] is None else grads[iid] + ig
+            if next(terms, None) is not None:
+                raise ContractError(f"{node.op} VJP: more terms than slots")
         return grads
 
 

@@ -42,10 +42,9 @@ class RunConfig:
         for key, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ContractError(f"{key} must be finite, got {value}")
-            if _FIELD_TYPES[key] is int and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
-                raise ContractError(f"{key} must be an integer, got {value!r}")
+            kind, noun = _NUMBER_KINDS.get(_FIELD_TYPES[key], (None, None))
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ContractError(f"{key} must be {noun}, got {value!r}")
         if self.t1 < 0 or self.t2 < 0:
             raise ContractError("t1 and t2 must be >= 0")
         if not self.lr > 0:
@@ -78,6 +77,8 @@ class RunConfig:
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# a number field takes no bool, though Python counts bools as ints
+_NUMBER_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 
 
 def _coerce(key: str, text: str):

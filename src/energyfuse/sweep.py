@@ -53,8 +53,7 @@ def metrics_csv_rows(rows: list, k: int) -> list:
     for row in rows:
         cells = [row.run_id]
         cells.extend(_cell(row.config[key]) for key in CONFIG_KEYS)
-        iou = list(row.iou) + [float("nan")] * (k - len(row.iou))
-        cells.extend(format_value(v) for v in iou[:k])
+        cells.extend(format_value(v) for v in row.iou)
         cells.extend(
             format_value(v)
             for v in (

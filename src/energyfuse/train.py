@@ -168,8 +168,9 @@ def step_gradients(
 
 def _pin_malloc_thresholds():
     """Keep freed step memory mapped, process-wide: pin glibc's mmap (-3) and
-    trim (-1) thresholds at its 64-bit caps; one alone freezes the other at 128 KiB.
-    A step frees two tapes, and the target's reuses the source's pages."""
+    trim (-1) thresholds at its 64-bit caps; either call alone freezes the other
+    where glibc's dynamic rule has left it. A step frees two tapes, and the
+    target's reuses the source's pages."""
     if platform.libc_ver()[0] == "glibc":
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int

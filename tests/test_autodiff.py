@@ -261,7 +261,6 @@ def test_operator_sugar_matches_methods():
     np.testing.assert_array_equal(raw(x - y), raw(g.sub(x, y)))
     np.testing.assert_array_equal(raw(x * y), raw(g.mul(x, y)))
     np.testing.assert_array_equal(raw(x * 2.0), raw(g.scale(x, 2.0)))
-    np.testing.assert_array_equal(raw(-x), raw(g.scale(x, -1.0)))
 
 
 def test_ndarray_operands_lift_to_constants():

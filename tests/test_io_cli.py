@@ -11,6 +11,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+from conftest import blas_kernel
 from energyfuse import cli, verify
 from energyfuse.cli import main
 from energyfuse.config import CONFIG_KEYS, RunConfig, load_config, parse_config_text
@@ -89,6 +90,17 @@ FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type is float]
 def test_config_rejects_non_finite_floats(key, bad):
     with pytest.raises(ContractError, match=rf"^{key} must be finite"):
         RunConfig(**{key: bad})
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_config_rejects_non_numbers_in_floats(key):
+    """A list would print its commas into metrics.csv's config echo, and a
+    string used to reach the range checks as a bare TypeError."""
+    assert getattr(RunConfig(**{key: 1}), key) == 1
+    default = getattr(RunConfig(), key)
+    for bad in ([default] * 8, str(default), True, None):
+        with pytest.raises(ContractError, match=rf"^{key} must be a number, got "):
+            RunConfig(**{key: bad})
 
 
 INT_KEYS = [f.name for f in fields(RunConfig) if f.type is int]
@@ -679,4 +691,4 @@ def test_cli_train_and_sweep_outputs_off_the_golden_paths_are_pinned(
     flags, metrics = PINNED_SWEEP
     assert main(["sweep", *TINY, *flags, "--out_dir", "pinned"]) == 0
     got["sweep"], want["sweep"] = digest("metrics.csv"), metrics
-    assert got == want
+    assert got == want, f"BLAS kernel {blas_kernel()}"

@@ -177,16 +177,6 @@ def test_shift_spec_validation():
         ShiftSpec(depth_noise_sd=-1.0)
 
 
-@pytest.mark.parametrize("key", ["feature_shift", "feature_scale"])
-def test_shift_entries_must_match_channels(key):
-    scene = gen_scene(RngState(12, (2,)), 4, 4, 2)
-    with pytest.raises(ContractError, match=f"{key} has 3 entries for 8 channels"):
-        shift_scene(scene, ShiftSpec(**{key: [1.0, 2.0, 3.0]}), RngState(12, (3,)))
-    spec = ShiftSpec(**{key: np.linspace(1.0, 2.0, 8)})
-    shifted = shift_scene(scene, spec, RngState(12, (3,)))
-    assert shifted.features.shape == scene.features.shape
-
-
 def test_make_domain_pair_counts_and_tags():
     rng = RngState(5, (1,))
     source, target = make_domain_pair(rng, ShiftSpec(), 6, (4, 5), 3)
