@@ -9,7 +9,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields, replace
 
-from .fusion import Scheme, check_schedule
+from .fusion import check_schedule
 from .numeric import ContractError
 from .scenes import ShiftSpec
 
@@ -56,7 +56,7 @@ class RunConfig:
         if self.beta < 0:
             raise ContractError(f"beta must be >= 0, got {self.beta}")
         check_schedule(self.gamma, self.steps)
-        if self.scheme not in [s.value for s in Scheme]:
+        if self.scheme not in ("add", "gated"):
             raise ContractError(f"scheme must be add or gated, got {self.scheme!r}")
         if not 0.0 <= self.pseudo_threshold <= 1.0:
             raise ContractError("pseudo_threshold must be in [0, 1]")

@@ -9,18 +9,12 @@ arrays the same hopfield_steps computes it without a tape.
 """
 
 import numbers
-from enum import Enum
 
 import numpy as np
 
 from . import numeric
 from .autodiff import ARRAY_OPS, ops, raw
 from .numeric import ContractError, as_matrix
-
-
-class Scheme(Enum):
-    ADD = "add"
-    GATED = "gated"
 
 
 def check_schedule(gamma, steps):

@@ -66,17 +66,17 @@ def _ordered_mean(partial_sums: list, count: int) -> float:
     return float(np.sort(np.asarray(partial_sums, dtype=np.float64)).sum() / count)
 
 
-def evaluate(model, scenes: list) -> MetricsRow:
+def evaluate(weights: dict, scenes: list, cfg: RunConfig) -> MetricsRow:
     """Metrics over a scene set from the fused heads, plus both
     branches' mean free energy."""
     if not scenes:
         raise ContractError("evaluate needs at least one scene")
-    k = model.k
+    k = cfg.k
     conf = np.zeros((k, k), dtype=np.int64)
     err_sums, e_plain_sums, e_fused_sums = [], [], []
     n_total = 0
     for scene in scenes:
-        pred = forward_pass(model, scene)
+        pred = forward_pass(weights, scene, cfg)
         seg_hat = np.argmax(raw(pred.seg_fused), axis=0)
         conf += confusion_matrix(scene.labels.labels, seg_hat, k)
         err_sums.append(float(np.abs(raw(pred.dep_fused) - scene.depth).sum()))
@@ -101,15 +101,9 @@ def build_data(cfg: RunConfig):
     )
 
 
-def build_model(cfg: RunConfig):
-    return init_model(
-        RngState(cfg.seed, (MODEL_STREAM,)),
-        cfg.k,
-        cfg.channels,
-        cfg.scheme,
-        cfg.gamma,
-        cfg.steps,
-    )
+def build_model(cfg: RunConfig) -> dict:
+    """The initial weights of the model a config describes."""
+    return init_model(RngState(cfg.seed, (MODEL_STREAM,)), cfg)
 
 
 def run_experiment(cfg: RunConfig, run_id: str = "run"):
@@ -119,9 +113,8 @@ def run_experiment(cfg: RunConfig, run_id: str = "run"):
     the evaluation-only labels, which never influenced training.
     """
     source, target = build_data(cfg)
-    model = build_model(cfg)
-    model, trace = train(model, source, target, cfg)
-    row = evaluate(model, target)
+    weights, trace = train(build_model(cfg), source, target, cfg)
+    row = evaluate(weights, target, cfg)
     row.run_id = run_id
     row.config = asdict(cfg)
     return row, trace

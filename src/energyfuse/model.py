@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ARRAY_OPS, Tensor, ops, raw
-from .fusion import Scheme, check_schedule, eb2f_apply
+from .config import RunConfig
+from .fusion import eb2f_apply
 from .numeric import ContractError
 from .rng import RngState
 
@@ -29,61 +30,36 @@ class Predictions:
     dep_fused: object  # 1 x N depth
 
 
-@dataclass
-class ModelParams:
-    """All weights in one flat name -> array dict, plus fusion settings
-    (gamma and steps checked once, here)."""
-
-    weights: dict
-    scheme: Scheme
-    gamma: float
-    steps: int
-    k: int
-    channels: int
-
-    def __post_init__(self):
-        check_schedule(self.gamma, self.steps)
-
-
-def init_model(
-    rng: RngState,
-    k: int,
-    channels: int,
-    scheme: Scheme = Scheme.ADD,
-    gamma: float = 1.0,
-    steps: int = 1,
-    width: int = 32,
-) -> ModelParams:
-    """Random weights; gate mixes start at zero so fusion opens gradually.
-    scheme is a Scheme or its value; Scheme(scheme) rejects any other."""
-    scheme = Scheme(scheme)
+def init_model(rng: RngState, cfg: RunConfig, width: int = 32) -> dict:
+    """Random weights of the model `cfg` describes, as one flat name ->
+    array dict; gate mixes start at zero so fusion opens gradually."""
     w = {}
 
     def dense(name, rows, cols):
         w[name + "_w"] = rng.normal(rows, cols, 1.0 / np.sqrt(cols))
         w[name + "_b"] = np.zeros((rows, 1))
 
-    dense("enc0", width, channels)
+    dense("enc0", width, cfg.channels)
     dense("enc1", width, width)
     for task in ("seg", "dep"):
         dense(f"{task}_net_a", width, width)
         dense(f"{task}_net_b", width, width)
-    dense("seg_dec_plain", k, width)
-    dense("seg_dec_fused", k, width)
+    dense("seg_dec_plain", cfg.k, width)
+    dense("seg_dec_fused", cfg.k, width)
     dense("dep_dec_plain", 1, width)
     dense("dep_dec_fused", 1, width)
-    if scheme == Scheme.GATED:
+    if cfg.scheme == "gated":
         for direction in ("seg", "dep"):
             w[f"fuse_{direction}_w1"] = np.zeros((width, width))
             w[f"fuse_{direction}_w2"] = rng.uniform(
                 -GATE_INIT, GATE_INIT, width, width
             )
-    return ModelParams(w, scheme, gamma, steps, k, channels)
+    return w
 
 
-def bind(model: ModelParams, graph) -> dict:
+def bind(weights: dict, graph) -> dict:
     """Graph leaves for every weight, in a stable insertion order."""
-    return {name: graph.leaf(arr) for name, arr in model.weights.items()}
+    return {name: graph.leaf(arr) for name, arr in weights.items()}
 
 
 def _dense(o, w, name, x, tanh=False, skip=None):
@@ -119,38 +95,36 @@ def _task_features(o, w, task, h):
     return _dense(o, w, f"{task}_net_b", inner, tanh=True, skip=h)
 
 
-def forward_pass(model: ModelParams, scene, weights: dict = None) -> Predictions:
+def forward_pass(weights: dict, scene, cfg: RunConfig) -> Predictions:
     """All four heads on a Scene (or directly on a C x N feature map).
 
-    Passing bound graph leaves as `weights` makes every head
-    differentiable.
+    Bound graph leaves as `weights` make every head differentiable.
     """
-    w = model.weights if weights is None else weights
     features = getattr(scene, "features", scene)
-    if features.shape[0] != model.channels:
+    if features.shape[0] != cfg.channels:
         raise ContractError(
-            f"model expects {model.channels} channels, got {features.shape[0]}"
+            f"model expects {cfg.channels} channels, got {features.shape[0]}"
         )
-    o = ops(features, *w.values())
-    h = _dense(o, w, "enc0", features, tanh=True)
-    h = _dense(o, w, "enc1", h, tanh=True)
-    f_seg = _task_features(o, w, "seg", h)
-    f_dep = _task_features(o, w, "dep", h)
+    o = ops(features, *weights.values())
+    h = _dense(o, weights, "enc0", features, tanh=True)
+    h = _dense(o, weights, "enc1", h, tanh=True)
+    f_seg = _task_features(o, weights, "seg", h)
+    f_dep = _task_features(o, weights, "dep", h)
 
     gates = {"seg": None, "dep": None}  # Add fuses without weights
-    if model.scheme == Scheme.GATED:
-        gates = {t: (w[f"fuse_{t}_w1"], w[f"fuse_{t}_w2"]) for t in gates}
-    fused_seg_in = eb2f_apply(f_seg, f_dep, model.gamma, model.steps, gates["seg"])
-    fused_dep_in = eb2f_apply(f_dep, f_seg, model.gamma, model.steps, gates["dep"])
-    seg_fused = _dense(o, w, "seg_dec_fused", fused_seg_in)
-    dep_fused = _dense(o, w, "dep_dec_fused", fused_dep_in)
-    seg_plain = _dense(o, w, "seg_dec_plain", f_seg)
-    dep_plain = _dense(o, w, "dep_dec_plain", f_dep)
+    if cfg.scheme == "gated":
+        gates = {t: (weights[f"fuse_{t}_w1"], weights[f"fuse_{t}_w2"]) for t in gates}
+    fused_seg_in = eb2f_apply(f_seg, f_dep, cfg.gamma, cfg.steps, gates["seg"])
+    fused_dep_in = eb2f_apply(f_dep, f_seg, cfg.gamma, cfg.steps, gates["dep"])
+    seg_fused = _dense(o, weights, "seg_dec_fused", fused_seg_in)
+    dep_fused = _dense(o, weights, "dep_dec_fused", fused_dep_in)
+    seg_plain = _dense(o, weights, "seg_dec_plain", f_seg)
+    dep_plain = _dense(o, weights, "dep_dec_plain", f_dep)
     return Predictions(seg_plain, seg_fused, dep_plain, dep_fused)
 
 
-def check_finite(model: ModelParams):
+def check_finite(weights: dict):
     """Every weight finite; raised the moment an optimizer step breaks it."""
-    for name, arr in model.weights.items():
+    for name, arr in weights.items():
         if not np.all(np.isfinite(arr)):
             raise ContractError(f"non-finite weights in {name}")

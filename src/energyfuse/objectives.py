@@ -148,15 +148,15 @@ def four_term_total(src_plain, src_fused, tgt_plain, tgt_fused):
     return src_plain + src_fused + tgt_plain + tgt_fused
 
 
-def supervised_loss(seg_total, dep_total, alpha: float = 0.001):
+def supervised_loss(seg_total, dep_total, alpha: float):
     return seg_total + alpha * dep_total
 
 
-def overall_loss(l_s, l_rfa, beta: float = 1.0):
+def overall_loss(l_s, l_rfa, beta: float):
     return l_s + beta * l_rfa
 
 
-def pseudo_label(logits, threshold: float = 0.9) -> LabelMap:
+def pseudo_label(logits, threshold: float) -> LabelMap:
     """Argmax labels where the top softmax probability clears the threshold.
 
     Positions below it get IGNORE. A fixed confidence cutoff is a plain

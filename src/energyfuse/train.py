@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import DiffGraph, Tensor, raw
 from .config import RunConfig
-from .model import ModelParams, Predictions, bind, check_finite, forward_pass
+from .model import Predictions, bind, check_finite, forward_pass
 from .numeric import ContractError
 from .objectives import (
     LossBundle,
@@ -90,8 +90,7 @@ def _rfa_domain(pred, ref_depth: np.ndarray, alpha: float):
 
 
 def compute_losses(
-    model: ModelParams, scene, cfg: RunConfig, phase: int, weights: dict,
-    target: bool = False,
+    weights: dict, scene, cfg: RunConfig, phase: int, target: bool = False
 ) -> dict:
     """One scene's loss terms and its share of the supervised and overall
     losses, as scalars (graph tensors when `weights` are bound leaves).
@@ -103,7 +102,7 @@ def compute_losses(
     """
     if not target and scene.labels_eval_only:
         raise ContractError("evaluation-only labels cannot drive a training loss")
-    pred = forward_pass(model, scene, weights)
+    pred = forward_pass(weights, scene, cfg)
     labels = scene.labels
     if target:
         labels = pseudo_label(raw(pred.seg_fused), cfg.pseudo_threshold)
@@ -133,7 +132,7 @@ def compute_losses(
 
 
 def scene_gradients(
-    model: ModelParams, scene, cfg: RunConfig, phase: int, target: bool = False
+    weights: dict, scene, cfg: RunConfig, phase: int, target: bool = False
 ) -> tuple:
     """One scene's loss terms as floats, and the gradient of its share of
     the overall loss for each weight that reaches it.
@@ -143,8 +142,8 @@ def scene_gradients(
     then empty.
     """
     graph = DiffGraph()
-    leaves = bind(model, graph)
-    parts = compute_losses(model, scene, cfg, phase, leaves, target)
+    leaves = bind(weights, graph)
+    parts = compute_losses(leaves, scene, cfg, phase, target)
     values = {name: _value(part) for name, part in parts.items()}
     if not all(np.isfinite(v) for v in values.values()):
         return values, {}
@@ -154,13 +153,13 @@ def scene_gradients(
 
 
 def step_gradients(
-    model: ModelParams, scene_s, scene_t, cfg: RunConfig, phase: int
+    weights: dict, scene_s, scene_t, cfg: RunConfig, phase: int
 ) -> tuple:
     """(source values, target values, gradients) of one step. The source
     scene is differentiated, and its tape freed, before the target's
     forward pass; each weight's gradient is the sum of the two scenes'."""
-    values_s, grads = scene_gradients(model, scene_s, cfg, phase)
-    values_t, grads_t = scene_gradients(model, scene_t, cfg, phase, target=True)
+    values_s, grads = scene_gradients(weights, scene_s, cfg, phase)
+    values_t, grads_t = scene_gradients(weights, scene_t, cfg, phase, target=True)
     for name, g in grads_t.items():
         grads[name] = g + grads[name] if name in grads else g
     return values_s, values_t, grads
@@ -179,9 +178,9 @@ def _pin_malloc_thresholds():
 
 
 def _train_step(
-    model: ModelParams, scene_s, scene_t, cfg: RunConfig, phase: int, lr: float
+    weights: dict, scene_s, scene_t, cfg: RunConfig, phase: int, lr: float
 ) -> LossBundle:
-    s, t, grads = step_gradients(model, scene_s, scene_t, cfg, phase)
+    s, t, grads = step_gradients(weights, scene_s, scene_t, cfg, phase)
     seg_total = four_term_total(
         s["seg_plain"], s["seg_fused"], t["seg_plain"], t["seg_fused"]
     )
@@ -206,13 +205,13 @@ def _train_step(
             raise TrainingDiverged(f"{name} became {v} in phase {phase}")
 
     for name, g in grads.items():
-        model.weights[name] = model.weights[name] - lr * g
-    check_finite(model)
+        weights[name] = weights[name] - lr * g
+    check_finite(weights)
     return bundle
 
 
-def train(model: ModelParams, source: list, target: list, cfg: RunConfig):
-    """Run both phases in place; returns the model and the loss trace."""
+def train(weights: dict, source: list, target: list, cfg: RunConfig):
+    """Run both phases in place; returns the weights and the loss trace."""
     if not source or not target:
         raise ContractError("training needs nonempty source and target sets")
     _pin_malloc_thresholds()
@@ -223,7 +222,7 @@ def train(model: ModelParams, source: list, target: list, cfg: RunConfig):
         for _ in range(n_steps):
             scene_s = source[step % len(source)]
             scene_t = target[step % len(target)]
-            bundle = _train_step(model, scene_s, scene_t, cfg, phase, lr)
+            bundle = _train_step(weights, scene_s, scene_t, cfg, phase, lr)
             trace.append(TraceEntry(step=step, phase=phase, bundle=bundle))
             step += 1
-    return model, trace
+    return weights, trace

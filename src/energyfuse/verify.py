@@ -13,7 +13,7 @@ import numpy as np
 from . import fusion, numeric
 from .autodiff import DiffGraph, central_differences, grad_check, relative_error
 from .config import RunConfig
-from .fusion import Scheme, eb2f_apply, fuse, hopfield_energy, hopfield_update
+from .fusion import eb2f_apply, fuse, hopfield_energy, hopfield_update
 from .model import _dense, forward_pass, init_model
 from .numeric import softmax_cols
 from .objectives import IGNORE, berhu_map, berhu_threshold, pseudo_label, seg_nll
@@ -134,7 +134,7 @@ def check_hopfield_gradient_fd(n: int = 100) -> CheckResult:
     return CheckResult("hopfield-gradient-vs-fd", worst, 1e-6, worst < 1e-6)
 
 
-def _tiny_setup(scheme: Scheme):
+def _tiny_setup(scheme: str):
     cfg = RunConfig(
         t1=1,
         t2=1,
@@ -143,7 +143,7 @@ def _tiny_setup(scheme: Scheme):
         beta=1.0,
         gamma=0.7,
         steps=2,
-        scheme=scheme.value,
+        scheme=scheme,
         pseudo_threshold=0.0,
         seed=7,
         h=3,
@@ -152,18 +152,18 @@ def _tiny_setup(scheme: Scheme):
         channels=3,
         n_scenes=1,
     )
-    rng = RngState(MASTER_SEED, (5, int(scheme == Scheme.GATED)))
-    model = init_model(rng, cfg.k, cfg.channels, scheme, cfg.gamma, cfg.steps, width=4)
-    if scheme == Scheme.GATED:
+    rng = RngState(MASTER_SEED, (5, int(scheme == "gated")))
+    weights = init_model(rng, cfg, width=4)
+    if scheme == "gated":
         # zero-initialized gates would make their gradients trivially zero
-        model.weights["fuse_seg_w1"] = rng.normal(4, 4, 0.3)
-        model.weights["fuse_dep_w1"] = rng.normal(4, 4, 0.3)
+        weights["fuse_seg_w1"] = rng.normal(4, 4, 0.3)
+        weights["fuse_dep_w1"] = rng.normal(4, 4, 0.3)
     scene_s = gen_scene(rng.derive(1), cfg.h, cfg.w, cfg.k, cfg.channels)
     spec = ShiftSpec(feature_shift=0.3, feature_scale=1.2, noise_sd=0.05, depth_noise_sd=0.1)
     scene_t = shift_scene(
         gen_scene(rng.derive(2), cfg.h, cfg.w, cfg.k, cfg.channels), spec, rng.derive(3)
     )
-    return cfg, model, scene_s, scene_t
+    return cfg, weights, scene_s, scene_t
 
 
 def _frozen_kl_rows(teacher_logits0, student_logits):
@@ -215,14 +215,14 @@ def check_end_to_end_gradients() -> CheckResult:
     exactly the function the analytic pass differentiates.
     """
     worst = 0.0
-    for scheme in (Scheme.ADD, Scheme.GATED):
-        cfg, model, scene_s, scene_t = _tiny_setup(scheme)
-        _, _, grads = step_gradients(model, scene_s, scene_t, cfg, phase=2)
+    for scheme in ("add", "gated"):
+        cfg, weights, scene_s, scene_t = _tiny_setup(scheme)
+        _, _, grads = step_gradients(weights, scene_s, scene_t, cfg, phase=2)
 
         # reference-point values to freeze into the FD route
         frozen = []
         for scene in (scene_s, scene_t):
-            pred0 = forward_pass(model, scene)
+            pred0 = forward_pass(weights, scene, cfg)
             c_plain = berhu_threshold(pred0.dep_plain - scene.depth)
             c_fused = berhu_threshold(pred0.dep_fused - scene.depth)
             c_cross = berhu_threshold(pred0.dep_plain - pred0.dep_fused)
@@ -237,8 +237,8 @@ def check_end_to_end_gradients() -> CheckResult:
         pseudo0 = pseudo_label(frozen[1][0].seg_fused, cfg.pseudo_threshold)
 
         def frozen_overall(wd):
-            pred_s = forward_pass(model, scene_s, wd)
-            pred_t = forward_pass(model, scene_t, wd)
+            pred_s = forward_pass(wd, scene_s, cfg)
+            pred_t = forward_pass(wd, scene_t, cfg)
             seg_total = (
                 seg_nll(pred_s.seg_plain, scene_s.labels)
                 + seg_nll(pred_s.seg_fused, scene_s.labels)
@@ -256,12 +256,12 @@ def check_end_to_end_gradients() -> CheckResult:
             return seg_total + cfg.alpha * dep_total + cfg.beta * rfa
 
         names = ["enc0_w", "seg_dec_fused_w", "dep_dec_plain_w", "seg_net_b_w"]
-        if scheme == Scheme.GATED:
+        if scheme == "gated":
             names += ["fuse_seg_w1", "fuse_dep_w2"]
         for name in names:
             fd = central_differences(
-                lambda arr, name=name: frozen_overall({**model.weights, name: arr}),
-                model.weights[name],
+                lambda arr, name=name: frozen_overall({**weights, name: arr}),
+                weights[name],
             )
             worst = max(worst, relative_error(grads[name], fd))
     return CheckResult("end-to-end-gradients-vs-fd", worst, 1e-4, worst < 1e-4)

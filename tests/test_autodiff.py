@@ -15,7 +15,7 @@ from energyfuse.autodiff import (
     ops,
     raw,
 )
-from energyfuse.fusion import Scheme, _update, hopfield_steps
+from energyfuse.fusion import _update, hopfield_steps
 from energyfuse.model import _dense, bind
 from energyfuse.numeric import ContractError, softmax_cols
 from energyfuse.objectives import IGNORE, berhu_map, seg_nll
@@ -204,12 +204,12 @@ def test_every_public_op_is_recorded_by_a_training_step():
     0.9): each target seg_nll is then a plain 0.0, and adding that to a
     tape loss records a shift."""
     recorded = set()
-    for scheme, threshold in ((Scheme.ADD, 1.0), (Scheme.GATED, 0.0)):
-        cfg, model, scene_s, scene_t = _tiny_setup(scheme)
+    for scheme, threshold in (("add", 1.0), ("gated", 0.0)):
+        cfg, weights, scene_s, scene_t = _tiny_setup(scheme)
         cfg = replace(cfg, pseudo_threshold=threshold)
         for scene, target in ((scene_s, False), (scene_t, True)):
             g = DiffGraph()
-            compute_losses(model, scene, cfg, 2, bind(model, g), target)
+            compute_losses(bind(weights, g), scene, cfg, 2, target)
             recorded |= {node.op for node in g.nodes}
     missing = _recording_ops() - recorded
     assert not missing, sorted(missing)
@@ -219,12 +219,12 @@ def test_a_step_without_reliability_on_the_tape_records_no_shift():
     """Phase 1, and phase 2 at beta = 0, keep the reliability loss off
     either scene's tape: each scene's share of the overall loss is its
     supervised share itself, not a shift of it by a plain 0.0."""
-    cfg, model, scene_s, scene_t = _tiny_setup(Scheme.ADD)
+    cfg, weights, scene_s, scene_t = _tiny_setup("add")
     for phase, beta in ((1, 1.0), (2, 0.0)):
         run_cfg = replace(cfg, beta=beta)
         for scene, target in ((scene_s, False), (scene_t, True)):
             g = DiffGraph()
-            parts = compute_losses(model, scene, run_cfg, phase, bind(model, g), target)
+            parts = compute_losses(bind(weights, g), scene, run_cfg, phase, target)
             assert parts["overall"] is parts["supervised"]
             assert "shift" not in {node.op for node in g.nodes}
 

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
+from energyfuse.config import RunConfig
 from energyfuse.fusion import (
-    Scheme,
     eb2f_apply,
     fuse,
     hopfield_energy,
     hopfield_gradient,
     hopfield_update,
 )
-from energyfuse.autodiff import grad_check, raw
-from energyfuse.model import init_model
+from energyfuse.autodiff import grad_check
 from energyfuse.numeric import ContractError, softmax_cols
-from energyfuse.rng import RngState
 
 LN2 = 0.6931471805599453
 
@@ -198,16 +196,12 @@ def test_fuse_gated_zero_gate_passes_stored():
     np.testing.assert_array_equal(fuse(xi, nu, gate), nu)
 
 
-def _model(gamma, steps):
-    return init_model(RngState(0, (1,)), 3, 2, gamma=gamma, steps=steps, width=2)
-
-
 def test_gamma_out_of_range_rejected():
-    """init_model and hopfield_update share one gamma/steps check."""
+    """RunConfig and hopfield_update share one gamma/steps check."""
     eye = np.eye(2)
     for gamma, steps in ((-0.1, 1), (1.1, 1), (0.5, -1)):
         with pytest.raises(ContractError):
-            _model(gamma, steps)
+            RunConfig(gamma=gamma, steps=steps)
         with pytest.raises(ContractError):
             hopfield_update(eye, eye, gamma, steps)
 
@@ -218,10 +212,10 @@ def test_fractional_and_bool_steps_rejected():
     eye = np.eye(2)
     for steps in (1.5, 2.0, True):
         with pytest.raises(ContractError, match="steps must be an integer"):
-            _model(0.5, steps)
+            RunConfig(gamma=0.5, steps=steps)
         with pytest.raises(ContractError, match="steps must be an integer"):
             hopfield_update(eye, eye, 0.5, steps)
-    assert _model(0.5, np.int64(2)).steps == 2
+    assert RunConfig(gamma=0.5, steps=np.int64(2)).steps == 2
     np.testing.assert_array_equal(
         hopfield_update(eye, eye, 0.5, np.int64(2)), hopfield_update(eye, eye, 0.5, 2)
     )
@@ -229,12 +223,12 @@ def test_fractional_and_bool_steps_rejected():
 
 def test_eb2f_steps_zero_equals_plain_fuse():
     rng = np.random.default_rng(10)
-    for scheme in (Scheme.ADD, Scheme.GATED):
+    for scheme in ("add", "gated"):
         d, n = 5, 7
         query = rng.normal(size=(d, n))
         other = rng.normal(size=(d, n))
         gate = None
-        if scheme == Scheme.GATED:
+        if scheme == "gated":
             gate = (rng.normal(size=(d, d)), rng.normal(size=(d, d)))
         out = eb2f_apply(query, other, 1.0, 0, gate)
         np.testing.assert_array_equal(out, fuse(other, query, gate))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from energyfuse.numeric import ContractError, lse_cols, softmax_cols
+from energyfuse.numeric import ContractError, softmax_cols
 from energyfuse.objectives import (
     IGNORE,
     LabelMap,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from energyfuse.autodiff import DiffGraph, raw
+from energyfuse.autodiff import DiffGraph
 from energyfuse.numeric import ContractError
 from energyfuse.reliability import (
     ReliabilityMask,

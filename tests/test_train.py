@@ -32,38 +32,38 @@ SMALL = dict(
 def _setup(**overrides):
     cfg = RunConfig(**{**SMALL, **overrides})
     source, target = build_data(cfg)
-    model = build_model(cfg)
-    return cfg, model, source, target
+    weights = build_model(cfg)
+    return cfg, weights, source, target
 
 
 def test_zero_steps_leaves_weights_untouched():
-    cfg, model, source, target = _setup(t1=0, t2=0)
-    before = {name: arr.copy() for name, arr in model.weights.items()}
-    trained, trace = train(model, source, target, cfg)
+    cfg, weights, source, target = _setup(t1=0, t2=0)
+    before = {name: arr.copy() for name, arr in weights.items()}
+    trained, trace = train(weights, source, target, cfg)
     assert trace == []
-    assert trained is model
+    assert trained is weights
     for name in before:
-        assert np.array_equal(model.weights[name], before[name]), name
+        assert np.array_equal(weights[name], before[name]), name
 
 
 def test_empty_scene_sets_rejected():
-    cfg, model, source, target = _setup()
+    cfg, weights, source, target = _setup()
     with pytest.raises(ContractError, match="nonempty"):
-        train(model, [], target, cfg)
+        train(weights, [], target, cfg)
     with pytest.raises(ContractError, match="nonempty"):
-        train(model, source, [], cfg)
+        train(weights, source, [], cfg)
     with pytest.raises(ContractError, match="^evaluate needs at least one scene$"):
-        evaluate(model, [])
+        evaluate(weights, [], cfg)
 
 
 def test_training_is_bitwise_reproducible():
     runs = []
     for _ in range(2):
-        cfg, model, source, target = _setup()
-        runs.append(train(model, source, target, cfg))
-    (model_a, trace_a), (model_b, trace_b) = runs
-    for name in model_a.weights:
-        assert np.array_equal(model_a.weights[name], model_b.weights[name]), name
+        cfg, weights, source, target = _setup()
+        runs.append(train(weights, source, target, cfg))
+    (weights_a, trace_a), (weights_b, trace_b) = runs
+    for name in weights_a:
+        assert np.array_equal(weights_a[name], weights_b[name]), name
     assert len(trace_a) == len(trace_b)
     for ea, eb in zip(trace_a, trace_b):
         assert (ea.step, ea.phase) == (eb.step, eb.phase)
@@ -71,8 +71,8 @@ def test_training_is_bitwise_reproducible():
 
 
 def test_trace_covers_both_phases_in_order():
-    cfg, model, source, target = _setup()
-    _, trace = train(model, source, target, cfg)
+    cfg, weights, source, target = _setup()
+    _, trace = train(weights, source, target, cfg)
     assert len(trace) == cfg.t1 + cfg.t2
     assert [e.step for e in trace] == list(range(cfg.t1 + cfg.t2))
     assert [e.phase for e in trace] == [1] * cfg.t1 + [2] * cfg.t2
@@ -104,10 +104,10 @@ def _count_reliability_losses(monkeypatch) -> Counter:
 
 
 def test_phase_one_never_touches_reliability_losses(monkeypatch):
-    cfg, model, source, target = _setup(t1=4, t2=0)
+    cfg, weights, source, target = _setup(t1=4, t2=0)
     calls = _count_reliability_losses(monkeypatch)
     before = dict(calls)
-    train(model, source, target, cfg)
+    train(weights, source, target, cfg)
     after = calls
     assert after["rfa_seg_loss"] == before.get("rfa_seg_loss", 0)
     assert after["rfa_dep_loss"] == before.get("rfa_dep_loss", 0)
@@ -115,10 +115,10 @@ def test_phase_one_never_touches_reliability_losses(monkeypatch):
 
 def test_phase_two_reliability_call_pattern(monkeypatch):
     # one call per domain per step, for each of the two reliability losses
-    cfg, model, source, target = _setup(t1=0, t2=5)
+    cfg, weights, source, target = _setup(t1=0, t2=5)
     calls = _count_reliability_losses(monkeypatch)
     before = dict(calls)
-    train(model, source, target, cfg)
+    train(weights, source, target, cfg)
     after = calls
     assert after["rfa_seg_loss"] == before.get("rfa_seg_loss", 0) + 10
     assert after["rfa_dep_loss"] == before.get("rfa_dep_loss", 0) + 10
@@ -128,7 +128,7 @@ def test_zero_weighted_reliability_loss_is_valued_but_not_taped():
     """beta = 0: the reliability loss keeps the value beta = 1 records, as a
     plain number in the step's bundle, and neither scene's tape records
     more nodes than in phase 1."""
-    cfg, model, source, target = _setup(t1=0, t2=1)
+    cfg, weights, source, target = _setup(t1=0, t2=1)
     traces = {}
     for beta in (0.0, 1.0):
         run_cfg = dataclasses.replace(cfg, beta=beta)
@@ -139,8 +139,8 @@ def test_zero_weighted_reliability_loss_is_valued_but_not_taped():
         for phase, beta in ((2, 0.0), (2, 1.0), (1, 1.0)):
             run_cfg = dataclasses.replace(cfg, beta=beta)
             graph = DiffGraph()
-            w = bind(model, graph)
-            parts[phase, beta] = compute_losses(model, scene, run_cfg, phase, w, is_target)
+            w = bind(weights, graph)
+            parts[phase, beta] = compute_losses(w, scene, run_cfg, phase, is_target)
             nodes[phase, beta] = len(graph.nodes)
         assert not isinstance(parts[2, 0.0]["rfa"], Tensor)
         assert parts[2, 0.0]["rfa"] == parts[2, 1.0]["rfa"].item()
@@ -148,23 +148,23 @@ def test_zero_weighted_reliability_loss_is_valued_but_not_taped():
 
 
 def test_divergence_names_the_sick_term():
-    cfg, model, source, target = _setup()
-    model.weights["enc0_w"][0, 0] = np.nan
+    cfg, weights, source, target = _setup()
+    weights["enc0_w"][0, 0] = np.nan
     with pytest.raises(TrainingDiverged, match=r"seg_total became nan in phase 1"):
-        train(model, source, target, cfg)
+        train(weights, source, target, cfg)
 
 
 def test_huge_learning_rate_aborts_instead_of_looping():
-    cfg, model, source, target = _setup(lr=1e300, t1=6, t2=0)
+    cfg, weights, source, target = _setup(lr=1e300, t1=6, t2=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises((TrainingDiverged, ContractError)):
-            train(model, source, target, cfg)
+            train(weights, source, target, cfg)
 
 
 def test_tainted_labels_cannot_supervise():
-    cfg, model, source, target = _setup()
+    cfg, weights, source, target = _setup()
     with pytest.raises(ContractError, match="evaluation-only"):
-        train(model, target, source, cfg)
+        train(weights, target, source, cfg)
 
 
 def test_phase_two_learning_rate_is_reduced():
@@ -172,23 +172,23 @@ def test_phase_two_learning_rate_is_reduced():
     tiny = dataclasses.replace(RunConfig(**SMALL), t1=0, t2=3,
                                lr_phase2_mult=1e-300)
     source, target = build_data(tiny)
-    model = build_model(tiny)
-    before = {name: arr.copy() for name, arr in model.weights.items()}
-    train(model, source, target, tiny)
+    weights = build_model(tiny)
+    before = {name: arr.copy() for name, arr in weights.items()}
+    train(weights, source, target, tiny)
     for name in before:
-        assert np.allclose(model.weights[name], before[name], atol=1e-290), name
+        assert np.allclose(weights[name], before[name], atol=1e-290), name
 
 
 def test_a_step_tape_is_freed_without_the_garbage_collector():
     """Nothing on the tape refers back to its graph, so a phase-2 scene's
     tape (every fused block, reliability included) is freed by reference
     counting alone as soon as the step lets go of it."""
-    cfg, model, source, target = _setup(beta=1.0)
+    cfg, weights, source, target = _setup(beta=1.0)
     gc.disable()
     try:
         for scene, is_target in ((source[0], False), (target[0], True)):
             graph = DiffGraph()
-            parts = compute_losses(model, scene, cfg, 2, bind(model, graph), is_target)
+            parts = compute_losses(bind(weights, graph), scene, cfg, 2, is_target)
             graph.backward(parts["overall"])
             alive = weakref.ref(graph)
             del graph, parts
@@ -204,7 +204,7 @@ def test_a_step_keeps_one_tape_alive_at_a_time(monkeypatch, scheme, phase):
     source tape is freed, by reference counting alone, before the target
     tape exists: at most one tape's attention maps are held at once."""
     train_module = importlib.import_module("energyfuse.train")
-    cfg, model, source, target = _setup(scheme=scheme, beta=1.0, steps=2)
+    cfg, weights, source, target = _setup(scheme=scheme, beta=1.0, steps=2)
     tapes, alive_at_birth = [], []
 
     class WatchedGraph(DiffGraph):
@@ -216,7 +216,7 @@ def test_a_step_keeps_one_tape_alive_at_a_time(monkeypatch, scheme, phase):
     monkeypatch.setattr(train_module, "DiffGraph", WatchedGraph)
     gc.disable()
     try:
-        train_module._train_step(model, source[0], target[0], cfg, phase, cfg.lr)
+        train_module._train_step(weights, source[0], target[0], cfg, phase, cfg.lr)
     finally:
         gc.enable()
     assert alive_at_birth == [0, 0]
@@ -227,13 +227,13 @@ def test_a_step_adds_the_two_scene_gradients():
     """The update is lr * (target gradient + source gradient), each scene's
     gradient taken on its own tape."""
     train_module = importlib.import_module("energyfuse.train")
-    cfg, model, source, target = _setup(scheme="gated", beta=1.0)
-    before = {name: arr.copy() for name, arr in model.weights.items()}
-    _, grads_s = train_module.scene_gradients(model, source[0], cfg, 2)
-    _, grads_t = train_module.scene_gradients(model, target[0], cfg, 2, target=True)
-    train_module._train_step(model, source[0], target[0], cfg, 2, cfg.lr)
-    assert set(grads_s) == set(grads_t) == set(model.weights)
-    for name, arr in model.weights.items():
+    cfg, weights, source, target = _setup(scheme="gated", beta=1.0)
+    before = {name: arr.copy() for name, arr in weights.items()}
+    _, grads_s = train_module.scene_gradients(weights, source[0], cfg, 2)
+    _, grads_t = train_module.scene_gradients(weights, target[0], cfg, 2, target=True)
+    train_module._train_step(weights, source[0], target[0], cfg, 2, cfg.lr)
+    assert set(grads_s) == set(grads_t) == set(weights)
+    for name, arr in weights.items():
         want = before[name] - cfg.lr * (grads_t[name] + grads_s[name])
         assert np.array_equal(arr, want), name
 
@@ -273,10 +273,10 @@ from energyfuse.train import train
 
 cfg = RunConfig(**CFG)
 source, target = build_data(cfg)
-model = build_model(cfg)
-train(model, source, target, cfg)
+weights = build_model(cfg)
+train(weights, source, target, cfg)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-train(model, source, target, cfg)
+train(weights, source, target, cfg)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -321,8 +321,8 @@ def test_pinned_malloc_reuses_a_freed_512_kib_array():
 
 
 def _loss_trace() -> list:
-    cfg, model, source, target = _setup()
-    return [entry.bundle for entry in train(model, source, target, cfg)[1]]
+    cfg, weights, source, target = _setup()
+    return [entry.bundle for entry in train(weights, source, target, cfg)[1]]
 
 
 def test_malloc_policy_changes_no_number(monkeypatch):
