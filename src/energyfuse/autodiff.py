@@ -11,7 +11,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import numeric
 from .numeric import ContractError, as_matrix
 
 
@@ -29,14 +28,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def rows(self):
-        return self.data.shape[0]
-
-    @property
-    def cols(self):
-        return self.data.shape[1]
-
     def item(self) -> float:
         if self.data.shape != (1, 1):
             raise ContractError(f"item() on non-scalar shape {self.data.shape}")
@@ -45,33 +36,37 @@ class Tensor:
     # keep numpy from taking over mixed expressions; reflected ops run instead
     __array_ufunc__ = None
 
-    # arithmetic sugar; scalars route through scale / shift
+    # arithmetic sugar: two tensors add; a number or an array shifts or scales
     def __add__(self, other):
-        other = self.graph._lift(other)
         if isinstance(other, Tensor):
             return self.graph.add(self, other)
-        return self.graph.shift(self, float(other))
+        return self.graph.shift(self, other)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        other = self.graph._lift(other)
         if isinstance(other, Tensor):
-            return self.graph.sub(self, other)
-        return self.graph.shift(self, -float(other))
+            raise ContractError(f"sub of two tensors {self.shape} and {other.shape}")
+        return self.graph.shift(self, -other)
 
     def __rsub__(self, other):
-        return self.graph.scale(self, -1.0).__add__(other)
+        return self.graph.shift(self.graph.scale(self, -1.0), other)
 
     def __mul__(self, other):
-        other = self.graph._lift(other)
         if isinstance(other, Tensor):
-            return self.graph.mul(self, other)
-        return self.graph.scale(self, float(other))
+            raise ContractError(f"mul of two tensors {self.shape} and {other.shape}")
+        return self.graph.scale(self, other)
 
     def __rmul__(self, other):
         return self.__mul__(other)
+
+
+def _check_fixed(op, a, c):
+    """A shift or scale operand: a number or an array of shape () or a's."""
+    shape = c.shape if isinstance(c, (Tensor, np.ndarray)) else ()
+    if isinstance(c, Tensor) or shape not in ((), a.shape):
+        raise ContractError(f"{op} of a {a.shape} tensor by {type(c).__name__} {shape}")
 
 
 class _Node:
@@ -104,78 +99,26 @@ class DiffGraph:
         """A differentiable input; its gradient is reported by backward."""
         return self._record("leaf", (), as_matrix(value).copy(), lambda g: ())
 
-    def constant(self, value) -> Tensor:
-        """Data that participates in values but never needs a gradient."""
-        return self._record("const", (), as_matrix(value).copy(), lambda g: ())
-
-    def _lift(self, x):
-        """Plain arrays become constants; tensors and scalars pass through."""
-        return self.constant(x) if isinstance(x, np.ndarray) else x
-
     def _same_graph(self, *ts):
         for t in ts:
-            if t.graph is not self:
-                raise ContractError("tensors belong to different graphs")
-
-    def _same_shape(self, op, a, b):
-        self._same_graph(a, b)
-        if a.shape != b.shape:
-            raise ContractError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
-
-    # ---- elementwise / structural ops ----
+            if not isinstance(t, Tensor) or t.graph is not self:
+                raise ContractError(f"{type(t).__name__} is not a tensor of this graph")
 
     def add(self, a, b) -> Tensor:
-        self._same_shape("add", a, b)
+        self._same_graph(a, b)
+        if a.shape != b.shape:
+            raise ContractError(f"add shape mismatch: {a.shape} vs {b.shape}")
         return self._record("add", (a, b), a.data + b.data, lambda g: (g, g))
 
-    def sub(self, a, b) -> Tensor:
-        self._same_shape("sub", a, b)
-        return self._record("sub", (a, b), a.data - b.data, lambda g: (g, -g))
-
-    def mul(self, a, b) -> Tensor:
-        self._same_shape("mul", a, b)
-        av, bv = a.data, b.data
-        return self._record("mul", (a, b), av * bv, lambda g: (g * bv, g * av))
-
-    def scale(self, a, c: float) -> Tensor:
+    def scale(self, a, c) -> Tensor:
+        """a * c for a fixed c, which gets no adjoint."""
+        _check_fixed("scale", a, c)
         return self._record("scale", (a,), a.data * c, lambda g: (g * c,))
 
-    def shift(self, a, c: float) -> Tensor:
+    def shift(self, a, c) -> Tensor:
+        """a + c for a fixed c, which gets no adjoint."""
+        _check_fixed("shift", a, c)
         return self._record("shift", (a,), a.data + c, lambda g: (g,))
-
-    def sub_row(self, a, b) -> Tensor:
-        """a (K, N) minus a row vector b (1, N) broadcast over rows."""
-        a, b = self._lift(a), self._lift(b)
-        self._same_graph(a, b)
-        if b.rows != 1 or a.cols != b.cols:
-            raise ContractError(f"sub_row shapes: {a.shape} vs {b.shape}")
-        return self._record(
-            "sub_row", (a, b), a.data - b.data,
-            lambda g: (g, -g.sum(axis=0, keepdims=True)),
-        )
-
-    def matmul(self, a, b) -> Tensor:
-        a, b = self._lift(a), self._lift(b)
-        self._same_graph(a, b)
-        if a.cols != b.rows:
-            raise ContractError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-        av, bv = a.data, b.data
-        return self._record("matmul", (a, b), av @ bv, lambda g: (g @ bv.T, av.T @ g))
-
-    # ---- nonlinearities ----
-
-    def sigmoid(self, a) -> Tensor:
-        s = numeric.sigmoid(a.data)
-        return self._record("sigmoid", (a,), s, lambda g: (g * s * (1.0 - s),))
-
-    def lse_cols(self, a) -> Tensor:
-        av = a.data
-        return self._record(
-            "lse_cols", (a,), numeric.lse_cols(av),
-            lambda g: (numeric.softmax_cols(av) * g,),
-        )
-
-    # ---- reductions ----
 
     def sum(self, a) -> Tensor:
         shape = a.shape
@@ -187,13 +130,15 @@ class DiffGraph:
     # ---- fused blocks ----
 
     def fused(self, op: str, inputs, value, vjp) -> Tensor:
-        """One node for a block the caller has already computed.
+        """One node for a block the caller has already computed from
+        `inputs`, tensors of this graph.
 
         `value` is the block's result (a float for a scalar) and vjp(g)
         returns or yields one adjoint term per input slot, a count that
         backward checks; an input that gets several terms takes several
         slots, in the order the op-by-op tape would have accumulated them.
         """
+        self._same_graph(*inputs)
         data = np.array([[value]]) if isinstance(value, float) else value
         return self._record(op, inputs, data, vjp)
 
@@ -230,10 +175,6 @@ class DiffGraph:
 
 # DiffGraph's op names computed on plain arrays, recording nothing
 ARRAY_OPS = SimpleNamespace(
-    matmul=np.matmul,
-    lse_cols=numeric.lse_cols,
-    sub_row=lambda a, b: np.asarray(a) - np.asarray(b),
-    sigmoid=numeric.sigmoid,
     sum=lambda a: float(np.sum(a)),
     fused=lambda op, inputs, value, vjp: value,
 )

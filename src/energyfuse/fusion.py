@@ -125,7 +125,8 @@ def fuse(xi_updated, nu, gate=None):
 
     Add (gate None): xi + nu. Gated, gate = (W1, W2): nu + (W1 xi) *
     sigmoid(W2 xi), the W's acting as per-position channel mixes (1x1
-    convolution semantics).
+    convolution semantics), as one "gate" node with the value and adjoint
+    terms of the tests' op-by-op chain, in its order, bit for bit.
     """
     if xi_updated.shape != nu.shape:
         raise ContractError(
@@ -134,9 +135,18 @@ def fuse(xi_updated, nu, gate=None):
     if gate is None:
         return xi_updated + nu
     w1, w2 = gate
+    xv, w1v, w2v = raw(xi_updated), raw(w1), raw(w2)
+    mix = w1v @ xv
+    sig = numeric.sigmoid(w2v @ xv)
+    out = raw(nu) + mix * sig
+
+    def vjp(g):
+        g_mix = g * sig
+        g_pre = g * mix * sig * (1.0 - sig)
+        return (g, g_mix @ xv.T, w1v.T @ g_mix, g_pre @ xv.T, w2v.T @ g_pre)
+
     o = ops(xi_updated, nu, w1, w2)
-    sig = o.sigmoid(o.matmul(w2, xi_updated))
-    return nu + o.matmul(w1, xi_updated) * sig
+    return o.fused("gate", (nu, w1, xi_updated, w2, xi_updated), out, vjp)
 
 
 def eb2f_apply(query_task, other_task, gamma: float, steps: int, gate=None):

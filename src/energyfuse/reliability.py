@@ -59,13 +59,21 @@ def reliability_mask(e_plain, e_fused) -> ReliabilityMask:
 
 
 def _kl_row(o, teacher, student):
-    """Per-position KL(teacher || student) from logits; the teacher side
-    is plain arrays, so it is detached and records nothing."""
-    tv = raw(teacher)
+    """Per-position KL(teacher || student) from logits, as one "kl_row"
+    node with the value and adjoint terms of the tests' op-by-op chain, in
+    its order, bit for bit; the teacher is read as arrays, so detached."""
+    tv, sv = raw(teacher), raw(student)
+    t_prob = numeric.softmax_cols(tv)
     t_log = tv - numeric.lse_cols(tv)
-    s_log = o.sub_row(student, o.lse_cols(student))
-    k = teacher.shape[0]
-    return o.matmul(np.ones((1, k)), numeric.softmax_cols(tv) * (t_log - s_log))
+    s_log = sv - numeric.lse_cols(sv)
+    ones = np.ones((1, teacher.shape[0]))
+    value = ones @ (t_prob * (t_log - s_log))
+
+    def vjp(g):
+        g_log = (ones.T @ g) * t_prob * -1.0
+        return (g_log, numeric.softmax_cols(sv) * -g_log.sum(axis=0, keepdims=True))
+
+    return o.fused("kl_row", (student, student), value, vjp)
 
 
 def _distil(rows, plain, fused, mask: ReliabilityMask):

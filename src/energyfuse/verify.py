@@ -19,6 +19,7 @@ from .numeric import softmax_cols
 from .objectives import IGNORE, berhu_map, berhu_threshold, pseudo_label, seg_nll
 from .reliability import (
     ReliabilityMask,
+    _kl_row,
     depth_energy_map,
     energy_softmax_identity,
     free_energy_map,
@@ -429,27 +430,29 @@ def check_berhu_continuity(n: int = 100) -> CheckResult:
 
 
 def check_autodiff_composite() -> CheckResult:
-    """Every op a training step records, and one node of each fused kind
-    (dense, hopfield, seg_nll, berhu_map), against finite differences."""
+    """One function through a node of every kind a training step records
+    (add, scale, shift, sum, dense, hopfield, gate, seg_nll, berhu_map,
+    kl_row), against finite differences. Its leaf x is a column, so it
+    can be every dense bias, and every dense and gate weight is computed
+    from it."""
     rng = _rng(16)
-    w = rng.normal(5, 4, 1.0)
-    labels = np.array([2, IGNORE, 0, 3, 1])
+    widen_sq = rng.normal(1, 6, 1.0)
+    widen = rng.normal(1, 5, 1.0)
+    teacher = rng.normal(6, 5, 1.5)
+    labels = np.array([2, IGNORE, 0, 5, 1])
 
     def f(x):
         g = x.graph
-        # W and b computed from x, so the dense weight terms reach the leaf
-        layer = {
-            "l_w": g.matmul(x, g.constant(w)) * 0.3,
-            "l_b": g.matmul(x, g.constant(np.ones((5, 1)))) * 0.2,
-        }
-        h = _dense(g, layer, "l", x, tanh=True, skip=g.sigmoid(x))
-        u = fusion._update(g, h, x * 0.5 + 0.3, 0.7, 2)
-        z = g.sub_row(u, g.lse_cols(u))
-        # u - x has entries on both sides of c = 0.5, so both branches count
-        dep = g.sum(berhu_map(u - x, 0.5)) * 0.2
-        return seg_nll(u, labels) + g.sum(z * z) * 0.05 + dep
+        sq = _dense(g, {"l_w": x, "l_b": x}, "l", widen_sq, tanh=True)
+        h = _dense(g, {"l_w": x * 0.8, "l_b": x}, "l", widen, tanh=True)
+        h = _dense(g, {"l_w": sq * 0.5, "l_b": x * 0.2}, "l", h, tanh=True, skip=h)
+        u = fusion._update(g, h, h * 0.5 + 0.3, 0.7, 2)
+        v = fuse(u, h, gate=(sq * 0.6, 0.5 - sq))
+        # v - teacher has entries on both sides of c = 0.5, so both branches count
+        dep = g.sum(berhu_map(v - teacher, 0.5)) * 0.2
+        return seg_nll(v, labels) + g.sum(_kl_row(g, teacher, v)) * 0.1 + dep
 
-    worst = grad_check(f, rng.normal(4, 5, 0.8))
+    worst = grad_check(f, rng.normal(6, 1, 0.8))
     return CheckResult("autodiff-composite-vs-fd", worst, 1e-6, worst < 1e-6)
 
 

@@ -1,5 +1,6 @@
-"""Shared test constants, the reader of the README's tables, and the name
-of the BLAS kernel that byte-comparing tests report when they fail.
+"""Shared test constants, the reader of the README's tables, the name of
+the BLAS kernel that byte-comparing tests report when they fail, and the
+generic tape ops the op-by-op reference chains are built from.
 
 REFERENCE is the calibrated benchmark configuration used by the
 directional experiments (ablation arms, probe gap): the library
@@ -11,6 +12,9 @@ import ctypes
 from pathlib import Path
 
 import numpy as np
+
+from energyfuse.autodiff import Tensor, raw
+from energyfuse.numeric import lse_cols, sigmoid, softmax_cols
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -49,3 +53,51 @@ def blas_kernel() -> str:
         return "unknown"
     corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
+
+
+def ref_op(g, op, a, b=None):
+    """One generic op, recorded on g through g.fused with the value and the
+    adjoint terms DiffGraph's own op had before each model block became one
+    node: transpose, tanh, abs, softmax_cols, sigmoid, lse_cols, sub, mul,
+    matmul, add_col (b a column added to every column of a) or sub_row (b a
+    row taken from every row of a). A plain-array operand is fixed and
+    takes no slot, as a const node's adjoint went nowhere."""
+    av = raw(a)
+    bv = None if b is None else raw(b)
+    operands = (a,) if b is None else (a, b)
+    taped = [isinstance(t, Tensor) for t in operands]
+
+    def record(value, vjp):
+        return g.fused(
+            op,
+            [t for t, keep in zip(operands, taped) if keep],
+            value,
+            lambda gy: [term for term, keep in zip(vjp(gy), taped) if keep],
+        )
+
+    if op == "transpose":
+        return record(av.T.copy(), lambda gy: (gy.T,))
+    if op == "tanh":
+        y = np.tanh(av)
+        return record(y, lambda gy: (gy * (1.0 - y * y),))
+    if op == "abs":
+        return record(np.abs(av), lambda gy: (gy * np.sign(av),))
+    if op == "softmax_cols":
+        s = softmax_cols(av)
+        return record(s, lambda gy: (s * (gy - np.sum(gy * s, axis=0, keepdims=True)),))
+    if op == "sigmoid":
+        s = sigmoid(av)
+        return record(s, lambda gy: (gy * s * (1.0 - s),))
+    if op == "lse_cols":
+        return record(lse_cols(av), lambda gy: (softmax_cols(av) * gy,))
+    if op == "sub":
+        return record(av - bv, lambda gy: (gy, -gy))
+    if op == "mul":
+        return record(av * bv, lambda gy: (gy * bv, gy * av))
+    if op == "matmul":
+        return record(av @ bv, lambda gy: (gy @ bv.T, av.T @ gy))
+    if op == "add_col":
+        assert bv.shape == (av.shape[0], 1), (op, bv.shape)
+        return record(av + bv, lambda gy: (gy, gy.sum(axis=1, keepdims=True)))
+    assert op == "sub_row" and bv.shape == (1, av.shape[1]), (op, bv.shape)
+    return record(av - bv, lambda gy: (gy, -gy.sum(axis=0, keepdims=True)))

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import ref_op
 from energyfuse.autodiff import (
     ARRAY_OPS,
     DiffGraph,
@@ -15,44 +16,26 @@ from energyfuse.autodiff import (
     ops,
     raw,
 )
-from energyfuse.fusion import _update, hopfield_steps
+from energyfuse.fusion import _update, fuse, hopfield_steps
 from energyfuse.model import _dense, bind
-from energyfuse.numeric import ContractError, softmax_cols
+from energyfuse.numeric import ContractError, lse_cols, softmax_cols
 from energyfuse.objectives import IGNORE, berhu_map, seg_nll
-from energyfuse.reliability import ReliabilityMask, rfa_dep_loss, rfa_seg_loss
+from energyfuse.reliability import (
+    ReliabilityMask,
+    _kl_row,
+    rfa_dep_loss,
+    rfa_seg_loss,
+)
 from energyfuse.train import compute_losses
 from energyfuse.verify import _tiny_setup
 
 
-def _op(g, op, a, b=None):
-    """transpose, tanh, abs, softmax_cols or add_col (b a column added to
-    every column of a), recorded through g.fused: the tape holds only the
-    ops a training step records, and the op-by-op reference chains below
-    need these too."""
-    av = a.data
-    if op == "transpose":
-        return g.fused(op, (a,), av.T.copy(), lambda gy: (gy.T,))
-    if op == "tanh":
-        y = np.tanh(av)
-        return g.fused(op, (a,), y, lambda gy: (gy * (1.0 - y * y),))
-    if op == "abs":
-        return g.fused(op, (a,), np.abs(av), lambda gy: (gy * np.sign(av),))
-    if op == "softmax_cols":
-        s = softmax_cols(av)
-        return g.fused(
-            op, (a,), s, lambda gy: (s * (gy - np.sum(gy * s, axis=0, keepdims=True)),)
-        )
-    assert op == "add_col" and b.shape == (a.rows, 1), (op, b.shape)
-    return g.fused(
-        op, (a, b), av + b.data, lambda gy: (gy, gy.sum(axis=1, keepdims=True))
-    )
-
-
 def test_lse_gradient_is_softmax():
-    """d lse / dx = softmax(x); at [0, 0] that is [0.5, 0.5]."""
+    """d lse / dx = softmax(x) for the reference lse_cols; at [0, 0] that
+    is [0.5, 0.5]."""
     g = DiffGraph()
     x = g.leaf(np.array([[0.0], [0.0]]))
-    out = g.sum(g.lse_cols(x))
+    out = g.sum(ref_op(g, "lse_cols", x))
     grads = g.backward(out)
     np.testing.assert_allclose(grads[x.nid], [[0.5], [0.5]], atol=1e-15)
 
@@ -61,7 +44,7 @@ def test_quadratic_form_gradient_is_the_point():
     g = DiffGraph()
     xi = np.array([[1.5], [-2.0], [0.25]])
     x = g.leaf(xi)
-    out = g.scale(g.sum(g.mul(x, x)), 0.5)
+    out = g.scale(g.sum(ref_op(g, "mul", x, x)), 0.5)
     grads = g.backward(out)
     np.testing.assert_allclose(grads[x.nid], xi, atol=1e-15)
 
@@ -70,12 +53,12 @@ def test_backward_rejects_non_scalar_output():
     g = DiffGraph()
     x = g.leaf(np.ones((2, 3)))
     with pytest.raises(ContractError):
-        g.backward(_op(g, "tanh", x))
+        g.backward(ref_op(g, "tanh", x))
 
 
 def test_grad_check_accepts_correct_gradient():
     def f(x):
-        return x.graph.sum(x.graph.lse_cols(x))
+        return x.graph.sum(ref_op(x.graph, "lse_cols", x))
 
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -110,7 +93,7 @@ def test_grad_check_constant_function_near_zero():
 
 def _layer(g, x, inp, **kw):
     """Dense layer "l" with W = x and b = x @ 1, so x reaches both slots."""
-    bias = g.matmul(x, g.constant(np.ones((x.cols, 1))))
+    bias = ref_op(g, "matmul", x, np.ones((x.shape[1], 1)))
     return _dense(g, {"l_w": x, "l_b": bias}, "l", inp, **kw)
 
 
@@ -122,47 +105,66 @@ def _labels_of(y):
     return lab
 
 
+def _gated(g, x, y):
+    """Gated fusion of x into x + y, both gate weights computed from x."""
+    w1 = ref_op(g, "matmul", x, ref_op(g, "transpose", y))
+    w2 = ref_op(g, "matmul", y, ref_op(g, "transpose", x))
+    return fuse(x, g.add(x, y), gate=(w1 * 0.5, w2 * 0.5))
+
+
 OPS = [
     ("add", lambda g, x, y: g.add(x, y)),
-    ("sub", lambda g, x, y: g.sub(x, y)),
-    ("mul", lambda g, x, y: g.mul(x, y)),
+    ("sub", lambda g, x, y: ref_op(g, "sub", x, y)),
+    ("mul", lambda g, x, y: ref_op(g, "mul", x, y)),
     ("scale", lambda g, x, y: g.scale(x, -1.7)),
     ("shift", lambda g, x, y: g.shift(x, 0.3)),
     (
         "add_col",
-        lambda g, x, y: _op(g, "add_col", x, g.matmul(x, np.ones((x.cols, 1)))),
+        lambda g, x, y: ref_op(
+            g, "add_col", x, ref_op(g, "matmul", x, np.ones((x.shape[1], 1)))
+        ),
     ),
-    ("sub_row", lambda g, x, y: g.sub_row(x, g.matmul(np.ones((1, x.rows)), x))),
-    ("matmul", lambda g, x, y: g.matmul(x, _op(g, "transpose", y))),
-    ("transpose", lambda g, x, y: _op(g, "transpose", x)),
-    ("sigmoid", lambda g, x, y: g.sigmoid(x)),
-    ("tanh", lambda g, x, y: _op(g, "tanh", x)),
-    ("abs", lambda g, x, y: _op(g, "abs", x)),
-    ("softmax_cols", lambda g, x, y: _op(g, "softmax_cols", x)),
-    ("lse_cols", lambda g, x, y: g.lse_cols(x)),
+    (
+        "sub_row",
+        lambda g, x, y: ref_op(
+            g, "sub_row", x, ref_op(g, "matmul", np.ones((1, x.shape[0])), x)
+        ),
+    ),
+    ("matmul", lambda g, x, y: ref_op(g, "matmul", x, ref_op(g, "transpose", y))),
+    ("transpose", lambda g, x, y: ref_op(g, "transpose", x)),
+    ("sigmoid", lambda g, x, y: ref_op(g, "sigmoid", x)),
+    ("tanh", lambda g, x, y: ref_op(g, "tanh", x)),
+    ("abs", lambda g, x, y: ref_op(g, "abs", x)),
+    ("softmax_cols", lambda g, x, y: ref_op(g, "softmax_cols", x)),
+    ("lse_cols", lambda g, x, y: ref_op(g, "lse_cols", x)),
     ("sum", lambda g, x, y: g.sum(x)),
     # a plain-array operand on the left, as a detached teacher in reliability
     ("array operands", lambda g, x, y: np.exp(y.data) * (y.data - x)),
     ("hopfield", lambda g, x, y: _update(g, x, y, 0.7, 2)),
     ("dense", lambda g, x, y: _layer(g, x, y.data.T)),
-    ("dense tanh", lambda g, x, y: _layer(g, x, _op(g, "transpose", x), tanh=True)),
+    ("dense tanh", lambda g, x, y: _layer(g, x, ref_op(g, "transpose", x), tanh=True)),
     (
         "dense tanh skip",
         lambda g, x, y: _layer(
             g,
             x,
-            _op(g, "transpose", y),
+            ref_op(g, "transpose", y),
             tanh=True,
-            skip=g.matmul(x, _op(g, "transpose", x)),
+            skip=ref_op(g, "matmul", x, ref_op(g, "transpose", x)),
         ),
     ),
     ("seg_nll", lambda g, x, y: seg_nll(x, _labels_of(y))),
     ("berhu_map", lambda g, x, y: berhu_map(x, 0.7)),
+    # y is the detached teacher
+    ("kl_row", lambda g, x, y: _kl_row(g, y, x)),
+    ("gate", _gated),
 ]
 
 
 def test_every_op_matches_finite_differences():
-    """Each op, read out through a fixed random linear functional."""
+    """Each op, read out through a fixed random linear functional. The
+    cases share one stream in this order, so a case added or moved before
+    another changes the points that one is checked at."""
     rng = np.random.default_rng(4)
     for name, build in OPS:
         worst = 0.0
@@ -173,10 +175,9 @@ def test_every_op_matches_finite_differences():
 
             def f(x, build=build, other=other):
                 g = x.graph
-                y = g.constant(other)
-                out = build(g, x, y)
+                out = build(g, x, g.leaf(other))
                 readout = np.sign(rng_readout) * (0.5 + np.abs(rng_readout))
-                return g.sum(g.mul(out, g.constant(readout[: out.rows, : out.cols])))
+                return g.sum(out * readout[: out.shape[0], : out.shape[1]])
 
             rng_readout = rng.normal(size=(8, 8))
             worst = max(worst, grad_check(f, rng.normal(size=(rows, cols))))
@@ -187,7 +188,7 @@ def _recording_ops():
     """DiffGraph's public ops that record a node: all but the inputs, the
     caller-computed block and the reverse pass."""
     public = {n for n, v in vars(DiffGraph).items() if callable(v) and n[0] != "_"}
-    return public - {"leaf", "constant", "fused", "backward"}
+    return public - {"leaf", "fused", "backward"}
 
 
 def test_every_public_op_has_a_finite_difference_case():
@@ -215,10 +216,11 @@ def test_every_public_op_is_recorded_by_a_training_step():
     assert not missing, sorted(missing)
 
 
-def test_a_step_without_reliability_on_the_tape_records_no_shift():
+def test_a_step_without_reliability_records_nothing_after_the_supervised_loss():
     """Phase 1, and phase 2 at beta = 0, keep the reliability loss off
     either scene's tape: each scene's share of the overall loss is its
-    supervised share itself, not a shift of it by a plain 0.0."""
+    supervised share itself, the last node on the tape, not a shift of it
+    by a plain 0.0."""
     cfg, weights, scene_s, scene_t = _tiny_setup("add")
     for phase, beta in ((1, 1.0), (2, 0.0)):
         run_cfg = replace(cfg, beta=beta)
@@ -226,10 +228,12 @@ def test_a_step_without_reliability_on_the_tape_records_no_shift():
             g = DiffGraph()
             parts = compute_losses(bind(weights, g), scene, run_cfg, phase, target)
             assert parts["overall"] is parts["supervised"]
-            assert "shift" not in {node.op for node in g.nodes}
+            assert parts["overall"].nid == len(g.nodes) - 1
 
 
 def test_row_and_col_broadcast_ops():
+    """The reference add_col and sub_row broadcasts, with plain-array and
+    tensor operands."""
     rng = np.random.default_rng(5)
     for _ in range(50):
         rows = int(rng.integers(2, 5))
@@ -239,45 +243,84 @@ def test_row_and_col_broadcast_ops():
 
         def f(x):
             g = x.graph
-            y = _op(g, "add_col", x, g.constant(b_col))
-            z = g.sub_row(y, g.constant(b_row))
-            return g.sum(_op(g, "tanh", z))
+            y = ref_op(g, "add_col", x, b_col)
+            z = ref_op(g, "sub_row", y, b_row)
+            return g.sum(ref_op(g, "tanh", z))
 
         assert grad_check(f, rng.normal(size=(rows, cols))) < 1e-6
 
         def f_col(c, shape=(rows, cols)):
             g = c.graph
-            x = g.constant(np.ones(shape))
-            return g.sum(g.sigmoid(_op(g, "add_col", x, c)))
+            return g.sum(ref_op(g, "sigmoid", ref_op(g, "add_col", np.ones(shape), c)))
 
         assert grad_check(f_col, b_col) < 1e-6
 
 
 def test_operator_sugar_matches_methods():
+    """Two tensors add; a number or a same-shape array shifts or scales."""
     g = DiffGraph()
     x = g.leaf(np.array([[1.0, -2.0]]))
     y = g.leaf(np.array([[0.5, 4.0]]))
+    arr = np.array([[10.0, 20.0]])
     np.testing.assert_array_equal(raw(x + y), raw(g.add(x, y)))
-    np.testing.assert_array_equal(raw(x - y), raw(g.sub(x, y)))
-    np.testing.assert_array_equal(raw(x * y), raw(g.mul(x, y)))
+    np.testing.assert_array_equal(raw(x - 3.0), raw(g.shift(x, -3.0)))
+    np.testing.assert_array_equal(raw(x - arr), raw(g.shift(x, -arr)))
     np.testing.assert_array_equal(raw(x * 2.0), raw(g.scale(x, 2.0)))
+    np.testing.assert_array_equal(raw(x * arr), raw(g.scale(x, arr)))
 
 
-def test_ndarray_operands_lift_to_constants():
-    """Mixing a numpy array into tensor arithmetic must not leak to numpy."""
+def test_ndarray_operands_are_held_by_shift_and_scale():
+    """Mixing a numpy array into tensor arithmetic must not leak to numpy;
+    the array is a fixed operand of a shift or scale node, not a node."""
     g = DiffGraph()
     x = g.leaf(np.array([[1.0, 2.0]]))
     arr = np.array([[10.0, 20.0]])
     for expr in (x + arr, arr + x, x - arr, arr - x, x * arr, arr * x):
         assert isinstance(expr, Tensor), type(expr)
     np.testing.assert_array_equal(raw(arr - x), arr - raw(x))
+    assert {node.op for node in g.nodes} == {"leaf", "shift", "scale"}
+    out = g.sum(g.add(arr * x, arr - x))
+    np.testing.assert_array_equal(g.backward(out)[x.nid], arr - 1.0)
+
+
+def _leaf(g, shape):
+    return g.leaf(np.ones(shape))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda g, x: x - _leaf(g, (2, 3)), r"sub of two tensors \(2, 3\) and \(2, 3\)"),
+        (lambda g, x: x * _leaf(g, (2, 3)), r"mul of two tensors \(2, 3\) and \(2, 3\)"),
+        (lambda g, x: g.shift(x, _leaf(g, (2, 3))), r"shift of a \(2, 3\) tensor by Tensor"),
+        (lambda g, x: g.scale(x, _leaf(g, (1, 1))), r"scale of a \(2, 3\) tensor by Tensor"),
+        (lambda g, x: x + np.ones((1, 3)), r"shift .* by ndarray \(1, 3\)"),
+        (lambda g, x: x - np.ones(3), r"shift .* by ndarray \(3,\)"),
+        (lambda g, x: np.ones((2, 1)) * x, r"scale .* by ndarray \(2, 1\)"),
+        (lambda g, x: x * np.ones((3, 2)), r"scale .* by ndarray \(3, 2\)"),
+        (lambda g, x: x + _leaf(g, (3, 2)), r"add shape mismatch: \(2, 3\) vs \(3, 2\)"),
+        (lambda g, x: g.fused("f", (x, np.ones((2, 3))), x.data, None), "ndarray is not"),
+    ],
+    ids=[
+        "tensor-sub", "tensor-mul", "shift-by-tensor", "scale-by-tensor",
+        "shift-row", "shift-1d", "scale-column", "scale-transposed", "add-shapes",
+        "fused-array-input",
+    ],
+)
+def test_tensor_arithmetic_refuses_what_the_tape_cannot_record(build, message):
+    """A ContractError naming the op and the shapes, not a TypeError or a
+    numpy broadcast."""
+    g = DiffGraph()
+    x = _leaf(g, (2, 3))
+    with pytest.raises(ContractError, match=message):
+        build(g, x)
 
 
 def test_backward_visits_each_node_once_via_accumulation():
     """x used twice: gradient must be the sum of both paths, not the last."""
     g = DiffGraph()
     x = g.leaf(np.array([[3.0]]))
-    out = g.sum(g.add(g.mul(x, x), g.scale(x, 5.0)))  # x^2 + 5x
+    out = g.sum(g.add(ref_op(g, "mul", x, x), g.scale(x, 5.0)))  # x^2 + 5x
     grads = g.backward(out)
     np.testing.assert_allclose(grads[x.nid], [[2 * 3.0 + 5.0]], atol=1e-15)
 
@@ -286,8 +329,8 @@ def _unfused_hopfield(g, xi, nu, gamma, steps):
     """The damped update op by op, as the tape recorded it before fusion."""
     x = xi
     for _ in range(steps):
-        attn = _op(g, "softmax_cols", g.matmul(_op(g, "transpose", nu), x))
-        x = g.add(g.scale(x, 1.0 - gamma), g.scale(g.matmul(nu, attn), gamma))
+        attn = ref_op(g, "softmax_cols", ref_op(g, "matmul", ref_op(g, "transpose", nu), x))
+        x = g.add(g.scale(x, 1.0 - gamma), g.scale(ref_op(g, "matmul", nu, attn), gamma))
     return x
 
 
@@ -306,14 +349,14 @@ def test_fused_hopfield_matches_unfused_chain_bit_for_bit():
             results = []
             for fused in (True, False):
                 g = DiffGraph()
-                xi = _op(g, "tanh", g.leaf(xi0))
-                nu = _op(g, "tanh", g.leaf(nu0))
+                xi = ref_op(g, "tanh", g.leaf(xi0))
+                nu = ref_op(g, "tanh", g.leaf(nu0))
                 if fused:
                     out = _update(g, xi, nu, gamma, steps)
                 else:
                     out = _unfused_hopfield(g, xi, nu, gamma, steps)
-                total = g.add(g.add(out, nu), g.mul(xi, g.constant(readout)))
-                grads = g.backward(g.sum(g.mul(total, g.constant(readout))))
+                total = g.add(g.add(out, nu), xi * readout)
+                grads = g.backward(g.sum(total * readout))
                 results.append((out.data, grads[xi.nid], grads[nu.nid]))
             for got, want in zip(*results):
                 assert np.array_equal(got, want), (d, n, steps, gamma)
@@ -330,11 +373,11 @@ def _fused_and_unfused(inputs, build_fused, build_unfused):
     for build in (build_fused, build_unfused):
         rng = np.random.default_rng(9)  # the same readouts for both builds
         g = DiffGraph()
-        ts = [_op(g, "tanh", g.leaf(a)) for a in inputs]
+        ts = [ref_op(g, "tanh", g.leaf(a)) for a in inputs]
         out = build(g, *ts)
-        total = g.sum(g.mul(out, g.constant(rng.normal(size=out.shape))))
+        total = g.sum(out * rng.normal(size=out.shape))
         for t in ts:
-            total = g.add(total, g.sum(g.mul(t, g.constant(rng.normal(size=t.shape)))))
+            total = g.add(total, g.sum(t * rng.normal(size=t.shape)))
         grads = g.backward(total)
         results.append([out.data] + [grads[t.nid] for t in ts])
     return results
@@ -342,9 +385,9 @@ def _fused_and_unfused(inputs, build_fused, build_unfused):
 
 def _unfused_dense(g, w, name, x, tanh=False, skip=None):
     """The dense block op by op, as the tape recorded it before fusion."""
-    y = _op(g, "add_col", g.matmul(w[name + "_w"], x), w[name + "_b"])
+    y = ref_op(g, "add_col", ref_op(g, "matmul", w[name + "_w"], x), w[name + "_b"])
     if tanh:
-        y = _op(g, "tanh", y)
+        y = ref_op(g, "tanh", y)
     return y if skip is None else g.add(skip, y)
 
 
@@ -376,9 +419,9 @@ def _unfused_seg_nll(g, logits, lab):
     valid = lab != IGNORE
     one_hot = np.zeros((k, n))
     one_hot[lab[valid], np.nonzero(valid)[0]] = 1.0
-    picked = g.matmul(np.ones((1, k)), logits * one_hot)
-    lse_row = g.lse_cols(logits) * valid.astype(np.float64)[None, :]
-    return g.sum(lse_row - picked) * (1.0 / int(valid.sum()))
+    picked = ref_op(g, "matmul", np.ones((1, k)), logits * one_hot)
+    lse_row = ref_op(g, "lse_cols", logits) * valid.astype(np.float64)[None, :]
+    return g.sum(ref_op(g, "sub", lse_row, picked)) * (1.0 / int(valid.sum()))
 
 
 def test_fused_seg_nll_matches_unfused_chain_bit_for_bit():
@@ -397,8 +440,8 @@ def test_fused_seg_nll_matches_unfused_chain_bit_for_bit():
 
 def _unfused_berhu_map(g, diff, c):
     """berhu_map op by op, as the tape recorded it before fusion."""
-    a = _op(g, "abs", diff)
-    quad = (diff * diff) * (1.0 / (2.0 * c)) + (c / 2.0)
+    a = ref_op(g, "abs", diff)
+    quad = ref_op(g, "mul", diff, diff) * (1.0 / (2.0 * c)) + (c / 2.0)
     sel = (a.data <= c).astype(np.float64)
     return a * sel + quad * (1.0 - sel)
 
@@ -416,6 +459,54 @@ def test_fused_berhu_map_matches_unfused_chain_bit_for_bit():
             assert np.array_equal(got, want), c
 
 
+def _unfused_kl_row(g, teacher, student):
+    """_kl_row op by op, as the tape recorded it before fusion."""
+    tv = raw(teacher)
+    t_log = tv - lse_cols(tv)
+    s_log = ref_op(g, "sub_row", student, ref_op(g, "lse_cols", student))
+    prod = softmax_cols(tv) * (t_log - s_log)
+    return ref_op(g, "matmul", np.ones((1, tv.shape[0])), prod)
+
+
+def test_fused_kl_row_matches_unfused_chain_bit_for_bit():
+    """Value and adjoints, with a teacher read as arrays; the array pass
+    gives the same value."""
+    rng = np.random.default_rng(14)
+    arrays = [3.0 * rng.normal(size=(4, 30)) for _ in range(2)]  # teacher, student
+    fused, unfused = _fused_and_unfused(
+        arrays,
+        lambda g, t, s: _kl_row(g, t, s),
+        lambda g, t, s: _unfused_kl_row(g, t, s),
+    )
+    for got, want in zip(fused, unfused):
+        assert np.array_equal(got, want)
+    on_arrays = _kl_row(ARRAY_OPS, *[np.tanh(a) for a in arrays])
+    assert np.array_equal(on_arrays, fused[0])
+
+
+def _unfused_gate(g, xi, nu, w1, w2):
+    """The gated fusion op by op, as the tape recorded it before fusion."""
+    sig = ref_op(g, "sigmoid", ref_op(g, "matmul", w2, xi))
+    return g.add(nu, ref_op(g, "mul", ref_op(g, "matmul", w1, xi), sig))
+
+
+def test_fused_gate_matches_unfused_chain_bit_for_bit():
+    """Value and the adjoints of xi, nu and both gate weights; the array
+    pass gives the same value."""
+    rng = np.random.default_rng(15)
+    shapes = [(6, 9), (6, 9), (6, 6), (6, 6)]  # xi, nu, W1, W2
+    arrays = [2.0 * rng.normal(size=s) for s in shapes]
+    fused, unfused = _fused_and_unfused(
+        arrays,
+        lambda g, xi, nu, w1, w2: fuse(xi, nu, gate=(w1, w2)),
+        _unfused_gate,
+    )
+    for got, want in zip(fused, unfused):
+        assert np.array_equal(got, want)
+    xi, nu, w1, w2 = [np.tanh(a) for a in arrays]
+    assert np.array_equal(fuse(xi, nu, gate=(w1, w2)), fused[0])
+
+
 def test_hopfield_reverse_pass_reuses_no_saved_memory():
     """steps=8, gamma=0.7: the attention maps hopfield_steps keeps for the
     VJP own disjoint memory, and the VJP's reused workspaces write into
@@ -424,8 +515,8 @@ def test_hopfield_reverse_pass_reuses_no_saved_memory():
     rng = np.random.default_rng(8)
     steps = 8
     g = DiffGraph()
-    xi = _op(g, "tanh", g.leaf(rng.normal(size=(6, 10))))
-    nu = _op(g, "tanh", g.leaf(rng.normal(size=(6, 12))))
+    xi = ref_op(g, "tanh", g.leaf(rng.normal(size=(6, 10))))
+    nu = ref_op(g, "tanh", g.leaf(rng.normal(size=(6, 12))))
     saved = []
     hopfield_steps(xi.data, nu.data, 0.7, steps, saved)
     attn = [a for _, a in saved]
@@ -434,7 +525,7 @@ def test_hopfield_reverse_pass_reuses_no_saved_memory():
         for j in range(i + 1, steps):
             assert not np.shares_memory(attn[i], attn[j]), (i, j)
     out = _update(g, xi, nu, 0.7, steps)
-    loss = g.sum(g.mul(out, g.constant(rng.normal(size=(6, 10)))))
+    loss = g.sum(out * rng.normal(size=(6, 10)))
     kept = [t.data.copy() for t in (xi, nu, out)]
     first = g.backward(loss)
     second = g.backward(loss)
@@ -452,7 +543,7 @@ def _hopfield_reverse_pass_peak(steps):
     xi = g.leaf(rng.normal(size=(32, 256)))
     nu = g.leaf(rng.normal(size=(32, 256)))
     out = _update(g, xi, nu, 1.0, steps)
-    loss = g.sum(g.mul(out, g.constant(rng.normal(size=out.shape))))
+    loss = g.sum(out * rng.normal(size=out.shape))
     tracemalloc.start()
     try:
         g.backward(loss)
@@ -499,10 +590,10 @@ def test_backward_never_writes_into_a_borrowed_adjoint():
     x = g.leaf(xv)
     a = g.add(x, x)
     s = g.shift(x, 1.5)
-    t = _op(g, "transpose", x)
-    tt = _op(g, "transpose", t)
+    t = ref_op(g, "transpose", x)
+    tt = ref_op(g, "transpose", t)
     total = g.add(g.add(a, s), tt)
-    out = g.sum(g.mul(total, g.constant(w)))
+    out = g.sum(total * w)
     grads = g.backward(out)
     # every consumer's adjoint is w (tt: w, t: w.T); x collects 2w + w + w
     for node in (total, a, s, tt):
@@ -511,37 +602,15 @@ def test_backward_never_writes_into_a_borrowed_adjoint():
     np.testing.assert_array_equal(grads[x.nid], 4.0 * w)
 
 
-def _array_op_args(rng):
-    """Arguments for every ARRAY_OPS op except fused, by name."""
-    x = rng.normal(size=(4, 6))
-    return {
-        "matmul": (x, rng.normal(size=(6, 3))),
-        "lse_cols": (x,),
-        "sub_row": (x, rng.normal(size=(1, 6))),
-        "sigmoid": (x * 40.0,),
-        "sum": (x,),
-    }
-
-
-def _both_ways(name, args):
-    """(array result, graph result) of one op on the same ndarray args."""
-    g = DiffGraph()
-    lifted = [g.constant(a) if isinstance(a, np.ndarray) else a for a in args]
-    return np.asarray(getattr(ARRAY_OPS, name)(*args)), getattr(g, name)(*lifted).data
-
-
 def test_array_ops_match_graph_ops_bit_for_bit():
+    """ARRAY_OPS holds sum and fused. A sum is a float on arrays and a
+    (1, 1) tensor on a graph; a fused block's value passes through, and a
+    float becomes a (1, 1) value."""
     rng = np.random.default_rng(7)
-    cases = _array_op_args(rng)
-    assert set(cases) | {"fused"} == set(vars(ARRAY_OPS))
-    for name, args in cases.items():
-        assert callable(getattr(DiffGraph, name, None)), name
-        got, want = _both_ways(name, args)
-        if name == "sum":  # a float on arrays, a (1, 1) tensor on a graph
-            got = got.reshape(1, 1)
-        assert np.array_equal(got, want), name
-    # a fused block's value passes through; a float becomes a (1, 1) value
+    assert set(vars(ARRAY_OPS)) == {"sum", "fused"}
+    x = rng.normal(size=(4, 6))
     g = DiffGraph()
+    assert np.array_equal([[ARRAY_OPS.sum(x)]], g.sum(g.leaf(x)).data)
     for value in (rng.normal(size=(5, 7)), 0.1):
         got = ARRAY_OPS.fused("block", (), value, None)
         want = g.fused("block", (), value, None).data
@@ -552,14 +621,14 @@ def test_array_ops_match_graph_ops_bit_for_bit():
 def test_array_and_graph_passes_agree_bit_for_bit():
     """The distillation losses (masks with both sides present) and the
     Hopfield update give equal values on plain arrays and on graph leaves;
-    the graph's teacher side is plain arrays, so no softmax is recorded."""
+    each seg side is one kl_row node, its teacher read as arrays."""
     rng = np.random.default_rng(13)
     logits = [2.0 * rng.normal(size=(4, 12)) for _ in range(2)]
     depths = [rng.normal(size=(1, 12)) for _ in range(2)]
     mask = ReliabilityMask(m=(np.arange(12) % 3 == 0).reshape(1, -1))
     g = DiffGraph()
     seg = rfa_seg_loss(*[g.leaf(a) for a in logits], mask)
-    assert "softmax_cols" not in {node.op for node in g.nodes}
+    assert {node.op for node in g.nodes} == {"leaf", "kl_row", "scale", "sum", "add"}
     assert np.array_equal([[rfa_seg_loss(*logits, mask)]], seg.data)
     dep = rfa_dep_loss(*[g.leaf(a) for a in depths], mask, 0.5)
     assert np.array_equal([[rfa_dep_loss(*depths, mask, 0.5)]], dep.data)

@@ -9,6 +9,7 @@ from energyfuse.config import RunConfig
 from energyfuse.model import bind, forward_pass, init_model
 from energyfuse.numeric import ContractError
 from energyfuse.objectives import berhu_map, seg_nll
+from energyfuse.reliability import _kl_row
 from energyfuse.rng import RngState
 
 
@@ -171,20 +172,23 @@ def test_bind_covers_every_weight():
 
 def test_one_tape_node_per_dense_block_and_per_loss_map():
     """steps=0 TRAIN pass: ten dense blocks (two encoder layers, two task
-    nets of two layers each, four decoders) plus the two fusion adds; the
-    scene features enter as block constants, not as const nodes."""
-    cfg = _cfg(steps=0)
-    graph = DiffGraph()
-    leaves = bind(init_model(RngState(5, (1,)), cfg), graph)
-    forward_pass(leaves, _features(5), cfg)
-    ops = [node.op for node in graph.nodes[len(leaves) :]]
-    assert len(ops) == 12
-    assert ops.count("dense") == 10 and ops.count("add") == 2
+    nets of two layers each, four decoders) plus the two fusions, an add
+    or a gate node each; the scene features enter as block constants, not
+    as nodes."""
+    for scheme, fusion_op in (("add", "add"), ("gated", "gate")):
+        cfg = _cfg(steps=0, scheme=scheme)
+        graph = DiffGraph()
+        leaves = bind(init_model(RngState(5, (1,)), cfg), graph)
+        forward_pass(leaves, _features(5), cfg)
+        ops = [node.op for node in graph.nodes[len(leaves) :]]
+        assert len(ops) == 12
+        assert ops.count("dense") == 10 and ops.count(fusion_op) == 2
 
     logits = graph.leaf(np.random.default_rng(0).normal(size=(4, 9)))
     for loss in (
         lambda: seg_nll(logits, np.arange(9) % 4),
         lambda: berhu_map(logits, 0.5),
+        lambda: _kl_row(graph, logits.data * 0.5, logits),
     ):
         before = len(graph.nodes)
         loss()
