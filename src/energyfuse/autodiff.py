@@ -48,7 +48,7 @@ class Tensor:
     def __sub__(self, other):
         if isinstance(other, Tensor):
             raise ContractError(f"sub of two tensors {self.shape} and {other.shape}")
-        return self.graph.shift(self, -other)
+        return self.graph.shift(self, np.negative(other))
 
     def __rsub__(self, other):
         return self.graph.shift(self.graph.scale(self, -1.0), other)
@@ -63,8 +63,9 @@ class Tensor:
 
 
 def _check_fixed(op, a, c):
-    """A shift or scale operand: a number or an array of shape () or a's."""
-    shape = c.shape if isinstance(c, (Tensor, np.ndarray)) else ()
+    """A shift or scale operand: a number, or an array, list or tuple whose
+    np.shape is () or a's (a Python number skips np.shape's slow path)."""
+    shape = () if isinstance(c, (int, float)) else np.shape(c)
     if isinstance(c, Tensor) or shape not in ((), a.shape):
         raise ContractError(f"{op} of a {a.shape} tensor by {type(c).__name__} {shape}")
 

@@ -93,7 +93,7 @@ def _coerce(key: str, text: str):
         raise ContractError(f"bad value for {key}: {text!r}") from None
 
 
-def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
+def parse_config_text(text: str, base: RunConfig) -> RunConfig:
     """Apply flat `key = value` lines on top of a base config.
 
     Blank lines and lines starting with # are skipped; unknown and
@@ -114,12 +114,10 @@ def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
             raise ContractError(f"line {lineno}: {key!r} repeats line {seen[key]}")
         seen[key] = lineno
         updates[key] = _coerce(key, value.strip())
-    if base is None:
-        return RunConfig(**updates)
     return replace(base, **updates)
 
 
-def load_config(path: str, base: RunConfig = None) -> RunConfig:
+def load_config(path: str, base: RunConfig) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         return parse_config_text(fh.read(), base)
 

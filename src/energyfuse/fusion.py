@@ -51,9 +51,9 @@ def hopfield_gradient(xi_col, nu) -> np.ndarray:
     return x - nu @ numeric.softmax_cols(nu.T @ x).ravel()
 
 
-def hopfield_steps(xi, nu, gamma: float, steps: int, saved: list = None):
+def hopfield_steps(xi, nu, gamma: float, steps: int, saved):
     """x <- x*(1-gamma) + (nu @ softmax_cols(nu^T x))*gamma, `steps` times,
-    on ndarrays; each step's (x, attention) is appended to `saved`.
+    on ndarrays; each step's (x, attention) is appended to `saved`, a list or None.
 
     The (M, N) attention maps are written in place: into one (steps, M, N)
     block when they are saved, else into one buffer reused by every step.

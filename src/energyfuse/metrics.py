@@ -82,7 +82,7 @@ def evaluate(weights: dict, scenes: list, cfg: RunConfig) -> MetricsRow:
         err_sums.append(float(np.abs(raw(pred.dep_fused) - scene.depth).sum()))
         e_fused_sums.append(float(free_energy_map(raw(pred.seg_fused)).sum()))
         e_plain_sums.append(float(free_energy_map(raw(pred.seg_plain)).sum()))
-        n_total += scene.h * scene.w
+        n_total += scene.depth.size
     iou, miou = iou_from_confusion(conf)
     return MetricsRow(
         iou=[float(v) for v in iou],
@@ -106,7 +106,7 @@ def build_model(cfg: RunConfig) -> dict:
     return init_model(RngState(cfg.seed, (MODEL_STREAM,)), cfg)
 
 
-def run_experiment(cfg: RunConfig, run_id: str = "run"):
+def run_experiment(cfg: RunConfig, run_id: str):
     """Fresh data + fresh model + train + evaluate, all from one config.
 
     Returns the filled MetricsRow and the loss trace. Target metrics use

@@ -57,23 +57,20 @@ class LossBundle:
             )
 
 
-def seg_nll(logits, labels) -> object:
+def seg_nll(logits, labels: LabelMap) -> object:
     """Mean over labeled positions of -P[y] + lse(P).
 
     Algebraically the softmax cross-entropy. IGNORE positions contribute
     to neither numerator nor normalizer; an all-IGNORE map gives 0.
     """
-    lab = labels.labels if isinstance(labels, LabelMap) else None
-    if lab is None:
-        lab = np.asarray(labels, dtype=np.int64).ravel()
+    lab = labels.labels
     k, n = logits.shape
     if lab.size != n:
         raise ContractError(f"{lab.size} labels for {n} positions")
     valid = lab != IGNORE
-    used = lab[valid]
-    if used.size and (used.min() < 0 or used.max() >= k):
-        bad = used[(used < 0) | (used >= k)][0]
-        raise ContractError(f"label out of range [0, {k}): {bad}")
+    used = lab[valid]  # LabelMap holds no label below IGNORE
+    if used.size and used.max() >= k:
+        raise ContractError(f"label out of range [0, {k}): {used[used >= k][0]}")
     n_valid = int(valid.sum())
     if n_valid == 0:
         return 0.0

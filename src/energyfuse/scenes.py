@@ -27,21 +27,19 @@ DEPTH_EMBED_GAIN = 0.2  # depth spans ~5 units; keeps its feature share comparab
 
 @dataclass
 class Scene:
-    features: np.ndarray  # C x N, N = h * w flattened row-major
+    features: np.ndarray  # C x N, N positions of an H x W grid flattened row-major
     labels: LabelMap
     depth: np.ndarray  # 1 x N, strictly positive
-    h: int
-    w: int
-    labels_eval_only: bool = False
+    labels_eval_only: bool = False  # a target scene: training never reads its labels
 
     def __post_init__(self):
-        n = self.h * self.w
         self.features = np.asarray(self.features, dtype=np.float64)
         self.depth = np.asarray(self.depth, dtype=np.float64).reshape(1, -1)
-        if self.features.ndim != 2 or self.features.shape[1] != n:
-            raise ContractError(f"features must be C x {n}, got {self.features.shape}")
+        if self.features.ndim != 2:
+            raise ContractError(f"features must be C x N, got {self.features.shape}")
+        n = self.features.shape[1]
         if self.depth.shape[1] != n or self.labels.labels.size != n:
-            raise ContractError("depth / labels do not cover the grid")
+            raise ContractError(f"depth / labels do not cover the {n} feature columns")
         if not np.all(self.depth > 0):
             raise ContractError("depth must be strictly positive")
         if n == 0 or self.labels.labels.min() == self.labels.labels.max():
@@ -127,7 +125,7 @@ def _class_map(rng: RngState, h: int, w: int, k: int) -> np.ndarray:
     return grid
 
 
-def gen_scene(rng: RngState, h: int, w: int, k: int, channels: int = 8) -> Scene:
+def gen_scene(rng: RngState, h: int, w: int, k: int, channels: int) -> Scene:
     """One source-style scene, a pure function of the rng key."""
     if k < 2:
         raise ContractError(f"need at least 2 classes, got {k}")
@@ -148,13 +146,7 @@ def gen_scene(rng: RngState, h: int, w: int, k: int, channels: int = 8) -> Scene
     features = embedding_matrix(k, channels) @ signal
     features = features + rng.normal(channels, h * w, FEATURE_NOISE_SD)
 
-    return Scene(
-        features=features,
-        labels=LabelMap(labels=labels),
-        depth=depth,
-        h=h,
-        w=w,
-    )
+    return Scene(features=features, labels=LabelMap(labels=labels), depth=depth)
 
 
 def shift_scene(scene: Scene, spec: ShiftSpec, rng: RngState) -> Scene:
@@ -167,8 +159,6 @@ def shift_scene(scene: Scene, spec: ShiftSpec, rng: RngState) -> Scene:
         features=features,
         labels=LabelMap(scene.labels.labels.copy()),
         depth=pseudo,
-        h=scene.h,
-        w=scene.w,
         labels_eval_only=True,
     )
 
@@ -179,7 +169,7 @@ def make_domain_pair(
     n_scenes: int,
     dims: tuple,
     k: int,
-    channels: int = 8,
+    channels: int,
 ) -> tuple:
     """n_scenes source scenes and n_scenes shifted target scenes.
 

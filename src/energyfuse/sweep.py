@@ -74,11 +74,11 @@ def write_metrics_csv(rows: list, k: int, path: str):
 def write_loss_trace_csv(trace: list, path: str):
     header = "step,phase,seg_total,dep_total,supervised,rfa,overall"
     lines = [header]
-    for entry in trace:
+    for step, entry in enumerate(trace):
         b = entry.bundle
         lines.append(
             ",".join(
-                [str(entry.step), str(entry.phase)]
+                [str(step), str(entry.phase)]
                 + [
                     format_value(v)
                     for v in (b.seg_total, b.dep_total, b.supervised, b.rfa, b.overall)

@@ -47,7 +47,6 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TraceEntry:
-    step: int
     phase: int
     bundle: LossBundle
 
@@ -89,22 +88,18 @@ def _rfa_domain(pred, ref_depth: np.ndarray, alpha: float):
     return rfa_total(l_seg, l_dep, alpha)
 
 
-def compute_losses(
-    weights: dict, scene, cfg: RunConfig, phase: int, target: bool = False
-) -> dict:
+def compute_losses(weights: dict, scene, cfg: RunConfig, phase: int) -> dict:
     """One scene's loss terms and its share of the supervised and overall
     losses, as scalars (graph tensors when `weights` are bound leaves).
 
-    A source scene is supervised by its labels; a target scene (`target`)
-    by pseudo-labels from its own fused head, so the taint-flagged target
-    labels are never read here. Each term gets the adjoint the whole
-    step's overall loss gives it: 1, alpha, beta or beta * alpha.
+    A source scene is supervised by its labels; a target scene, whose
+    labels are evaluation-only, by pseudo-labels from its own fused head,
+    so its labels are never read here. Each term gets the adjoint the
+    whole step's overall loss gives it: 1, alpha, beta or beta * alpha.
     """
-    if not target and scene.labels_eval_only:
-        raise ContractError("evaluation-only labels cannot drive a training loss")
     pred = forward_pass(weights, scene, cfg)
     labels = scene.labels
-    if target:
+    if scene.labels_eval_only:
         labels = pseudo_label(raw(pred.seg_fused), cfg.pseudo_threshold)
 
     terms = {
@@ -131,9 +126,7 @@ def compute_losses(
     return {**terms, "rfa": l_rfa, "supervised": supervised, "overall": overall}
 
 
-def scene_gradients(
-    weights: dict, scene, cfg: RunConfig, phase: int, target: bool = False
-) -> tuple:
+def scene_gradients(weights: dict, scene, cfg: RunConfig, phase: int) -> tuple:
     """One scene's loss terms as floats, and the gradient of its share of
     the overall loss for each weight that reaches it.
 
@@ -143,7 +136,7 @@ def scene_gradients(
     """
     graph = DiffGraph()
     leaves = bind(weights, graph)
-    parts = compute_losses(leaves, scene, cfg, phase, target)
+    parts = compute_losses(leaves, scene, cfg, phase)
     values = {name: _value(part) for name, part in parts.items()}
     if not all(np.isfinite(v) for v in values.values()):
         return values, {}
@@ -158,8 +151,13 @@ def step_gradients(
     """(source values, target values, gradients) of one step. The source
     scene is differentiated, and its tape freed, before the target's
     forward pass; each weight's gradient is the sum of the two scenes'."""
+    if scene_s.labels_eval_only or not scene_t.labels_eval_only:
+        raise ContractError(
+            "a step pairs a labelled source scene with a target scene "
+            "whose labels are evaluation-only"
+        )
     values_s, grads = scene_gradients(weights, scene_s, cfg, phase)
-    values_t, grads_t = scene_gradients(weights, scene_t, cfg, phase, target=True)
+    values_t, grads_t = scene_gradients(weights, scene_t, cfg, phase)
     for name, g in grads_t.items():
         grads[name] = g + grads[name] if name in grads else g
     return values_s, values_t, grads
@@ -216,13 +214,12 @@ def train(weights: dict, source: list, target: list, cfg: RunConfig):
         raise ContractError("training needs nonempty source and target sets")
     _pin_malloc_thresholds()
     trace = []
-    step = 0
     schedule = ((1, cfg.t1, cfg.lr), (2, cfg.t2, cfg.lr * cfg.lr_phase2_mult))
     for phase, n_steps, lr in schedule:
         for _ in range(n_steps):
+            step = len(trace)
             scene_s = source[step % len(source)]
             scene_t = target[step % len(target)]
             bundle = _train_step(weights, scene_s, scene_t, cfg, phase, lr)
-            trace.append(TraceEntry(step=step, phase=phase, bundle=bundle))
-            step += 1
+            trace.append(TraceEntry(phase=phase, bundle=bundle))
     return weights, trace

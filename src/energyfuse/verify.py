@@ -16,7 +16,9 @@ from .config import RunConfig
 from .fusion import eb2f_apply, fuse, hopfield_energy, hopfield_update
 from .model import _dense, forward_pass, init_model
 from .numeric import softmax_cols
-from .objectives import IGNORE, berhu_map, berhu_threshold, pseudo_label, seg_nll
+from .objectives import (
+    IGNORE, LabelMap, berhu_map, berhu_threshold, pseudo_label, seg_nll
+)
 from .reliability import (
     ReliabilityMask,
     _kl_row,
@@ -92,10 +94,10 @@ def check_two_form_identity(n: int = 1000) -> CheckResult:
     return CheckResult("hopfield-two-form-identity", worst, 1e-12, worst < 1e-12)
 
 
-def check_energy_softmax_identity(n: int = 1000) -> CheckResult:
+def check_energy_softmax_identity() -> CheckResult:
     rng = _rng(2)
     worst = 0.0
-    for i in range(n):
+    for i in range(1000):
         k = 2 + i % 15
         v = rng.uniform(-50.0, 50.0, k, 1).ravel()
         _, _, diff = energy_softmax_identity(v)
@@ -103,16 +105,16 @@ def check_energy_softmax_identity(n: int = 1000) -> CheckResult:
     return CheckResult("free-energy-softmax-identity", worst, 1e-12, worst < 1e-12)
 
 
-def check_seg_nll_is_cross_entropy(n: int = 200) -> CheckResult:
+def check_seg_nll_is_cross_entropy() -> CheckResult:
     rng = _rng(3)
     worst = 0.0
-    for i in range(n):
+    for i in range(200):
         k = 2 + i % 5
         cols = 1 + i % 12
         logits = rng.normal(k, cols, 3.0)
         labels = rng.integers(0, k, cols)
         labels[rng.uniform(0.0, 1.0, 1, cols).ravel() < 0.2] = IGNORE
-        got = seg_nll(logits, labels)
+        got = seg_nll(logits, LabelMap(labels))
         valid = labels != IGNORE
         if not valid.any():
             want = 0.0
@@ -268,11 +270,11 @@ def check_end_to_end_gradients() -> CheckResult:
     return CheckResult("end-to-end-gradients-vs-fd", worst, 1e-4, worst < 1e-4)
 
 
-def check_full_step_descent(n: int = 1000) -> CheckResult:
+def check_full_step_descent() -> CheckResult:
     """A full (gamma = 1) update never raises the energy."""
     rng = _rng(6)
     worst = -np.inf
-    for i in range(n):
+    for i in range(1000):
         xi, nu = _patterns(rng, i)
         before = hopfield_energy(xi, nu)
         after_xi = hopfield_update(xi, nu, 1.0, 1)
@@ -280,12 +282,12 @@ def check_full_step_descent(n: int = 1000) -> CheckResult:
     return CheckResult("full-step-energy-descent", worst, 1e-10, worst < 1e-10)
 
 
-def check_damped_descent_unit_norm(n: int = 300) -> CheckResult:
+def check_damped_descent_unit_norm() -> CheckResult:
     """Damped updates descend when stored columns have unit norm."""
     rng = _rng(7)
     worst = -np.inf
     for gamma in (0.25, 0.5, 1.0):
-        for i in range(n):
+        for i in range(300):
             xi, nu = _patterns(rng, i, unit_norm=True)
             prev = hopfield_energy(xi, nu)
             for _ in range(5):
@@ -296,11 +298,11 @@ def check_damped_descent_unit_norm(n: int = 300) -> CheckResult:
     return CheckResult("damped-descent-unit-norm", worst, 1e-10, worst < 1e-10)
 
 
-def check_retrieval_convergence(n: int = 100) -> CheckResult:
+def check_retrieval_convergence() -> CheckResult:
     """Full-step iteration settles: update distance < 1e-6 within 500."""
     rng = _rng(8)
     worst = 0.0
-    for i in range(n):
+    for i in range(100):
         xi, nu = _patterns(rng, i, unit_norm=True)
         delta = np.inf
         for _ in range(500):
@@ -313,10 +315,10 @@ def check_retrieval_convergence(n: int = 100) -> CheckResult:
     return CheckResult("retrieval-convergence", worst, 1e-6, worst < 1e-6)
 
 
-def check_mask_partition(n: int = 300) -> CheckResult:
+def check_mask_partition() -> CheckResult:
     rng = _rng(9)
     worst = 0
-    for i in range(n):
+    for i in range(300):
         cols = 1 + i % 25
         e_plain = np.round(rng.normal(1, cols, 1.0), 1)  # rounding forces ties
         e_fused = np.round(rng.normal(1, cols, 1.0), 1)
@@ -326,10 +328,10 @@ def check_mask_partition(n: int = 300) -> CheckResult:
     return CheckResult("mask-partition-exact", float(worst), 0.0, worst == 0)
 
 
-def check_kl_nonnegative(n: int = 300) -> CheckResult:
+def check_kl_nonnegative() -> CheckResult:
     rng = _rng(10)
     low = np.inf
-    for i in range(n):
+    for i in range(300):
         k = 2 + i % 7
         cols = 1 + i % 20
         p = rng.normal(k, cols, 3.0)
@@ -340,11 +342,11 @@ def check_kl_nonnegative(n: int = 300) -> CheckResult:
     return CheckResult("rfa-kl-nonnegative", worst, 1e-12, worst < 1e-12)
 
 
-def check_kl_zero_iff_equal(n: int = 100) -> CheckResult:
+def check_kl_zero_iff_equal() -> CheckResult:
     rng = _rng(11)
     worst_equal = 0.0
     min_unequal = np.inf
-    for i in range(n):
+    for i in range(100):
         k = 2 + i % 5
         cols = 1 + i % 10
         p = rng.normal(k, cols, 2.0)
@@ -417,11 +419,11 @@ def check_gamma_zero_bypass(n: int = 200) -> CheckResult:
     return CheckResult("gamma-zero-bypass-bitwise", 0.0 if exact else np.inf, 0.0, exact)
 
 
-def check_berhu_continuity(n: int = 100) -> CheckResult:
+def check_berhu_continuity() -> CheckResult:
     rng = _rng(15)
     eps = 1e-8
     worst = 0.0
-    for _ in range(n):
+    for _ in range(100):
         c = float(rng.uniform(0.1, 3.0, 1, 1)[0, 0])
         lo = berhu_map(np.array([[c - eps]]), c)[0, 0]
         hi = berhu_map(np.array([[c + eps]]), c)[0, 0]
@@ -439,7 +441,7 @@ def check_autodiff_composite() -> CheckResult:
     widen_sq = rng.normal(1, 6, 1.0)
     widen = rng.normal(1, 5, 1.0)
     teacher = rng.normal(6, 5, 1.5)
-    labels = np.array([2, IGNORE, 0, 5, 1])
+    labels = LabelMap(np.array([2, IGNORE, 0, 5, 1]))
 
     def f(x):
         g = x.graph

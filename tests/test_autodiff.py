@@ -19,7 +19,7 @@ from energyfuse.autodiff import (
 from energyfuse.fusion import _update, fuse, hopfield_steps
 from energyfuse.model import _dense, bind
 from energyfuse.numeric import ContractError, lse_cols, softmax_cols
-from energyfuse.objectives import IGNORE, berhu_map, seg_nll
+from energyfuse.objectives import IGNORE, LabelMap, berhu_map, seg_nll
 from energyfuse.reliability import (
     ReliabilityMask,
     _kl_row,
@@ -153,7 +153,7 @@ OPS = [
             skip=ref_op(g, "matmul", x, ref_op(g, "transpose", x)),
         ),
     ),
-    ("seg_nll", lambda g, x, y: seg_nll(x, _labels_of(y))),
+    ("seg_nll", lambda g, x, y: seg_nll(x, LabelMap(_labels_of(y)))),
     ("berhu_map", lambda g, x, y: berhu_map(x, 0.7)),
     # y is the detached teacher
     ("kl_row", lambda g, x, y: _kl_row(g, y, x)),
@@ -208,9 +208,9 @@ def test_every_public_op_is_recorded_by_a_training_step():
     for scheme, threshold in (("add", 1.0), ("gated", 0.0)):
         cfg, weights, scene_s, scene_t = _tiny_setup(scheme)
         cfg = replace(cfg, pseudo_threshold=threshold)
-        for scene, target in ((scene_s, False), (scene_t, True)):
+        for scene in (scene_s, scene_t):
             g = DiffGraph()
-            compute_losses(bind(weights, g), scene, cfg, 2, target)
+            compute_losses(bind(weights, g), scene, cfg, 2)
             recorded |= {node.op for node in g.nodes}
     missing = _recording_ops() - recorded
     assert not missing, sorted(missing)
@@ -224,9 +224,9 @@ def test_a_step_without_reliability_records_nothing_after_the_supervised_loss():
     cfg, weights, scene_s, scene_t = _tiny_setup("add")
     for phase, beta in ((1, 1.0), (2, 0.0)):
         run_cfg = replace(cfg, beta=beta)
-        for scene, target in ((scene_s, False), (scene_t, True)):
+        for scene in (scene_s, scene_t):
             g = DiffGraph()
-            parts = compute_losses(bind(weights, g), scene, run_cfg, phase, target)
+            parts = compute_losses(bind(weights, g), scene, run_cfg, phase)
             assert parts["overall"] is parts["supervised"]
             assert parts["overall"].nid == len(g.nodes) - 1
 
@@ -298,12 +298,20 @@ def _leaf(g, shape):
         (lambda g, x: x - np.ones(3), r"shift .* by ndarray \(3,\)"),
         (lambda g, x: np.ones((2, 1)) * x, r"scale .* by ndarray \(2, 1\)"),
         (lambda g, x: x * np.ones((3, 2)), r"scale .* by ndarray \(3, 2\)"),
+        (lambda g, x: x * [1.0, 2.0, 3.0], r"scale .* by list \(3,\)"),
+        (lambda g, x: x + [[1.0], [2.0]], r"shift .* by list \(2, 1\)"),
+        (lambda g, x: x * [[1.0, 2.0]], r"scale .* by list \(1, 2\)"),
+        (lambda g, x: x - [1.0, 2.0, 3.0], r"shift .* by ndarray \(3,\)"),
+        (lambda g, x: [[1.0], [2.0]] - x, r"shift .* by list \(2, 1\)"),
+        (lambda g, x: (1.0, 2.0, 3.0) + x, r"shift .* by tuple \(3,\)"),
         (lambda g, x: x + _leaf(g, (3, 2)), r"add shape mismatch: \(2, 3\) vs \(3, 2\)"),
         (lambda g, x: g.fused("f", (x, np.ones((2, 3))), x.data, None), "ndarray is not"),
     ],
     ids=[
         "tensor-sub", "tensor-mul", "shift-by-tensor", "scale-by-tensor",
-        "shift-row", "shift-1d", "scale-column", "scale-transposed", "add-shapes",
+        "shift-row", "shift-1d", "scale-column", "scale-transposed",
+        "scale-list-row", "shift-list-column", "scale-list-unbroadcastable",
+        "sub-list-row", "rsub-list-column", "shift-tuple-row", "add-shapes",
         "fused-array-input",
     ],
 )
@@ -431,7 +439,7 @@ def test_fused_seg_nll_matches_unfused_chain_bit_for_bit():
     lab[::7] = IGNORE
     fused, unfused = _fused_and_unfused(
         [logits],
-        lambda g, t: seg_nll(t, lab),
+        lambda g, t: seg_nll(t, LabelMap(lab)),
         lambda g, t: _unfused_seg_nll(g, t, lab),
     )
     for got, want in zip(fused, unfused):

@@ -57,29 +57,29 @@ def test_format_value_uses_17_significant_digits():
 
 
 def test_config_text_overrides_defaults():
-    cfg = parse_config_text("t1 = 3\n\n# comment\nlr = 0.25\nscheme = gated\n")
+    cfg = parse_config_text("t1 = 3\n\n# comment\nlr = 0.25\nscheme = gated\n", RunConfig())
     assert (cfg.t1, cfg.lr, cfg.scheme) == (3, 0.25, "gated")
     assert cfg.t2 == RunConfig().t2
 
 
 def test_config_unknown_key_names_the_line():
     with pytest.raises(ContractError, match="line 2.*learning_rate"):
-        parse_config_text("t1 = 3\nlearning_rate = 0.1\n")
+        parse_config_text("t1 = 3\nlearning_rate = 0.1\n", RunConfig())
 
 
 def test_config_repeated_key_names_both_lines():
     with pytest.raises(ContractError, match="line 3.*'gamma'.*line 1"):
-        parse_config_text("gamma = 0.5\n# again\ngamma = 0.7\n")
+        parse_config_text("gamma = 0.5\n# again\ngamma = 0.7\n", RunConfig())
 
 
 def test_config_missing_equals_names_the_line():
     with pytest.raises(ContractError, match="line 3"):
-        parse_config_text("t1 = 3\n# fine\njust words\n")
+        parse_config_text("t1 = 3\n# fine\njust words\n", RunConfig())
 
 
 def test_config_bad_value_rejected():
     with pytest.raises(ContractError, match="bad value for t1"):
-        parse_config_text("t1 = soon\n")
+        parse_config_text("t1 = soon\n", RunConfig())
 
 
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type is float]

@@ -70,11 +70,11 @@ def test_seg_nll_all_ignore_is_zero():
 def test_seg_nll_rejects_label_out_of_range():
     with pytest.raises(ContractError):
         seg_nll(np.zeros((3, 2)), _labels([0, 3]))
-    # the message names the first offender in order, below IGNORE or >= k;
-    # raw arrays, as LabelMap would reject a label below IGNORE first
-    for labels, bad in ([-2, 1, 0], -2), ([1, 4, IGNORE, -3], 4), ([0, -3, 7], -3):
+    # the message names the first label >= k in order; LabelMap itself
+    # rejects a label below IGNORE
+    for labels, bad in ([1, 4, IGNORE, 5], 4), ([0, IGNORE, 7, 4], 7):
         with pytest.raises(ContractError, match=rf"out of range \[0, 4\): {bad}$"):
-            seg_nll(np.zeros((4, len(labels))), np.array(labels))
+            seg_nll(np.zeros((4, len(labels))), _labels(labels))
 
 
 def test_label_map_rejects_negative_non_ignore():

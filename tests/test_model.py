@@ -8,7 +8,7 @@ from energyfuse.autodiff import DiffGraph, raw
 from energyfuse.config import RunConfig
 from energyfuse.model import bind, forward_pass, init_model
 from energyfuse.numeric import ContractError
-from energyfuse.objectives import berhu_map, seg_nll
+from energyfuse.objectives import LabelMap, berhu_map, seg_nll
 from energyfuse.reliability import _kl_row
 from energyfuse.rng import RngState
 
@@ -186,7 +186,7 @@ def test_one_tape_node_per_dense_block_and_per_loss_map():
 
     logits = graph.leaf(np.random.default_rng(0).normal(size=(4, 9)))
     for loss in (
-        lambda: seg_nll(logits, np.arange(9) % 4),
+        lambda: seg_nll(logits, LabelMap(np.arange(9) % 4)),
         lambda: berhu_map(logits, 0.5),
         lambda: _kl_row(graph, logits.data * 0.5, logits),
     ):

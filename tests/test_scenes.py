@@ -94,8 +94,8 @@ def test_integer_is_a_one_value_integers_draw():
 
 
 def test_same_seed_bitwise_identical():
-    a = gen_scene(RngState(42, (5,)), 12, 10, 4)
-    b = gen_scene(RngState(42, (5,)), 12, 10, 4)
+    a = gen_scene(RngState(42, (5,)), 12, 10, 4, 8)
+    b = gen_scene(RngState(42, (5,)), 12, 10, 4, 8)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.depth, b.depth)
     assert np.array_equal(a.labels.labels, b.labels.labels)
@@ -107,7 +107,7 @@ def test_labels_in_range_and_two_classes():
         h = int(rng.integers(2, 20))
         w = int(rng.integers(2, 20))
         k = int(rng.integers(2, min(6, h * w) + 1))
-        scene = gen_scene(RngState(i, (7,)), h, w, k)
+        scene = gen_scene(RngState(i, (7,)), h, w, k, 8)
         labs = scene.labels.labels
         assert labs.min() >= 0 and labs.max() < k
         assert np.unique(labs).size >= 2
@@ -117,15 +117,15 @@ def test_labels_in_range_and_two_classes():
 
 def test_tiny_grids_still_satisfy_contracts():
     for h, w in ((1, 2), (2, 1), (1, 5), (3, 2)):
-        scene = gen_scene(RngState(3, (h, w)), h, w, 2)
+        scene = gen_scene(RngState(3, (h, w)), h, w, 2, 8)
         assert np.unique(scene.labels.labels).size >= 2
 
 
 def test_class_count_must_fit_grid():
     with pytest.raises(ContractError):
-        gen_scene(RngState(0, (1,)), 2, 2, 5)
+        gen_scene(RngState(0, (1,)), 2, 2, 5, 8)
     with pytest.raises(ContractError):
-        gen_scene(RngState(0, (1,)), 4, 4, 1)
+        gen_scene(RngState(0, (1,)), 4, 4, 1, 8)
 
 
 def test_depth_tracks_class_index():
@@ -134,7 +134,7 @@ def test_depth_tracks_class_index():
     sums = np.zeros(4)
     counts = np.zeros(4)
     for i in range(100):
-        scene = gen_scene(RngState(i, (11,)), 12, 12, 4)
+        scene = gen_scene(RngState(i, (11,)), 12, 12, 4, 8)
         labs = scene.labels.labels
         d = scene.depth.ravel()
         for cls in range(4):
@@ -146,7 +146,7 @@ def test_depth_tracks_class_index():
 
 
 def test_null_shift_is_byte_equal():
-    scene = gen_scene(RngState(9, (2,)), 8, 8, 3)
+    scene = gen_scene(RngState(9, (2,)), 8, 8, 3, 8)
     shifted = shift_scene(scene, ShiftSpec(), RngState(9, (3,)))
     assert np.array_equal(shifted.features, scene.features)
     assert np.array_equal(shifted.depth, scene.depth)
@@ -154,7 +154,7 @@ def test_null_shift_is_byte_equal():
 
 
 def test_zero_depth_noise_keeps_true_depth():
-    scene = gen_scene(RngState(10, (2,)), 8, 8, 3)
+    scene = gen_scene(RngState(10, (2,)), 8, 8, 3, 8)
     spec = ShiftSpec(feature_shift=1.0, feature_scale=2.0, noise_sd=0.5)
     shifted = shift_scene(scene, spec, RngState(10, (3,)))
     assert np.array_equal(shifted.depth, scene.depth)
@@ -162,7 +162,7 @@ def test_zero_depth_noise_keeps_true_depth():
 
 
 def test_shift_keeps_depth_above_floor():
-    scene = gen_scene(RngState(11, (2,)), 10, 10, 4)
+    scene = gen_scene(RngState(11, (2,)), 10, 10, 4, 8)
     spec = ShiftSpec(depth_noise_sd=50.0)  # violent corruption
     shifted = shift_scene(scene, spec, RngState(11, (3,)))
     assert np.all(shifted.depth >= DEPTH_FLOOR)
@@ -179,54 +179,37 @@ def test_shift_spec_validation():
 
 def test_make_domain_pair_counts_and_tags():
     rng = RngState(5, (1,))
-    source, target = make_domain_pair(rng, ShiftSpec(), 6, (4, 5), 3)
+    source, target = make_domain_pair(rng, ShiftSpec(), 6, (4, 5), 3, 8)
     assert len(source) == len(target) == 6
     assert all(not s.labels_eval_only for s in source)
     assert all(t.labels_eval_only for t in target)
 
 
 def test_make_domain_pair_deterministic():
-    a_src, a_tgt = make_domain_pair(RngState(5, (1,)), ShiftSpec(noise_sd=0.2), 4, (6, 6), 3)
-    b_src, b_tgt = make_domain_pair(RngState(5, (1,)), ShiftSpec(noise_sd=0.2), 4, (6, 6), 3)
+    a_src, a_tgt = make_domain_pair(RngState(5, (1,)), ShiftSpec(noise_sd=0.2), 4, (6, 6), 3, 8)
+    b_src, b_tgt = make_domain_pair(RngState(5, (1,)), ShiftSpec(noise_sd=0.2), 4, (6, 6), 3, 8)
     for a, b in zip(a_src + a_tgt, b_src + b_tgt):
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.depth, b.depth)
 
 
 def test_scene_validation():
-    good = gen_scene(RngState(1, (1,)), 4, 4, 2)
-    with pytest.raises(ContractError):
-        Scene(
-            features=good.features,
-            labels=good.labels,
-            depth=-good.depth,
-            h=4,
-            w=4,
-        )
-    with pytest.raises(ContractError):
-        Scene(
-            features=good.features[:, :3],
-            labels=good.labels,
-            depth=good.depth,
-            h=4,
-            w=4,
-        )
-    with pytest.raises(ContractError, match="at least 2 classes"):
-        Scene(
-            features=good.features,
-            labels=LabelMap(np.full(16, 1)),
-            depth=good.depth,
-            h=4,
-            w=4,
-        )
-    with pytest.raises(ContractError, match="at least 2 classes"):
-        Scene(
-            features=np.zeros((8, 0)),
-            labels=LabelMap(np.zeros(0)),
-            depth=np.ones((1, 0)),
-            h=0,
-            w=0,
-        )
+    """A scene's size is its feature columns: depth and labels must cover
+    each of them."""
+    good = gen_scene(RngState(1, (1,)), 4, 4, 2, 8)
+    parts = dict(features=good.features, labels=good.labels, depth=good.depth)
+    empty = dict(features=np.zeros((8, 0)), labels=LabelMap(np.zeros(0)), depth=np.ones((1, 0)))
+    for bad, message in (
+        (dict(depth=-good.depth), "strictly positive"),
+        (dict(features=good.features.ravel()), r"features must be C x N, got \(128,\)"),
+        (dict(features=good.features[:, :3]), "do not cover the 3 feature columns"),
+        (dict(depth=good.depth[:, :15]), "do not cover the 16 feature columns"),
+        (dict(labels=LabelMap(good.labels.labels[:15])), "do not cover the 16"),
+        (dict(labels=LabelMap(np.full(16, 1))), "at least 2 classes"),
+        (empty, "at least 2 classes"),
+    ):
+        with pytest.raises(ContractError, match=message):
+            Scene(**{**parts, **bad})
 
 
 def _ridge_probe(cfg):

@@ -20,7 +20,8 @@ from energyfuse.config import RunConfig
 from energyfuse.metrics import build_data, build_model, evaluate
 from energyfuse.model import bind
 from energyfuse.numeric import ContractError
-from energyfuse.train import TrainingDiverged, compute_losses, train
+from energyfuse.objectives import LabelMap
+from energyfuse.train import TrainingDiverged, compute_losses, step_gradients, train
 
 SMALL = dict(
     t1=6, t2=4, lr=0.05, alpha=1.0, seed=0, h=6, w=6, k=3, channels=4,
@@ -66,7 +67,7 @@ def test_training_is_bitwise_reproducible():
         assert np.array_equal(weights_a[name], weights_b[name]), name
     assert len(trace_a) == len(trace_b)
     for ea, eb in zip(trace_a, trace_b):
-        assert (ea.step, ea.phase) == (eb.step, eb.phase)
+        assert ea.phase == eb.phase
         assert ea.bundle == eb.bundle
 
 
@@ -74,7 +75,6 @@ def test_trace_covers_both_phases_in_order():
     cfg, weights, source, target = _setup()
     _, trace = train(weights, source, target, cfg)
     assert len(trace) == cfg.t1 + cfg.t2
-    assert [e.step for e in trace] == list(range(cfg.t1 + cfg.t2))
     assert [e.phase for e in trace] == [1] * cfg.t1 + [2] * cfg.t2
     for entry in trace[: cfg.t1]:
         assert entry.bundle.rfa == 0.0
@@ -134,13 +134,13 @@ def test_zero_weighted_reliability_loss_is_valued_but_not_taped():
         run_cfg = dataclasses.replace(cfg, beta=beta)
         _, traces[beta] = train(build_model(run_cfg), source, target, run_cfg)
     assert traces[0.0][0].bundle.rfa == traces[1.0][0].bundle.rfa > 0.0
-    for scene, is_target in ((source[0], False), (target[0], True)):
+    for scene in (source[0], target[0]):
         parts, nodes = {}, {}
         for phase, beta in ((2, 0.0), (2, 1.0), (1, 1.0)):
             run_cfg = dataclasses.replace(cfg, beta=beta)
             graph = DiffGraph()
             w = bind(weights, graph)
-            parts[phase, beta] = compute_losses(w, scene, run_cfg, phase, is_target)
+            parts[phase, beta] = compute_losses(w, scene, run_cfg, phase)
             nodes[phase, beta] = len(graph.nodes)
         assert not isinstance(parts[2, 0.0]["rfa"], Tensor)
         assert parts[2, 0.0]["rfa"] == parts[2, 1.0]["rfa"].item()
@@ -161,10 +161,59 @@ def test_huge_learning_rate_aborts_instead_of_looping():
             train(weights, source, target, cfg)
 
 
-def test_tainted_labels_cannot_supervise():
+def _byte_equal(a, b) -> bool:
+    a, b = (np.asarray(v, dtype=np.float64) for v in (a, b))
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_a_target_scenes_labels_never_reach_a_loss(phase):
+    """A target scene trains on pseudo-labels from its own fused head: a
+    copy of it with another valid labelling, (labels + 1) % k, gives the
+    same loss terms and gradients, byte for byte. The same relabelling of
+    a source scene does change its segmentation terms."""
+    train_module = importlib.import_module("energyfuse.train")
+    cfg, weights, source, target = _setup(beta=1.0, pseudo_threshold=0.0)
+
+    def relabelled(scene):
+        return dataclasses.replace(scene, labels=LabelMap((scene.labels.labels + 1) % cfg.k))
+
+    scene = target[0]
+    parts = compute_losses(weights, scene, cfg, phase)
+    other = compute_losses(weights, relabelled(scene), cfg, phase)
+    assert parts.keys() == other.keys()
+    for name in parts:
+        assert _byte_equal(parts[name], other[name]), name
+    values, grads = train_module.scene_gradients(weights, scene, cfg, phase)
+    values_r, grads_r = train_module.scene_gradients(weights, relabelled(scene), cfg, phase)
+    assert values.keys() == values_r.keys() and grads.keys() == grads_r.keys() == set(weights)
+    for name in values:
+        assert _byte_equal(values[name], values_r[name]), name
+    for name in grads:
+        assert _byte_equal(grads[name], grads_r[name]), name
+
+    src = source[0]
+    src_other = compute_losses(weights, relabelled(src), cfg, phase)
+    assert compute_losses(weights, src, cfg, phase)["seg_plain"] != src_other["seg_plain"]
+
+
+def test_a_step_pairs_a_source_scene_with_an_evaluation_only_target():
+    """A step refuses an evaluation-only source scene and a target scene
+    whose labels are not evaluation-only, and so does train, before any
+    weight moves."""
     cfg, weights, source, target = _setup()
-    with pytest.raises(ContractError, match="evaluation-only"):
-        train(weights, target, source, cfg)
+    before = {name: arr.copy() for name, arr in weights.items()}
+    rule = (
+        "^a step pairs a labelled source scene with a target scene "
+        "whose labels are evaluation-only$"
+    )
+    for scenes_s, scenes_t in ((target, target), (source, source), (target, source)):
+        with pytest.raises(ContractError, match=rule):
+            step_gradients(weights, scenes_s[0], scenes_t[1], cfg, 1)
+        with pytest.raises(ContractError, match=rule):
+            train(weights, scenes_s, scenes_t, cfg)
+    for name in before:
+        assert np.array_equal(weights[name], before[name]), name
 
 
 def test_phase_two_learning_rate_is_reduced():
@@ -186,9 +235,9 @@ def test_a_step_tape_is_freed_without_the_garbage_collector():
     cfg, weights, source, target = _setup(beta=1.0)
     gc.disable()
     try:
-        for scene, is_target in ((source[0], False), (target[0], True)):
+        for scene in (source[0], target[0]):
             graph = DiffGraph()
-            parts = compute_losses(bind(weights, graph), scene, cfg, 2, is_target)
+            parts = compute_losses(bind(weights, graph), scene, cfg, 2)
             graph.backward(parts["overall"])
             alive = weakref.ref(graph)
             del graph, parts
@@ -230,7 +279,7 @@ def test_a_step_adds_the_two_scene_gradients():
     cfg, weights, source, target = _setup(scheme="gated", beta=1.0)
     before = {name: arr.copy() for name, arr in weights.items()}
     _, grads_s = train_module.scene_gradients(weights, source[0], cfg, 2)
-    _, grads_t = train_module.scene_gradients(weights, target[0], cfg, 2, target=True)
+    _, grads_t = train_module.scene_gradients(weights, target[0], cfg, 2)
     train_module._train_step(weights, source[0], target[0], cfg, 2, cfg.lr)
     assert set(grads_s) == set(grads_t) == set(weights)
     for name, arr in weights.items():
