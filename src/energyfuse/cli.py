@@ -9,7 +9,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -37,15 +36,13 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 
 def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = load_config(args.config, cfg)
-    overrides = {
-        key: _coerce(key, getattr(args, key))
-        for key in CONFIG_KEYS
-        if getattr(args, key, None) is not None
-    }
-    return replace(cfg, **overrides) if overrides else cfg
+    # the file's keys and the flags build one config, so only their union
+    # must pass its checks (k <= h*w spans three keys)
+    keys = load_config(args.config) if args.config else {}
+    for key in CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            keys[key] = _coerce(key, getattr(args, key))
+    return RunConfig(**keys)
 
 
 def _print_row(row):

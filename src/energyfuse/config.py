@@ -7,11 +7,10 @@ columns of metrics.csv.
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .fusion import check_schedule
 from .numeric import ContractError
-from .scenes import ShiftSpec
 
 
 @dataclass
@@ -62,17 +61,16 @@ class RunConfig:
             raise ContractError("pseudo_threshold must be in [0, 1]")
         if self.h < 1 or self.w < 1 or self.k < 2 or self.channels < 1:
             raise ContractError("need h, w >= 1, k >= 2, channels >= 1")
+        if self.k > self.h * self.w:
+            raise ContractError(f"{self.k} classes cannot fit {self.h * self.w} cells")
         if self.n_scenes < 1:
             raise ContractError("n_scenes must be >= 1")
         if self.seed < 0:
             raise ContractError(f"seed must be >= 0, got {self.seed}")
-        self.shift_spec()
-
-    def shift_spec(self) -> ShiftSpec:
-        """The target-domain shift of the four shift fields; it checks them."""
-        return ShiftSpec(
-            self.feature_shift, self.feature_scale, self.noise_sd, self.depth_noise_sd
-        )
+        if not self.feature_scale > 0:
+            raise ContractError("feature_scale must be positive")
+        if self.noise_sd < 0 or self.depth_noise_sd < 0:
+            raise ContractError("noise levels must be >= 0")
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
@@ -93,8 +91,8 @@ def _coerce(key: str, text: str):
         raise ContractError(f"bad value for {key}: {text!r}") from None
 
 
-def parse_config_text(text: str, base: RunConfig) -> RunConfig:
-    """Apply flat `key = value` lines on top of a base config.
+def parse_config_text(text: str) -> dict:
+    """The typed values of flat `key = value` lines, by key.
 
     Blank lines and lines starting with # are skipped; unknown and
     repeated keys are rejected so typos fail loudly.
@@ -114,10 +112,10 @@ def parse_config_text(text: str, base: RunConfig) -> RunConfig:
             raise ContractError(f"line {lineno}: {key!r} repeats line {seen[key]}")
         seen[key] = lineno
         updates[key] = _coerce(key, value.strip())
-    return replace(base, **updates)
+    return updates
 
 
-def load_config(path: str, base: RunConfig) -> RunConfig:
+def load_config(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base)
+        return parse_config_text(fh.read())
 

@@ -15,10 +15,9 @@ from .model import forward_pass, init_model
 from .numeric import ContractError
 from .reliability import free_energy_map
 from .rng import RngState
-from .scenes import make_domain_pair
+from .scenes import build_data
 from .train import train
 
-DATA_STREAM = 1
 MODEL_STREAM = 2
 
 
@@ -90,14 +89,6 @@ def evaluate(weights: dict, scenes: list, cfg: RunConfig) -> MetricsRow:
         depth_mae=_ordered_mean(err_sums, n_total),
         mean_energy_plain=_ordered_mean(e_plain_sums, n_total),
         mean_energy_fused=_ordered_mean(e_fused_sums, n_total),
-    )
-
-
-def build_data(cfg: RunConfig):
-    """The (source, target) scene sets a config describes."""
-    rng = RngState(cfg.seed, (DATA_STREAM,))
-    return make_domain_pair(
-        rng, cfg.shift_spec(), cfg.n_scenes, (cfg.h, cfg.w), cfg.k, cfg.channels
     )
 
 

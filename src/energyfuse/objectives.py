@@ -159,8 +159,6 @@ def pseudo_label(logits, threshold: float) -> LabelMap:
     Positions below it get IGNORE. A fixed confidence cutoff is a plain
     stand-in for schedule-based self-training.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ContractError(f"threshold must be in [0, 1], got {threshold}")
     p = numeric.softmax_cols(raw(logits))
     conf = p.max(axis=0)
     winners = p.argmax(axis=0)

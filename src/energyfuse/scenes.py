@@ -3,16 +3,17 @@
 Each scene is a piecewise-constant class map on an H x W grid, a depth
 map whose per-class base level rises with the class index (so depth
 carries class information), and features obtained by pushing the class
-one-hot plus depth through a fixed random linear embedding. A shift
-spec turns source-style scenes into a target domain: features are
-scaled, offset, and noised, and true depth is replaced by a noisy
-pseudo-depth stand-in.
+one-hot plus depth through a fixed random linear embedding. The four
+shift keys of `RunConfig` turn source-style scenes into a target
+domain: features are scaled, offset, and noised, and true depth is
+replaced by a noisy pseudo-depth stand-in.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .numeric import ContractError
 from .objectives import LabelMap
 from .rng import RngState
@@ -23,6 +24,7 @@ FEATURE_NOISE_SD = 0.05
 VERTICAL_RANGE = 0.5
 EMBED_SEED = 916191  # fixed; the embedding never varies with the run seed
 DEPTH_EMBED_GAIN = 0.2  # depth spans ~5 units; keeps its feature share comparable to the one-hot part
+DATA_STREAM = 1
 
 
 @dataclass
@@ -44,22 +46,6 @@ class Scene:
             raise ContractError("depth must be strictly positive")
         if n == 0 or self.labels.labels.min() == self.labels.labels.max():
             raise ContractError("a scene must show at least 2 classes")
-
-
-@dataclass
-class ShiftSpec:
-    """Target-domain shift recipe; each value applies alike to every channel."""
-
-    feature_shift: float = 0.0
-    feature_scale: float = 1.0
-    noise_sd: float = 0.0
-    depth_noise_sd: float = 0.0
-
-    def __post_init__(self):
-        if not self.feature_scale > 0:
-            raise ContractError("feature_scale must be positive")
-        if self.noise_sd < 0 or self.depth_noise_sd < 0:
-            raise ContractError("noise levels must be >= 0")
 
 
 _EMBED_CACHE = {}
@@ -125,12 +111,10 @@ def _class_map(rng: RngState, h: int, w: int, k: int) -> np.ndarray:
     return grid
 
 
-def gen_scene(rng: RngState, h: int, w: int, k: int, channels: int) -> Scene:
-    """One source-style scene, a pure function of the rng key."""
-    if k < 2:
-        raise ContractError(f"need at least 2 classes, got {k}")
-    if k > h * w:
-        raise ContractError(f"{k} classes cannot fit {h * w} cells")
+def gen_scene(rng: RngState, cfg: RunConfig) -> Scene:
+    """One source-style scene of the config's size, a pure function of
+    the rng key."""
+    h, w, k, channels = cfg.h, cfg.w, cfg.k, cfg.channels
     grid = _class_map(rng, h, w, k)
     labels = grid.ravel()
 
@@ -149,11 +133,12 @@ def gen_scene(rng: RngState, h: int, w: int, k: int, channels: int) -> Scene:
     return Scene(features=features, labels=LabelMap(labels=labels), depth=depth)
 
 
-def shift_scene(scene: Scene, spec: ShiftSpec, rng: RngState) -> Scene:
-    """Apply the domain gap: a null spec returns byte-equal data."""
-    features = scene.features * spec.feature_scale + spec.feature_shift
-    features = features + rng.normal(*scene.features.shape, spec.noise_sd)
-    pseudo = scene.depth + rng.normal(1, scene.depth.size, spec.depth_noise_sd)
+def shift_scene(scene: Scene, cfg: RunConfig, rng: RngState) -> Scene:
+    """Apply the config's domain gap, each value alike to every channel;
+    a null shift returns byte-equal data."""
+    features = scene.features * cfg.feature_scale + cfg.feature_shift
+    features = features + rng.normal(*scene.features.shape, cfg.noise_sd)
+    pseudo = scene.depth + rng.normal(1, scene.depth.size, cfg.depth_noise_sd)
     pseudo = np.maximum(pseudo, DEPTH_FLOOR)
     return Scene(
         features=features,
@@ -163,29 +148,18 @@ def shift_scene(scene: Scene, spec: ShiftSpec, rng: RngState) -> Scene:
     )
 
 
-def make_domain_pair(
-    rng: RngState,
-    spec: ShiftSpec,
-    n_scenes: int,
-    dims: tuple,
-    k: int,
-    channels: int,
-) -> tuple:
-    """n_scenes source scenes and n_scenes shifted target scenes.
+def build_data(cfg: RunConfig) -> tuple:
+    """The (source, target) scene sets a config describes: n_scenes of each.
 
     Scene i draws from the child stream keyed i (source) or
-    n_scenes + i (target), so the two sets never share raw draws and
-    adding scenes never disturbs earlier ones.
+    n_scenes + i (target), so the two sets never share raw draws. More
+    scenes keep the earlier source scenes byte-equal but redraw every
+    target scene, whose key depends on n_scenes.
     """
-    if n_scenes < 1:
-        raise ContractError(f"n_scenes must be >= 1, got {n_scenes}")
-    h, w = dims
-    source = [
-        gen_scene(rng.derive(i), h, w, k, channels) for i in range(n_scenes)
-    ]
+    rng = RngState(cfg.seed, (DATA_STREAM,))
+    source = [gen_scene(rng.derive(i), cfg) for i in range(cfg.n_scenes)]
     target = []
-    for i in range(n_scenes):
-        child = rng.derive(n_scenes + i)
-        raw = gen_scene(child, h, w, k, channels)
-        target.append(shift_scene(raw, spec, child.derive(1)))
+    for i in range(cfg.n_scenes):
+        child = rng.derive(cfg.n_scenes + i)
+        target.append(shift_scene(gen_scene(child, cfg), cfg, child.derive(1)))
     return source, target

@@ -30,7 +30,7 @@ from .reliability import (
     rfa_seg_loss,
 )
 from .rng import RngState
-from .scenes import ShiftSpec, gen_scene, shift_scene
+from .scenes import gen_scene, shift_scene
 from .train import step_gradients
 
 MASTER_SEED = 20240915
@@ -154,6 +154,10 @@ def _tiny_setup(scheme: str):
         k=3,
         channels=3,
         n_scenes=1,
+        feature_shift=0.3,
+        feature_scale=1.2,
+        noise_sd=0.05,
+        depth_noise_sd=0.1,
     )
     rng = RngState(MASTER_SEED, (5, int(scheme == "gated")))
     weights = init_model(rng, cfg, width=4)
@@ -161,11 +165,8 @@ def _tiny_setup(scheme: str):
         # zero-initialized gates would make their gradients trivially zero
         weights["fuse_seg_w1"] = rng.normal(4, 4, 0.3)
         weights["fuse_dep_w1"] = rng.normal(4, 4, 0.3)
-    scene_s = gen_scene(rng.derive(1), cfg.h, cfg.w, cfg.k, cfg.channels)
-    spec = ShiftSpec(feature_shift=0.3, feature_scale=1.2, noise_sd=0.05, depth_noise_sd=0.1)
-    scene_t = shift_scene(
-        gen_scene(rng.derive(2), cfg.h, cfg.w, cfg.k, cfg.channels), spec, rng.derive(3)
-    )
+    scene_s = gen_scene(rng.derive(1), cfg)
+    scene_t = shift_scene(gen_scene(rng.derive(2), cfg), cfg, rng.derive(3))
     return cfg, weights, scene_s, scene_t
 
 

@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from energyfuse.config import CONFIG_KEYS, RunConfig, load_config, parse_config_
 from energyfuse.metrics import MetricsRow, build_data
 from energyfuse.numeric import ContractError
 from energyfuse.rng import RngState
-from energyfuse.scenes import ShiftSpec
 from energyfuse.sweep import (
     format_value,
     metrics_csv_rows,
@@ -57,29 +56,29 @@ def test_format_value_uses_17_significant_digits():
 
 
 def test_config_text_overrides_defaults():
-    cfg = parse_config_text("t1 = 3\n\n# comment\nlr = 0.25\nscheme = gated\n", RunConfig())
+    cfg = RunConfig(**parse_config_text("t1 = 3\n\n# comment\nlr = 0.25\nscheme = gated\n"))
     assert (cfg.t1, cfg.lr, cfg.scheme) == (3, 0.25, "gated")
     assert cfg.t2 == RunConfig().t2
 
 
 def test_config_unknown_key_names_the_line():
     with pytest.raises(ContractError, match="line 2.*learning_rate"):
-        parse_config_text("t1 = 3\nlearning_rate = 0.1\n", RunConfig())
+        parse_config_text("t1 = 3\nlearning_rate = 0.1\n")
 
 
 def test_config_repeated_key_names_both_lines():
     with pytest.raises(ContractError, match="line 3.*'gamma'.*line 1"):
-        parse_config_text("gamma = 0.5\n# again\ngamma = 0.7\n", RunConfig())
+        parse_config_text("gamma = 0.5\n# again\ngamma = 0.7\n")
 
 
 def test_config_missing_equals_names_the_line():
     with pytest.raises(ContractError, match="line 3"):
-        parse_config_text("t1 = 3\n# fine\njust words\n", RunConfig())
+        parse_config_text("t1 = 3\n# fine\njust words\n")
 
 
 def test_config_bad_value_rejected():
     with pytest.raises(ContractError, match="bad value for t1"):
-        parse_config_text("t1 = soon\n", RunConfig())
+        parse_config_text("t1 = soon\n")
 
 
 FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type is float]
@@ -138,35 +137,29 @@ def test_config_rejects_non_positive_alpha():
         ("w", 0, "need h, w >= 1, k >= 2, channels >= 1"),
         ("k", 1, "need h, w >= 1, k >= 2, channels >= 1"),
         ("channels", 0, "need h, w >= 1, k >= 2, channels >= 1"),
+        # a dict sets several keys: k = 5 overfills a 2 x 2 grid
+        pytest.param(
+            "k", {"h": 2, "w": 2, "k": 5}, "5 classes cannot fit 4 cells",
+            id="k-h2-w2-k5-5 classes cannot fit 4 cells",
+        ),
         ("n_scenes", 0, "n_scenes must be >= 1"),
-    ],
-)
-def test_config_rejects_out_of_range_values(key, bad, message):
-    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
-        RunConfig(**{key: bad})
-
-
-@pytest.mark.parametrize(
-    "key, bad, message",
-    [
+        ("pseudo_threshold", 1.5, "pseudo_threshold must be in [0, 1]"),
         ("feature_scale", 0.0, "feature_scale must be positive"),
         ("noise_sd", -0.1, "noise levels must be >= 0"),
         ("depth_noise_sd", -1, "noise levels must be >= 0"),
     ],
 )
-def test_config_shift_fields_are_checked_by_shift_spec(key, bad, message):
-    with pytest.raises(ContractError, match=message) as spec_err:
-        ShiftSpec(**{key: bad})
-    with pytest.raises(ContractError) as cfg_err:
-        RunConfig(**{key: bad})
-    assert str(cfg_err.value) == str(spec_err.value)
+def test_config_rejects_out_of_range_values(key, bad, message):
+    keys = bad if isinstance(bad, dict) else {key: bad}
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        RunConfig(**keys)
 
 
 def test_config_file_layering(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("lr = 0.125\nk = 5\n", encoding="utf-8")
     base = RunConfig(t1=9)
-    cfg = load_config(str(path), base)
+    cfg = replace(base, **load_config(str(path)))
     assert (cfg.lr, cfg.k, cfg.t1) == (0.125, 5, 9)
 
 
@@ -405,6 +398,21 @@ def test_cli_flags_override_config_file(tmp_path):
     assert named["t1"] == "2"  # flag wins over the file's 9
 
 
+@pytest.mark.parametrize(
+    "file_text, flags",
+    [("h = 1\nw = 2\n", ["--k", "2"]), ("k = 2\n", ["--h", "1", "--w", "2"])],
+)
+def test_cli_checks_config_file_and_flags_together(tmp_path, capsys, file_text, flags):
+    """The file's keys and the flags are checked as one config: the layer
+    that sets the grid, alone on the defaults, puts 4 classes in 2 cells."""
+    cfg_path = tmp_path / "grid.cfg"
+    cfg_path.write_text(file_text, encoding="utf-8")
+    out = tmp_path / "data"
+    args = ["gen-data", "--config", str(cfg_path), *flags, "--n_scenes", "1"]
+    assert main([*args, "--out_dir", str(out)]) == 0
+    assert f"wrote 2 scenes to {out}" in capsys.readouterr().out
+
+
 def test_cli_sweep_end_to_end(tmp_path):
     out = str(tmp_path / "sw")
     args = [
@@ -434,6 +442,18 @@ def test_cli_bad_shift_value_exits_2(capsys):
     code = main(["train", *TINY, "--feature_scale", "0"])
     assert code == 2
     assert "feature_scale must be positive" in capsys.readouterr().err
+
+
+def test_cli_sweep_on_a_grid_too_small_for_k_exits_2(tmp_path, capsys):
+    """The config is refused before any run, instead of a NaN row."""
+    out = tmp_path / "run"
+    args = [
+        "sweep", "--h", "2", "--w", "2", "--k", "5", "--axis", "gamma",
+        "--values", "0.5", "--t1", "1", "--t2", "0", "--n_scenes", "1",
+    ]
+    assert main([*args, "--out_dir", str(out)]) == 2
+    assert "error: 5 classes cannot fit 4 cells" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize(

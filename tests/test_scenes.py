@@ -1,24 +1,18 @@
 """Synthetic paired-domain scenes: determinism, structure, domain gap."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import REFERENCE
 from energyfuse.config import RunConfig
-from energyfuse.metrics import build_data, confusion_matrix, iou_from_confusion
+from energyfuse.metrics import confusion_matrix, iou_from_confusion
 from energyfuse.numeric import ContractError
 from energyfuse.objectives import LabelMap
 from energyfuse.rng import RngState
-from energyfuse.scenes import (
-    DEPTH_FLOOR,
-    Scene,
-    ShiftSpec,
-    gen_scene,
-    make_domain_pair,
-    shift_scene,
-)
+from energyfuse.scenes import DEPTH_FLOOR, Scene, build_data, gen_scene, shift_scene
 
 
 SHIFT = {
@@ -93,21 +87,25 @@ def test_integer_is_a_one_value_integers_draw():
     assert np.array_equal(a.normal(1, 4), b.normal(1, 4))
 
 
+def _scene_bytes(scene):
+    return tuple(a.tobytes() for a in (scene.features, scene.depth, scene.labels.labels))
+
+
 def test_same_seed_bitwise_identical():
-    a = gen_scene(RngState(42, (5,)), 12, 10, 4, 8)
-    b = gen_scene(RngState(42, (5,)), 12, 10, 4, 8)
-    assert np.array_equal(a.features, b.features)
-    assert np.array_equal(a.depth, b.depth)
-    assert np.array_equal(a.labels.labels, b.labels.labels)
+    cfg = RunConfig(h=12, w=10, k=4)
+    a = gen_scene(RngState(42, (5,)), cfg)
+    b = gen_scene(RngState(42, (5,)), cfg)
+    assert _scene_bytes(a) == _scene_bytes(b)
 
 
 def test_labels_in_range_and_two_classes():
     rng = np.random.default_rng(0)
+    cfg = RunConfig()
     for i in range(100):
         h = int(rng.integers(2, 20))
         w = int(rng.integers(2, 20))
         k = int(rng.integers(2, min(6, h * w) + 1))
-        scene = gen_scene(RngState(i, (7,)), h, w, k, 8)
+        scene = gen_scene(RngState(i, (7,)), replace(cfg, h=h, w=w, k=k))
         labs = scene.labels.labels
         assert labs.min() >= 0 and labs.max() < k
         assert np.unique(labs).size >= 2
@@ -117,24 +115,18 @@ def test_labels_in_range_and_two_classes():
 
 def test_tiny_grids_still_satisfy_contracts():
     for h, w in ((1, 2), (2, 1), (1, 5), (3, 2)):
-        scene = gen_scene(RngState(3, (h, w)), h, w, 2, 8)
+        scene = gen_scene(RngState(3, (h, w)), RunConfig(h=h, w=w, k=2))
         assert np.unique(scene.labels.labels).size >= 2
-
-
-def test_class_count_must_fit_grid():
-    with pytest.raises(ContractError):
-        gen_scene(RngState(0, (1,)), 2, 2, 5, 8)
-    with pytest.raises(ContractError):
-        gen_scene(RngState(0, (1,)), 4, 4, 1, 8)
 
 
 def test_depth_tracks_class_index():
     """Per-class mean depth is ordered by class: base levels rise with
     the class index and the noise is far smaller than the level gap."""
+    cfg = RunConfig(h=12, w=12, k=4)
     sums = np.zeros(4)
     counts = np.zeros(4)
     for i in range(100):
-        scene = gen_scene(RngState(i, (11,)), 12, 12, 4, 8)
+        scene = gen_scene(RngState(i, (11,)), cfg)
         labs = scene.labels.labels
         d = scene.depth.ravel()
         for cls in range(4):
@@ -146,57 +138,61 @@ def test_depth_tracks_class_index():
 
 
 def test_null_shift_is_byte_equal():
-    scene = gen_scene(RngState(9, (2,)), 8, 8, 3, 8)
-    shifted = shift_scene(scene, ShiftSpec(), RngState(9, (3,)))
+    cfg = RunConfig(h=8, w=8, k=3)
+    scene = gen_scene(RngState(9, (2,)), cfg)
+    shifted = shift_scene(scene, cfg, RngState(9, (3,)))
     assert np.array_equal(shifted.features, scene.features)
     assert np.array_equal(shifted.depth, scene.depth)
     assert shifted.labels_eval_only
 
 
 def test_zero_depth_noise_keeps_true_depth():
-    scene = gen_scene(RngState(10, (2,)), 8, 8, 3, 8)
-    spec = ShiftSpec(feature_shift=1.0, feature_scale=2.0, noise_sd=0.5)
-    shifted = shift_scene(scene, spec, RngState(10, (3,)))
+    cfg = RunConfig(h=8, w=8, k=3)
+    scene = gen_scene(RngState(10, (2,)), cfg)
+    shift = replace(cfg, feature_shift=1.0, feature_scale=2.0, noise_sd=0.5)
+    shifted = shift_scene(scene, shift, RngState(10, (3,)))
     assert np.array_equal(shifted.depth, scene.depth)
     assert not np.array_equal(shifted.features, scene.features)
 
 
 def test_shift_keeps_depth_above_floor():
-    scene = gen_scene(RngState(11, (2,)), 10, 10, 4, 8)
-    spec = ShiftSpec(depth_noise_sd=50.0)  # violent corruption
-    shifted = shift_scene(scene, spec, RngState(11, (3,)))
+    cfg = RunConfig(h=10, w=10, k=4)
+    scene = gen_scene(RngState(11, (2,)), cfg)
+    violent = replace(cfg, depth_noise_sd=50.0)  # violent corruption
+    shifted = shift_scene(scene, violent, RngState(11, (3,)))
     assert np.all(shifted.depth >= DEPTH_FLOOR)
 
 
-def test_shift_spec_validation():
-    with pytest.raises(ContractError):
-        ShiftSpec(feature_scale=0.0)
-    with pytest.raises(ContractError):
-        ShiftSpec(noise_sd=-0.1)
-    with pytest.raises(ContractError):
-        ShiftSpec(depth_noise_sd=-1.0)
-
-
-def test_make_domain_pair_counts_and_tags():
-    rng = RngState(5, (1,))
-    source, target = make_domain_pair(rng, ShiftSpec(), 6, (4, 5), 3, 8)
+def test_build_data_counts_and_tags():
+    source, target = build_data(RunConfig(seed=5, h=4, w=5, k=3, n_scenes=6))
     assert len(source) == len(target) == 6
     assert all(not s.labels_eval_only for s in source)
     assert all(t.labels_eval_only for t in target)
 
 
-def test_make_domain_pair_deterministic():
-    a_src, a_tgt = make_domain_pair(RngState(5, (1,)), ShiftSpec(noise_sd=0.2), 4, (6, 6), 3, 8)
-    b_src, b_tgt = make_domain_pair(RngState(5, (1,)), ShiftSpec(noise_sd=0.2), 4, (6, 6), 3, 8)
+def test_build_data_is_deterministic():
+    cfg = RunConfig(seed=5, h=6, w=6, k=3, n_scenes=4, noise_sd=0.2)
+    a_src, a_tgt = build_data(cfg)
+    b_src, b_tgt = build_data(cfg)
     for a, b in zip(a_src + a_tgt, b_src + b_tgt):
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.depth, b.depth)
+        assert _scene_bytes(a) == _scene_bytes(b)
+
+
+def test_more_scenes_keep_source_scenes_but_move_target_scenes():
+    """Source scene i is keyed i, target scene i is keyed n_scenes + i:
+    raising n_scenes from 4 to 6 keeps the first 4 source scenes and
+    redraws every target scene."""
+    cfg = RunConfig(h=6, w=6, k=3, n_scenes=4, noise_sd=0.3)
+    src4, tgt4 = build_data(cfg)
+    src6, tgt6 = build_data(replace(cfg, n_scenes=6))
+    assert [_scene_bytes(s) for s in src4] == [_scene_bytes(s) for s in src6[:4]]
+    assert all(_scene_bytes(a) != _scene_bytes(b) for a, b in zip(tgt4, tgt6))
 
 
 def test_scene_validation():
     """A scene's size is its feature columns: depth and labels must cover
     each of them."""
-    good = gen_scene(RngState(1, (1,)), 4, 4, 2, 8)
+    good = gen_scene(RngState(1, (1,)), RunConfig(h=4, w=4, k=2))
     parts = dict(features=good.features, labels=good.labels, depth=good.depth)
     empty = dict(features=np.zeros((8, 0)), labels=LabelMap(np.zeros(0)), depth=np.ones((1, 0)))
     for bad, message in (
