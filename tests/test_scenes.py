@@ -163,6 +163,18 @@ def test_shift_keeps_depth_above_floor():
     assert np.all(shifted.depth >= DEPTH_FLOOR)
 
 
+def test_shift_spec_validation():
+    # a shift is a config's shift fields, so deriving a bad shift from a
+    # valid config, as shift_scene's callers do, is refused at once
+    cfg = RunConfig(h=4, w=4, k=3)
+    with pytest.raises(ContractError, match="feature_scale must be positive"):
+        replace(cfg, feature_scale=0.0)
+    with pytest.raises(ContractError, match="noise levels must be >= 0"):
+        replace(cfg, noise_sd=-0.1)
+    with pytest.raises(ContractError, match="noise levels must be >= 0"):
+        replace(cfg, depth_noise_sd=-1.0)
+
+
 def test_build_data_counts_and_tags():
     source, target = build_data(RunConfig(seed=5, h=4, w=5, k=3, n_scenes=6))
     assert len(source) == len(target) == 6
