@@ -29,9 +29,7 @@ class Tensor:
         return self.data.shape
 
     def item(self) -> float:
-        if self.data.shape != (1, 1):
-            raise ContractError(f"item() on non-scalar shape {self.data.shape}")
-        return float(self.data[0, 0])
+        return self.data.item()  # numpy refuses a value of more than one entry
 
     # keep numpy from taking over mixed expressions; reflected ops run instead
     __array_ufunc__ = None

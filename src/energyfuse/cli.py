@@ -1,8 +1,9 @@
 """Command-line harness.
 
 Subcommands: train, eval, sweep, verify, demo-hopfield, gen-data. Exit
-codes: 0 success, 1 invariant or training failure, 2 usage error. Flags
-named after config keys override values from --config files.
+codes: 0 success, 1 failed invariant or diverged training, 2 usage or
+config error. Flags named after config keys override values from
+--config files.
 """
 
 import argparse
@@ -178,13 +179,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ContractError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except TrainingDiverged as err:
         print(f"training diverged: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
+    except (ContractError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

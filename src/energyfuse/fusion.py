@@ -128,10 +128,6 @@ def fuse(xi_updated, nu, gate=None):
     convolution semantics), as one "gate" node with the value and adjoint
     terms of the tests' op-by-op chain, in its order, bit for bit.
     """
-    if xi_updated.shape != nu.shape:
-        raise ContractError(
-            f"fuse shape mismatch: {xi_updated.shape} vs {nu.shape}"
-        )
     if gate is None:
         return xi_updated + nu
     w1, w2 = gate

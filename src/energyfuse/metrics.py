@@ -31,19 +31,11 @@ class MetricsRow:
     run_id: str = ""
     config: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        for v in self.iou:
-            # nan marks a failed run's row; real values must be in range
-            if np.isfinite(v) and not 0.0 <= v <= 1.0:
-                raise ContractError(f"IoU out of [0, 1]: {v}")
-
 
 def confusion_matrix(true_labels: np.ndarray, pred_labels: np.ndarray, k: int):
     """k x k counts, rows = true class, cols = predicted class."""
     t = np.asarray(true_labels, dtype=np.int64).ravel()
     p = np.asarray(pred_labels, dtype=np.int64).ravel()
-    if t.shape != p.shape:
-        raise ContractError(f"label shape mismatch: {t.shape} vs {p.shape}")
     if t.size and (t.min() < 0 or t.max() >= k or p.min() < 0 or p.max() >= k):
         raise ContractError(f"labels outside [0, {k})")
     return np.bincount(t * k + p, minlength=k * k).reshape(k, k)
@@ -56,8 +48,6 @@ def iou_from_confusion(conf: np.ndarray):
     union = conf.sum(axis=1) + conf.sum(axis=0) - np.diag(conf)
     iou = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
     present = conf.sum(axis=1) > 0
-    if not present.any():
-        raise ContractError("no ground-truth classes present")
     return iou, float(iou[present].mean())
 
 

@@ -122,9 +122,3 @@ def forward_pass(weights: dict, scene, cfg: RunConfig) -> Predictions:
     dep_plain = _dense(o, weights, "dep_dec_plain", f_dep)
     return Predictions(seg_plain, seg_fused, dep_plain, dep_fused)
 
-
-def check_finite(weights: dict):
-    """Every weight finite; raised the moment an optimizer step breaks it."""
-    for name, arr in weights.items():
-        if not np.all(np.isfinite(arr)):
-            raise ContractError(f"non-finite weights in {name}")

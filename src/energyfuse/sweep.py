@@ -4,9 +4,10 @@ Every run is independent (fresh data, fresh model), rows are ordered by
 (axis value, seed) no matter how runs are scheduled, and floats are
 printed at 17 significant digits, so rerunning a sweep reproduces
 metrics.csv byte for byte and each value reads back as the same double.
-A run that breaks a contract, diverges or hits a floating-point error
-is kept as a row of nan metrics and the sweep moves on; any other
-exception is a bug and propagates.
+A run that diverges, wherever training detects it, is kept as a row of
+nan metrics with a `sweep: run ... failed:` line on stderr, and the
+sweep moves on; any other error propagates and stops the sweep before
+metrics.csv is written.
 """
 
 import sys
@@ -131,7 +132,7 @@ def sweep(base: RunConfig, axis: str, values: list, seeds: list) -> list:
     for run_id, cfg in plan:
         try:
             row, _ = run_experiment(cfg, run_id)
-        except (ContractError, TrainingDiverged, FloatingPointError) as err:
+        except TrainingDiverged as err:
             row = _failure_row(cfg, run_id, err)
         rows.append(row)
     return rows

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import DiffGraph, Tensor, raw
 from .config import RunConfig
-from .model import Predictions, bind, check_finite, forward_pass
+from .model import Predictions, bind, forward_pass
 from .numeric import ContractError
 from .objectives import (
     LossBundle,
@@ -42,7 +42,8 @@ from .reliability import (
 
 
 class TrainingDiverged(RuntimeError):
-    """A loss term stopped being finite; the message names it."""
+    """A loss term or a weight stopped being finite; the message names it
+    and the phase."""
 
 
 @dataclass
@@ -167,12 +168,21 @@ def _pin_malloc_thresholds():
     """Keep freed step memory mapped, process-wide: pin glibc's mmap (-3) and
     trim (-1) thresholds at its 64-bit caps; either call alone freezes the other
     where glibc's dynamic rule has left it. A step frees two tapes, and the
-    target's reuses the source's pages."""
+    target's reuses the source's pages. A refused call (a 32-bit glibc caps
+    mmap lower) leaves malloc's own policy, which changes no number."""
     if platform.libc_ver()[0] == "glibc":
         mallopt = ctypes.CDLL(None).mallopt
         mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
-        if not (mallopt(-3, 32 << 20) and mallopt(-1, 64 << 20)):
-            raise OSError("mallopt rejected glibc's own threshold caps")
+        mallopt(-3, 32 << 20)
+        mallopt(-1, 64 << 20)
+
+
+def check_finite(weights: dict, phase: int):
+    """Every weight finite after an update; else the run has diverged, and
+    the first weight that is not, and the phase, are named."""
+    for name, arr in weights.items():
+        if not np.all(np.isfinite(arr)):
+            raise TrainingDiverged(f"non-finite weights in {name} in phase {phase}")
 
 
 def _train_step(
@@ -204,7 +214,7 @@ def _train_step(
 
     for name, g in grads.items():
         weights[name] = weights[name] - lr * g
-    check_finite(weights)
+    check_finite(weights, phase)
     return bundle
 
 

@@ -271,15 +271,24 @@ def test_sweep_keeps_going_after_a_failed_run(tmp_path, capsys):
     assert ",nan," in body[1]
 
 
-def test_sweep_raises_on_a_programming_error(monkeypatch):
-    def broken(cfg, run_id):
-        raise TypeError("injected bug")
-
+def test_sweep_raises_on_a_programming_error(monkeypatch, tmp_path, capsys):
+    """Only a diverged run becomes a NaN row: a bug, or a contract broken
+    inside a run, stops the sweep, and the CLI writes no metrics.csv."""
     # the package re-exports the function `sweep`, which shadows the module
     sweep_module = importlib.import_module("energyfuse.sweep")
-    monkeypatch.setattr(sweep_module, "run_experiment", broken)
-    with pytest.raises(TypeError, match="injected bug"):
-        sweep(RunConfig(), "gamma", [1.0], [0])
+    for error in (TypeError, ContractError):
+
+        def broken(cfg, run_id):
+            raise error("injected bug")
+
+        monkeypatch.setattr(sweep_module, "run_experiment", broken)
+        with pytest.raises(error, match="injected bug"):
+            sweep(RunConfig(), "gamma", [1.0], [0])
+    out = tmp_path / "run"
+    args = ["sweep", *TINY, "--axis", "gamma", "--values", "0.5,1"]
+    assert main([*args, "--out_dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: injected bug\n"
+    assert not (out / "metrics.csv").exists()
 
 
 @pytest.fixture
@@ -426,6 +435,88 @@ def test_cli_sweep_end_to_end(tmp_path):
     assert (tmp_path / "sw" / "metrics.csv").read_bytes() == body
 
 
+SWEEP_GAMMA = ["sweep", "--axis", "gamma"]
+
+
+@pytest.mark.parametrize(
+    "args, file_text, message",
+    [
+        pytest.param(["train", "--lr", "inf"], None, "lr must be finite, got inf", id="finite"),
+        pytest.param(["train", "--t2", "-1"], None, "t1 and t2 must be >= 0", id="t2"),
+        pytest.param(["train", "--lr", "0"], None, "lr must be positive, got 0.0", id="lr"),
+        pytest.param(
+            ["train", "--lr_phase2_mult", "0"], None, "lr_phase2_mult must be positive",
+            id="lr_phase2_mult",
+        ),
+        pytest.param(["train", "--alpha", "0"], None, "alpha must be positive, got 0.0", id="alpha"),
+        pytest.param(["train", "--beta", "-0.5"], None, "beta must be >= 0, got -0.5", id="beta"),
+        pytest.param(
+            ["train", "--gamma", "1.5"], None, "gamma must be in [0, 1], got 1.5", id="gamma"
+        ),
+        pytest.param(["train", "--steps", "-1"], None, "steps must be >= 0, got -1", id="steps"),
+        pytest.param(
+            ["train", "--scheme", "mean"], None, "scheme must be add or gated, got 'mean'",
+            id="scheme",
+        ),
+        pytest.param(
+            ["train", "--pseudo_threshold", "1.5"], None, "pseudo_threshold must be in [0, 1]",
+            id="pseudo_threshold",
+        ),
+        pytest.param(
+            ["train", "--channels", "0"], None, "need h, w >= 1, k >= 2, channels >= 1",
+            id="channels",
+        ),
+        pytest.param(["train", "--k", "26"], None, "26 classes cannot fit 25 cells", id="k-cells"),
+        pytest.param(["train", "--n_scenes", "0"], None, "n_scenes must be >= 1", id="n_scenes"),
+        pytest.param(["train", "--seed", "-1"], None, "seed must be >= 0, got -1", id="seed"),
+        pytest.param(
+            ["train", "--feature_scale", "0"], None, "feature_scale must be positive",
+            id="feature_scale",
+        ),
+        pytest.param(
+            ["train", "--depth_noise_sd", "-1"], None, "noise levels must be >= 0", id="noise"
+        ),
+        pytest.param(["train", "--t1", "soon"], None, "bad value for t1: 'soon'", id="flag-value"),
+        pytest.param(
+            ["train"], "just words\n", "line 1: expected key = value, got 'just words'",
+            id="file-line",
+        ),
+        pytest.param(
+            ["train"], "speed = 11\n", "line 1: unknown config key 'speed'", id="file-key"
+        ),
+        pytest.param(
+            ["train"], "gamma = 0.5\ngamma = 0.7\n", "line 2: 'gamma' repeats line 1",
+            id="file-repeat",
+        ),
+        pytest.param(
+            [*SWEEP_GAMMA, "--values", ","], None, "sweep needs at least one value",
+            id="sweep-values",
+        ),
+        pytest.param(
+            [*SWEEP_GAMMA, "--values", "1", "--seeds", ","], None,
+            "sweep needs at least one seed", id="sweep-seeds",
+        ),
+        pytest.param(
+            [*SWEEP_GAMMA, "--values", "0.5,0.5"], None,
+            "sweep gamma 0.5 and 0.5 with seed 0 both make run gamma=0.5_seed=0",
+            id="sweep-repeat",
+        ),
+    ],
+)
+def test_cli_config_errors_exit_2_with_their_message(tmp_path, capsys, args, file_text, message):
+    """Each check of a flag, a config file or a sweep list, reached through
+    the CLI: exit 2, one stderr line, and nothing written."""
+    command, *flags = args
+    if file_text is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(file_text, encoding="utf-8")
+        flags += ["--config", str(path)]
+    out = tmp_path / "run"
+    assert main([command, *TINY, *flags, "--out_dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_bad_config_value_exits_2(capsys):
     code = main(["train", *TINY, "--lr", "-1"])
     assert code == 2
@@ -507,6 +598,43 @@ def test_cli_training_divergence_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", diverging)
     assert main(["train", *TINY]) == 1
     assert capsys.readouterr().err == "training diverged: rfa became nan in phase 2\n"
+
+
+DIVERGING = [
+    "--t1", "3", "--t2", "0", "--lr", "1e300",
+    "--h", "5", "--w", "5", "--k", "3", "--channels", "4", "--n_scenes", "2",
+]
+
+
+@pytest.mark.parametrize(
+    "alpha, cause",
+    [
+        # step 1's losses are finite and its update makes enc0_w infinite
+        (["--alpha", "1e100"], "non-finite weights in enc0_w in phase 1"),
+        # step 1's update is finite and step 2's depth loss is not
+        ([], "dep_total became inf in phase 1"),
+    ],
+    ids=["weights", "loss"],
+)
+def test_cli_divergence_exits_1_wherever_it_is_found(tmp_path, capsys, alpha, cause):
+    """`train` exits 1 and names the cause, and `sweep` keeps each run as
+    a row of NaN metrics and exits 0."""
+    out = tmp_path / "run"
+    # pyproject's error::RuntimeWarning filter would raise the SGD overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", *DIVERGING, *alpha, "--out_dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"training diverged: {cause}\n"
+        assert not out.exists()
+        args = ["sweep", *DIVERGING, *alpha, "--axis", "gamma", "--values", "0.5,1"]
+        assert main([*args, "--out_dir", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"sweep: run gamma={g}_seed=0 failed: {cause}" for g in ("0.5", "1")
+    ]
+    header, *rows = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()
+    n_metrics = len(header.split(",")) - 1 - len(CONFIG_KEYS)
+    assert [row.split(",")[0] for row in rows] == ["gamma=0.5_seed=0", "gamma=1_seed=0"]
+    for row in rows:
+        assert row.split(",")[-n_metrics:] == ["nan"] * n_metrics
 
 
 def test_cli_module_runs_as_a_process_with_its_exit_codes():

@@ -7,7 +7,6 @@ from energyfuse.numeric import ContractError, softmax_cols
 from energyfuse.objectives import (
     IGNORE,
     LabelMap,
-    LossBundle,
     berhu_loss,
     berhu_map,
     four_term_total,
@@ -75,6 +74,12 @@ def test_seg_nll_rejects_label_out_of_range():
     for labels, bad in ([1, 4, IGNORE, 5], 4), ([0, IGNORE, 7, 4], 7):
         with pytest.raises(ContractError, match=rf"out of range \[0, 4\): {bad}$"):
             seg_nll(np.zeros((4, len(labels))), _labels(labels))
+
+
+def test_seg_nll_rejects_a_label_count_other_than_the_positions():
+    for n_labels in (1, 3):
+        with pytest.raises(ContractError, match=f"^{n_labels} labels for 2 positions$"):
+            seg_nll(np.zeros((3, 2)), _labels([0] * n_labels))
 
 
 def test_label_map_rejects_negative_non_ignore():
@@ -178,20 +183,3 @@ def test_pseudo_label_monotone_in_threshold():
         assert not np.any(newly_labeled)
         prev = cur
 
-
-def test_loss_bundle_identities_enforced():
-    ok = LossBundle(
-        seg_total=1.0, dep_total=2.0, supervised=1.002, rfa=0.5,
-        overall=1.502, alpha=0.001, beta=1.0,
-    )
-    assert ok.overall == 1.502
-    with pytest.raises(ContractError):
-        LossBundle(
-            seg_total=1.0, dep_total=2.0, supervised=1.5, rfa=0.5,
-            overall=2.0, alpha=0.001, beta=1.0,
-        )
-    with pytest.raises(ContractError):
-        LossBundle(
-            seg_total=1.0, dep_total=2.0, supervised=1.002, rfa=0.5,
-            overall=9.0, alpha=0.001, beta=1.0,
-        )

@@ -75,6 +75,12 @@ def test_depth_energy_shape_mismatch():
         depth_energy_map(np.zeros((1, 3)), np.zeros((1, 4)), 1.0)
 
 
+def test_mask_shape_mismatch():
+    """(1, 3) against (1, 1) would broadcast into a 3-position mask."""
+    with pytest.raises(ContractError, match=r"^shape mismatch: \(1, 3\) vs \(1, 1\)$"):
+        reliability_mask(np.zeros((1, 3)), np.zeros((1, 1)))
+
+
 def test_mask_dominance_and_ties():
     n = 5
     all_on = reliability_mask(np.ones((1, n)), np.zeros((1, n)))
@@ -109,6 +115,22 @@ def test_mask_validation():
     assert ReliabilityMask(m=np.array([[1.0, 0.0, 1.0]])).count == 2
     with pytest.raises(TypeError):
         ReliabilityMask(m=np.array([[1.0, 0.0]]), count=1)
+
+
+@pytest.mark.parametrize("loss", ["seg", "dep"])
+def test_rfa_losses_check_map_shapes_and_mask_size(loss):
+    rows = 3 if loss == "seg" else 1
+
+    def rfa(plain, fused, mask):
+        if loss == "seg":
+            return rfa_seg_loss(plain, fused, mask)
+        return rfa_dep_loss(plain, fused, mask, 1.0)
+
+    mask = ReliabilityMask(m=np.array([[1.0, 0.0, 1.0, 0.0]]))
+    with pytest.raises(ContractError, match=rf"^shape mismatch: \({rows}, 4\) vs \({rows}, 3\)$"):
+        rfa(np.zeros((rows, 4)), np.zeros((rows, 3)), mask)
+    with pytest.raises(ContractError, match="^mask covers 4 positions, the maps have 5$"):
+        rfa(np.zeros((rows, 5)), np.zeros((rows, 5)), mask)
 
 
 def test_rfa_seg_zero_for_identical_logits():
