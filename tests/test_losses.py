@@ -15,6 +15,9 @@ from energyfuse.objectives import (
     seg_nll,
     supervised_loss,
 )
+from energyfuse.config import RunConfig
+from energyfuse.metrics import build_data, build_model
+from energyfuse.train import train
 
 SEG_NLL_2_0 = 0.1269280110429725  # lse([2,0]) - 2 at 40 digits, rounded
 CONF_2_0 = 0.8807970779778824  # top softmax probability of [2, 0]
@@ -183,3 +186,20 @@ def test_pseudo_label_monotone_in_threshold():
         assert not np.any(newly_labeled)
         prev = cur
 
+
+def test_loss_bundle_identities_enforced():
+    """Every bundle a training step builds has supervised = seg + alpha * dep
+    and overall = supervised + beta * rfa, bit for bit, in both phases."""
+    cfg = RunConfig(
+        t1=3, t2=3, lr=0.05, alpha=0.3, beta=0.7, seed=0, h=6, w=6, k=3,
+        channels=4, n_scenes=4,
+    )
+    source, target = build_data(cfg)
+    _, trace = train(build_model(cfg), source, target, cfg)
+    assert [e.phase for e in trace] == [1, 1, 1, 2, 2, 2]
+    for entry in trace:
+        b = entry.bundle
+        assert (b.alpha, b.beta) == (cfg.alpha, cfg.beta)
+        assert b.supervised == b.seg_total + cfg.alpha * b.dep_total
+        assert b.overall == b.supervised + cfg.beta * b.rfa
+    assert any(e.bundle.rfa > 0.0 for e in trace[cfg.t1 :])

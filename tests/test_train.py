@@ -85,10 +85,6 @@ def test_trace_covers_both_phases_in_order():
     _, trace = train(weights, source, target, cfg)
     assert len(trace) == cfg.t1 + cfg.t2
     assert [e.phase for e in trace] == [1] * cfg.t1 + [2] * cfg.t2
-    for entry in trace:
-        b = entry.bundle
-        assert b.supervised == b.seg_total + cfg.alpha * b.dep_total
-        assert b.overall == b.supervised + cfg.beta * b.rfa
     for entry in trace[: cfg.t1]:
         assert entry.bundle.rfa == 0.0
         assert entry.bundle.overall == entry.bundle.supervised
