@@ -4,10 +4,9 @@ A DiffGraph records every tensor operation as a node (op tag, input ids,
 value, VJP). Inputs always precede consumers on the tape, so one reverse
 scan visits each node exactly once and accumulates exact adjoints.
 It holds no model math: each model block is computed by its own module
-and recorded as one node with DiffGraph.fused.
+and passed to record, which makes it one DiffGraph.fused node when an
+input is a Tensor and returns the plain value otherwise.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -172,23 +171,20 @@ class DiffGraph:
         return grads
 
 
-# DiffGraph's op names computed on plain arrays, recording nothing
-ARRAY_OPS = SimpleNamespace(
-    sum=lambda a: float(np.sum(a)),
-    fused=lambda op, inputs, value, vjp: value,
-)
+def record(op: str, inputs, value, vjp):
+    """`value` as one DiffGraph.fused node on the graph of the first Tensor
+    among `inputs`, or `value` itself if none is a Tensor, so one code
+    path both computes on arrays and records on a tape."""
+    for t in inputs:
+        if isinstance(t, Tensor):
+            return t.graph.fused(op, inputs, value, vjp)
+    return value
 
 
-def ops(*xs):
-    """The graph of the first Tensor among xs, or ARRAY_OPS if none is.
-
-    A pass picks its namespace once and then calls ops by DiffGraph's
-    names, so one code path both computes and records.
-    """
-    for x in xs:
-        if isinstance(x, Tensor):
-            return x.graph
-    return ARRAY_OPS
+def sum_all(a):
+    """The sum of every entry: a float for an array, a DiffGraph.sum node
+    for a Tensor."""
+    return a.graph.sum(a) if isinstance(a, Tensor) else float(np.sum(a))
 
 
 def raw(a) -> np.ndarray:

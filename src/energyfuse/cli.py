@@ -2,8 +2,9 @@
 
 Subcommands: train, eval, sweep, verify, demo-hopfield, gen-data. Exit
 codes: 0 success, 1 failed invariant or diverged training, 2 usage or
-config error. Flags named after config keys override values from
---config files.
+config input refused before any run (or an OS error). Any other error
+propagates with its traceback. Flags named after config keys override
+values from --config files.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import numpy as np
 from .config import CONFIG_KEYS, RunConfig, _coerce, load_config
 from .fusion import hopfield_energy, hopfield_update
 from .metrics import build_data, run_experiment
-from .numeric import ContractError
+from .numeric import ConfigError
 from .rng import RngState
 from .sweep import (
     SWEEP_AXES,
@@ -182,7 +183,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as err:
         print(f"training diverged: {err}", file=sys.stderr)
         return 1
-    except (ContractError, OSError) as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

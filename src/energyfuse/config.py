@@ -10,7 +10,7 @@ import numbers
 from dataclasses import dataclass, fields
 
 from .fusion import check_schedule
-from .numeric import ContractError
+from .numeric import ConfigError, ContractError
 
 
 @dataclass
@@ -40,37 +40,37 @@ class RunConfig:
     def __post_init__(self):
         for key, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise ContractError(f"{key} must be finite, got {value}")
+                raise ConfigError(f"{key} must be finite, got {value}")
             kind, noun = _NUMBER_KINDS.get(_FIELD_TYPES[key], (None, None))
             if kind and (isinstance(value, bool) or not isinstance(value, kind)):
                 raise ContractError(f"{key} must be {noun}, got {value!r}")
         if self.t1 < 0 or self.t2 < 0:
-            raise ContractError("t1 and t2 must be >= 0")
+            raise ConfigError("t1 and t2 must be >= 0")
         if not self.lr > 0:
-            raise ContractError(f"lr must be positive, got {self.lr}")
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if not self.lr_phase2_mult > 0:
-            raise ContractError("lr_phase2_mult must be positive")
+            raise ConfigError("lr_phase2_mult must be positive")
         if not self.alpha > 0:
-            raise ContractError(f"alpha must be positive, got {self.alpha}")
+            raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.beta < 0:
-            raise ContractError(f"beta must be >= 0, got {self.beta}")
+            raise ConfigError(f"beta must be >= 0, got {self.beta}")
         check_schedule(self.gamma, self.steps)
         if self.scheme not in ("add", "gated"):
-            raise ContractError(f"scheme must be add or gated, got {self.scheme!r}")
+            raise ConfigError(f"scheme must be add or gated, got {self.scheme!r}")
         if not 0.0 <= self.pseudo_threshold <= 1.0:
-            raise ContractError("pseudo_threshold must be in [0, 1]")
+            raise ConfigError("pseudo_threshold must be in [0, 1]")
         if self.h < 1 or self.w < 1 or self.k < 2 or self.channels < 1:
-            raise ContractError("need h, w >= 1, k >= 2, channels >= 1")
+            raise ConfigError("need h, w >= 1, k >= 2, channels >= 1")
         if self.k > self.h * self.w:
-            raise ContractError(f"{self.k} classes cannot fit {self.h * self.w} cells")
+            raise ConfigError(f"{self.k} classes cannot fit {self.h * self.w} cells")
         if self.n_scenes < 1:
-            raise ContractError("n_scenes must be >= 1")
+            raise ConfigError("n_scenes must be >= 1")
         if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.feature_scale > 0:
-            raise ContractError("feature_scale must be positive")
+            raise ConfigError("feature_scale must be positive")
         if self.noise_sd < 0 or self.depth_noise_sd < 0:
-            raise ContractError("noise levels must be >= 0")
+            raise ConfigError("noise levels must be >= 0")
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
@@ -88,7 +88,7 @@ def _coerce(key: str, text: str):
             return float(text)
         return text
     except ValueError:
-        raise ContractError(f"bad value for {key}: {text!r}") from None
+        raise ConfigError(f"bad value for {key}: {text!r}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -103,13 +103,13 @@ def parse_config_text(text: str) -> dict:
         if not body or body.startswith("#"):
             continue
         if "=" not in body:
-            raise ContractError(f"line {lineno}: expected key = value, got {body!r}")
+            raise ConfigError(f"line {lineno}: expected key = value, got {body!r}")
         key, _, value = body.partition("=")
         key = key.strip()
         if key not in _FIELD_TYPES:
-            raise ContractError(f"line {lineno}: unknown config key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in seen:
-            raise ContractError(f"line {lineno}: {key!r} repeats line {seen[key]}")
+            raise ConfigError(f"line {lineno}: {key!r} repeats line {seen[key]}")
         seen[key] = lineno
         updates[key] = _coerce(key, value.strip())
     return updates

@@ -2,10 +2,10 @@
 
 One task's feature columns (input patterns) descend the Hopfield energy
 toward the other task's feature columns (stored patterns), then the two
-are fused by direct addition or a learned sigmoid gate. Each entry picks
-its op namespace once (autodiff.ops): on DiffGraph tensors the damped
-update is recorded as one fused tape node with its own VJP, on plain
-arrays the same hopfield_steps computes it without a tape.
+are fused by direct addition or a learned sigmoid gate. Each block
+dispatches on its own inputs (autodiff.record): on DiffGraph tensors the
+damped update is recorded as one fused tape node with its own VJP, on
+plain arrays the same hopfield_steps computes it without a tape.
 """
 
 import numbers
@@ -13,18 +13,18 @@ import numbers
 import numpy as np
 
 from . import numeric
-from .autodiff import ARRAY_OPS, ops, raw
-from .numeric import ContractError, as_matrix
+from .autodiff import Tensor, raw, record
+from .numeric import ConfigError, ContractError, as_matrix
 
 
 def check_schedule(gamma, steps):
     """gamma in [0, 1] and a whole number of steps >= 0."""
     if not 0.0 <= gamma <= 1.0:
-        raise ContractError(f"gamma must be in [0, 1], got {gamma}")
+        raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
         raise ContractError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
-        raise ContractError(f"steps must be >= 0, got {steps}")
+        raise ConfigError(f"steps must be >= 0, got {steps}")
 
 
 def _pattern_pair(xi, nu):
@@ -72,14 +72,15 @@ def hopfield_steps(xi, nu, gamma: float, steps: int, saved):
     return x
 
 
-def _update(o, xi, nu, gamma: float, steps: int):
+def _update(xi, nu, gamma: float, steps: int):
     """Damped update of every column of xi (d, N) toward nu (d, M), as one
     "hopfield" node whose value and adjoints match the op-by-op tape's bit
-    for bit; only a graph keeps every step's (x, attention) for the VJP."""
+    for bit; only a Tensor input makes it keep every step's (x, attention)
+    for the VJP."""
     if gamma == 0.0 or steps == 0:
         return xi
     gamma = float(gamma)
-    saved = None if o is ARRAY_OPS else []
+    saved = [] if isinstance(xi, Tensor) or isinstance(nu, Tensor) else None
     x = hopfield_steps(raw(xi), raw(nu), gamma, steps, saved)
     # one input slot per adjoint term, in the op-by-op reverse order
     inputs = (nu, nu) * (steps - 1) + (nu, xi, xi, nu)
@@ -110,14 +111,14 @@ def _update(o, xi, nu, gamma: float, steps: int):
                 yield (gs @ x.T).T
                 g = g * (1.0 - gamma) + nu_f @ gs
 
-    return o.fused("hopfield", inputs, x, vjp)
+    return record("hopfield", inputs, x, vjp)
 
 
 def hopfield_update(xi, nu, gamma: float, steps: int) -> np.ndarray:
     """Damped update of xi (d x N) toward nu (d x M); steps = 0 is the identity."""
     xi, nu = _pattern_pair(xi, nu)
     check_schedule(gamma, steps)
-    return _update(ARRAY_OPS, xi, nu, gamma, steps)
+    return _update(xi, nu, gamma, steps)
 
 
 def fuse(xi_updated, nu, gate=None):
@@ -141,8 +142,7 @@ def fuse(xi_updated, nu, gate=None):
         g_pre = g * mix * sig * (1.0 - sig)
         return (g, g_mix @ xv.T, w1v.T @ g_mix, g_pre @ xv.T, w2v.T @ g_pre)
 
-    o = ops(xi_updated, nu, w1, w2)
-    return o.fused("gate", (nu, w1, xi_updated, w2, xi_updated), out, vjp)
+    return record("gate", (nu, w1, xi_updated, w2, xi_updated), out, vjp)
 
 
 def eb2f_apply(query_task, other_task, gamma: float, steps: int, gate=None):
@@ -156,6 +156,5 @@ def eb2f_apply(query_task, other_task, gamma: float, steps: int, gate=None):
         raise ContractError(
             f"feature shape mismatch: {query_task.shape} vs {other_task.shape}"
         )
-    o = ops(other_task, query_task)
-    xi = _update(o, other_task, query_task, gamma, steps)
+    xi = _update(other_task, query_task, gamma, steps)
     return fuse(xi, query_task, gate)

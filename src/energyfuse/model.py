@@ -4,16 +4,16 @@ Every network is a per-position map: weight matrices act on the channel
 axis of C x N feature columns, so one matmul applies the layer at all
 grid positions. Each task (segmentation, depth) owns two decoders: a
 plain one fed by its own task features and a fused one fed by the
-cross-task fusion output. A forward pass picks its op namespace once
-from the weights and features: it computes on plain arrays, or records
-on the DiffGraph that bound leaves belong to.
+cross-task fusion output. Each block dispatches on its own inputs: it
+computes on plain arrays, or records on the DiffGraph that bound leaves
+belong to.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ARRAY_OPS, Tensor, ops, raw
+from .autodiff import Tensor, raw, record
 from .config import RunConfig
 from .fusion import eb2f_apply
 from .numeric import ContractError
@@ -62,7 +62,7 @@ def bind(weights: dict, graph) -> dict:
     return {name: graph.leaf(arr) for name, arr in weights.items()}
 
 
-def _dense(o, w, name, x, tanh=False, skip=None):
+def _dense(w, name, x, tanh=False, skip=None):
     """[skip +] [tanh](W x + b) of layer `name`, recorded as one node.
 
     The value and the adjoint terms are the op-by-op chain's (matmul,
@@ -76,8 +76,6 @@ def _dense(o, w, name, x, tanh=False, skip=None):
     if tanh:
         y = np.tanh(y)
     out = raw(skip) + y if skip_in else y
-    if o is ARRAY_OPS:
-        return out
 
     def vjp(g):
         gz = g * (1.0 - y * y) if tanh else g
@@ -87,12 +85,12 @@ def _dense(o, w, name, x, tanh=False, skip=None):
         return [g] + terms if skip_in else terms
 
     inputs = [bt, wt] + ([x] if x_in else [])
-    return o.fused("dense", [skip] + inputs if skip_in else inputs, out, vjp)
+    return record("dense", [skip] + inputs if skip_in else inputs, out, vjp)
 
 
-def _task_features(o, w, task, h):
-    inner = _dense(o, w, f"{task}_net_a", h, tanh=True)
-    return _dense(o, w, f"{task}_net_b", inner, tanh=True, skip=h)
+def _task_features(w, task, h):
+    inner = _dense(w, f"{task}_net_a", h, tanh=True)
+    return _dense(w, f"{task}_net_b", inner, tanh=True, skip=h)
 
 
 def forward_pass(weights: dict, scene, cfg: RunConfig) -> Predictions:
@@ -105,20 +103,19 @@ def forward_pass(weights: dict, scene, cfg: RunConfig) -> Predictions:
         raise ContractError(
             f"model expects {cfg.channels} channels, got {features.shape[0]}"
         )
-    o = ops(features, *weights.values())
-    h = _dense(o, weights, "enc0", features, tanh=True)
-    h = _dense(o, weights, "enc1", h, tanh=True)
-    f_seg = _task_features(o, weights, "seg", h)
-    f_dep = _task_features(o, weights, "dep", h)
+    h = _dense(weights, "enc0", features, tanh=True)
+    h = _dense(weights, "enc1", h, tanh=True)
+    f_seg = _task_features(weights, "seg", h)
+    f_dep = _task_features(weights, "dep", h)
 
     gates = {"seg": None, "dep": None}  # Add fuses without weights
     if cfg.scheme == "gated":
         gates = {t: (weights[f"fuse_{t}_w1"], weights[f"fuse_{t}_w2"]) for t in gates}
     fused_seg_in = eb2f_apply(f_seg, f_dep, cfg.gamma, cfg.steps, gates["seg"])
     fused_dep_in = eb2f_apply(f_dep, f_seg, cfg.gamma, cfg.steps, gates["dep"])
-    seg_fused = _dense(o, weights, "seg_dec_fused", fused_seg_in)
-    dep_fused = _dense(o, weights, "dep_dec_fused", fused_dep_in)
-    seg_plain = _dense(o, weights, "seg_dec_plain", f_seg)
-    dep_plain = _dense(o, weights, "dep_dec_plain", f_dep)
+    seg_fused = _dense(weights, "seg_dec_fused", fused_seg_in)
+    dep_fused = _dense(weights, "dep_dec_fused", fused_dep_in)
+    seg_plain = _dense(weights, "seg_dec_plain", f_seg)
+    dep_plain = _dense(weights, "dep_dec_plain", f_dep)
     return Predictions(seg_plain, seg_fused, dep_plain, dep_fused)
 

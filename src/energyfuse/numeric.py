@@ -12,6 +12,10 @@ class ContractError(ValueError):
     """An operation was called outside its documented contract."""
 
 
+class ConfigError(ContractError):
+    """A run's config, flags or sweep lists were refused before any run."""
+
+
 def as_matrix(x) -> np.ndarray:
     """Coerce to a 2-D float64 array; 1-D input becomes a column vector."""
     a = np.asarray(x, dtype=np.float64)

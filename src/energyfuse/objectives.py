@@ -3,9 +3,9 @@
 Segmentation uses the energy-form negative log-likelihood (equivalent to
 softmax cross-entropy), depth uses the reverse Huber loss with a
 per-image threshold, and the composite losses stack per-branch totals
-into the supervised and overall objectives. Each loss picks its op
-namespace once from its inputs (autodiff.ops): a plain-array call
-returns a float, a call on DiffGraph tensors records on their graph.
+into the supervised and overall objectives. Each loss dispatches on its
+own inputs (autodiff.record): a plain-array call returns a float, a call
+on DiffGraph tensors records on their graph.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric
-from .autodiff import ops, raw
+from .autodiff import raw, record, sum_all
 from .numeric import ContractError
 
 IGNORE = -1  # the one negative label: LabelMap rejects every label below it
@@ -42,8 +42,6 @@ class LossBundle:
     supervised: float
     rfa: float
     overall: float
-    alpha: float
-    beta: float
 
 
 def seg_nll(logits, labels: LabelMap) -> object:
@@ -80,7 +78,7 @@ def seg_nll(logits, labels: LabelMap) -> object:
             (ones.T @ -g_row) * one_hot,
         )
 
-    return ops(logits).fused("seg_nll", (logits, logits), total, vjp)
+    return record("seg_nll", (logits, logits), total, vjp)
 
 
 def berhu_map(diff, c: float):
@@ -105,7 +103,7 @@ def berhu_map(diff, c: float):
         g_sq = g * rest * s * d
         return (g_sq, g_sq, g * sel * np.sign(d))
 
-    return ops(diff).fused("berhu_map", (diff, diff, diff), value, vjp)
+    return record("berhu_map", (diff, diff, diff), value, vjp)
 
 
 def berhu_threshold(diff: np.ndarray) -> float:
@@ -126,7 +124,7 @@ def berhu_loss(pred, gt) -> object:
     if c == 0.0:
         return 0.0
     per = berhu_map(e, c)
-    return ops(e).sum(per) * (1.0 / raw(e).size)
+    return sum_all(per) * (1.0 / raw(e).size)
 
 
 def four_term_total(src_plain, src_fused, tgt_plain, tgt_fused):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numeric
-from .autodiff import ops, raw
+from .autodiff import raw, record, sum_all
 from .numeric import ContractError
 from .objectives import berhu_map
 
@@ -58,7 +58,7 @@ def reliability_mask(e_plain, e_fused) -> ReliabilityMask:
     return ReliabilityMask(m=(ef < ep).astype(np.float64).reshape(1, -1))
 
 
-def _kl_row(o, teacher, student):
+def _kl_row(teacher, student):
     """Per-position KL(teacher || student) from logits, as one "kl_row"
     node with the value and adjoint terms of the tests' op-by-op chain, in
     its order, bit for bit; the teacher is read as arrays, so detached."""
@@ -73,13 +73,13 @@ def _kl_row(o, teacher, student):
         g_log = (ones.T @ g) * t_prob * -1.0
         return (g_log, numeric.softmax_cols(sv) * -g_log.sum(axis=0, keepdims=True))
 
-    return o.fused("kl_row", (student, student), value, vjp)
+    return record("kl_row", (student, student), value, vjp)
 
 
 def _distil(rows, plain, fused, mask: ReliabilityMask):
     """Masked bidirectional distillation between two branch maps.
 
-    rows(o, teacher, student) is the per-position loss of the student
+    rows(teacher, student) is the per-position loss of the student
     against the detached teacher. Where the mask is 0 the plain branch
     teaches the fused one, where it is 1 the fused branch teaches the
     plain one; each side is averaged over its own positions and a side
@@ -90,14 +90,13 @@ def _distil(rows, plain, fused, mask: ReliabilityMask):
     n = plain.shape[1]
     if mask.size != n:
         raise ContractError(f"mask covers {mask.size} positions, the maps have {n}")
-    o = ops(plain, fused)
     loss = None
     for teacher, student, weight, count in (
         (plain, fused, 1.0 - mask.m, n - mask.count),
         (fused, plain, mask.m, mask.count),
     ):
         if count > 0:
-            side = o.sum(rows(o, teacher, student) * weight) * (1.0 / count)
+            side = sum_all(rows(teacher, student) * weight) * (1.0 / count)
             loss = side if loss is None else loss + side
     return loss
 
@@ -115,7 +114,7 @@ def rfa_dep_loss(d_plain, d_fused, mask: ReliabilityMask, c: float):
     detached and only the student receives gradients.
     """
     return _distil(
-        lambda o, teacher, student: berhu_map(student - raw(teacher), c),
+        lambda teacher, student: berhu_map(student - raw(teacher), c),
         d_plain,
         d_fused,
         mask,

@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 
 from .config import CONFIG_KEYS, RunConfig
 from .metrics import MetricsRow, run_experiment
-from .numeric import ContractError
+from .numeric import ConfigError, ContractError
 from .train import TrainingDiverged
 
 SWEEP_AXES = {
@@ -109,9 +109,9 @@ def sweep(base: RunConfig, axis: str, values: list, seeds: list) -> list:
     if axis not in SWEEP_AXES:
         raise ContractError(f"unknown sweep axis {axis!r}")
     if not values:
-        raise ContractError("sweep needs at least one value")
+        raise ConfigError("sweep needs at least one value")
     if not seeds:
-        raise ContractError("sweep needs at least one seed")
+        raise ConfigError("sweep needs at least one seed")
     key = SWEEP_AXES[axis]
     # every config is built, and so checked, before the first run; two
     # entries are one run if their configs are equal (-0.0 == 0.0) or their
@@ -123,7 +123,7 @@ def sweep(base: RunConfig, axis: str, values: list, seeds: list) -> list:
             cfg = replace(base, **{key: value, "seed": seed})
             for other_id, other in plan:
                 if other_id == run_id or other == cfg:
-                    raise ContractError(
+                    raise ConfigError(
                         f"sweep {axis} {getattr(other, key)!r} and {value!r} "
                         f"with seed {seed} both make run {other_id}"
                     )

@@ -204,8 +204,6 @@ def _train_step(
         supervised=supervised,
         rfa=l_rfa,
         overall=overall,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
     )
     for name in ("seg_total", "dep_total", "rfa", "supervised", "overall"):
         v = getattr(bundle, name)

@@ -446,14 +446,14 @@ def check_autodiff_composite() -> CheckResult:
 
     def f(x):
         g = x.graph
-        sq = _dense(g, {"l_w": x, "l_b": x}, "l", widen_sq, tanh=True)
-        h = _dense(g, {"l_w": x * 0.8, "l_b": x}, "l", widen, tanh=True)
-        h = _dense(g, {"l_w": sq * 0.5, "l_b": x * 0.2}, "l", h, tanh=True, skip=h)
-        u = fusion._update(g, h, h * 0.5 + 0.3, 0.7, 2)
+        sq = _dense({"l_w": x, "l_b": x}, "l", widen_sq, tanh=True)
+        h = _dense({"l_w": x * 0.8, "l_b": x}, "l", widen, tanh=True)
+        h = _dense({"l_w": sq * 0.5, "l_b": x * 0.2}, "l", h, tanh=True, skip=h)
+        u = fusion._update(h, h * 0.5 + 0.3, 0.7, 2)
         v = fuse(u, h, gate=(sq * 0.6, 0.5 - sq))
         # v - teacher has entries on both sides of c = 0.5, so both branches count
         dep = g.sum(berhu_map(v - teacher, 0.5)) * 0.2
-        return seg_nll(v, labels) + g.sum(_kl_row(g, teacher, v)) * 0.1 + dep
+        return seg_nll(v, labels) + g.sum(_kl_row(teacher, v)) * 0.1 + dep
 
     worst = grad_check(f, rng.normal(6, 1, 0.8))
     return CheckResult("autodiff-composite-vs-fd", worst, 1e-6, worst < 1e-6)

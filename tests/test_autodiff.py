@@ -9,12 +9,12 @@ import pytest
 
 from conftest import ref_op
 from energyfuse.autodiff import (
-    ARRAY_OPS,
     DiffGraph,
     Tensor,
     grad_check,
-    ops,
     raw,
+    record,
+    sum_all,
 )
 from energyfuse.fusion import _update, fuse, hopfield_steps
 from energyfuse.model import _dense, bind
@@ -94,7 +94,7 @@ def test_grad_check_constant_function_near_zero():
 def _layer(g, x, inp, **kw):
     """Dense layer "l" with W = x and b = x @ 1, so x reaches both slots."""
     bias = ref_op(g, "matmul", x, np.ones((x.shape[1], 1)))
-    return _dense(g, {"l_w": x, "l_b": bias}, "l", inp, **kw)
+    return _dense({"l_w": x, "l_b": bias}, "l", inp, **kw)
 
 
 def _labels_of(y):
@@ -140,7 +140,7 @@ OPS = [
     ("sum", lambda g, x, y: g.sum(x)),
     # a plain-array operand on the left, as a detached teacher in reliability
     ("array operands", lambda g, x, y: np.exp(y.data) * (y.data - x)),
-    ("hopfield", lambda g, x, y: _update(g, x, y, 0.7, 2)),
+    ("hopfield", lambda g, x, y: _update(x, y, 0.7, 2)),
     ("dense", lambda g, x, y: _layer(g, x, y.data.T)),
     ("dense tanh", lambda g, x, y: _layer(g, x, ref_op(g, "transpose", x), tanh=True)),
     (
@@ -156,7 +156,7 @@ OPS = [
     ("seg_nll", lambda g, x, y: seg_nll(x, LabelMap(_labels_of(y)))),
     ("berhu_map", lambda g, x, y: berhu_map(x, 0.7)),
     # y is the detached teacher
-    ("kl_row", lambda g, x, y: _kl_row(g, y, x)),
+    ("kl_row", lambda g, x, y: _kl_row(y, x)),
     ("gate", _gated),
 ]
 
@@ -360,7 +360,7 @@ def test_fused_hopfield_matches_unfused_chain_bit_for_bit():
                 xi = ref_op(g, "tanh", g.leaf(xi0))
                 nu = ref_op(g, "tanh", g.leaf(nu0))
                 if fused:
-                    out = _update(g, xi, nu, gamma, steps)
+                    out = _update(xi, nu, gamma, steps)
                 else:
                     out = _unfused_hopfield(g, xi, nu, gamma, steps)
                 total = g.add(g.add(out, nu), xi * readout)
@@ -391,8 +391,9 @@ def _fused_and_unfused(inputs, build_fused, build_unfused):
     return results
 
 
-def _unfused_dense(g, w, name, x, tanh=False, skip=None):
+def _unfused_dense(w, name, x, tanh=False, skip=None):
     """The dense block op by op, as the tape recorded it before fusion."""
+    g = w[name + "_w"].graph
     y = ref_op(g, "add_col", ref_op(g, "matmul", w[name + "_w"], x), w[name + "_b"])
     if tanh:
         y = ref_op(g, "tanh", y)
@@ -407,15 +408,15 @@ def test_fused_dense_matches_unfused_chain_bit_for_bit():
         for with_skip in (False, True):
             for x_const in (False, True):
 
-                def build(dense, g, wt, bt, xt, st):
+                def build(dense, wt, bt, xt, st):
                     x = xt.data if x_const else xt
                     skip = st if with_skip else None
-                    return dense(g, {"l_w": wt, "l_b": bt}, "l", x, tanh=tanh, skip=skip)
+                    return dense({"l_w": wt, "l_b": bt}, "l", x, tanh=tanh, skip=skip)
 
                 fused, unfused = _fused_and_unfused(
                     arrays,
-                    lambda g, *ts: build(_dense, g, *ts),
-                    lambda g, *ts: build(_unfused_dense, g, *ts),
+                    lambda g, *ts: build(_dense, *ts),
+                    lambda g, *ts: build(_unfused_dense, *ts),
                 )
                 for got, want in zip(fused, unfused):
                     assert np.array_equal(got, want), (tanh, with_skip, x_const)
@@ -483,12 +484,12 @@ def test_fused_kl_row_matches_unfused_chain_bit_for_bit():
     arrays = [3.0 * rng.normal(size=(4, 30)) for _ in range(2)]  # teacher, student
     fused, unfused = _fused_and_unfused(
         arrays,
-        lambda g, t, s: _kl_row(g, t, s),
+        lambda g, t, s: _kl_row(t, s),
         lambda g, t, s: _unfused_kl_row(g, t, s),
     )
     for got, want in zip(fused, unfused):
         assert np.array_equal(got, want)
-    on_arrays = _kl_row(ARRAY_OPS, *[np.tanh(a) for a in arrays])
+    on_arrays = _kl_row(*[np.tanh(a) for a in arrays])
     assert np.array_equal(on_arrays, fused[0])
 
 
@@ -532,7 +533,7 @@ def test_hopfield_reverse_pass_reuses_no_saved_memory():
     for i in range(steps):
         for j in range(i + 1, steps):
             assert not np.shares_memory(attn[i], attn[j]), (i, j)
-    out = _update(g, xi, nu, 0.7, steps)
+    out = _update(xi, nu, 0.7, steps)
     loss = g.sum(out * rng.normal(size=(6, 10)))
     kept = [t.data.copy() for t in (xi, nu, out)]
     first = g.backward(loss)
@@ -550,7 +551,7 @@ def _hopfield_reverse_pass_peak(steps):
     g = DiffGraph()
     xi = g.leaf(rng.normal(size=(32, 256)))
     nu = g.leaf(rng.normal(size=(32, 256)))
-    out = _update(g, xi, nu, 1.0, steps)
+    out = _update(xi, nu, 1.0, steps)
     loss = g.sum(out * rng.normal(size=out.shape))
     tracemalloc.start()
     try:
@@ -610,20 +611,17 @@ def test_backward_never_writes_into_a_borrowed_adjoint():
     np.testing.assert_array_equal(grads[x.nid], 4.0 * w)
 
 
-def test_array_ops_match_graph_ops_bit_for_bit():
-    """ARRAY_OPS holds sum and fused. A sum is a float on arrays and a
-    (1, 1) tensor on a graph; a fused block's value passes through, and a
-    float becomes a (1, 1) value."""
+def test_record_and_sum_all_on_arrays_record_nothing():
+    """With no Tensor among the inputs, a block's value comes back as the
+    same object, and a sum is a float equal to the graph's (1, 1) sum."""
     rng = np.random.default_rng(7)
-    assert set(vars(ARRAY_OPS)) == {"sum", "fused"}
     x = rng.normal(size=(4, 6))
-    g = DiffGraph()
-    assert np.array_equal([[ARRAY_OPS.sum(x)]], g.sum(g.leaf(x)).data)
     for value in (rng.normal(size=(5, 7)), 0.1):
-        got = ARRAY_OPS.fused("block", (), value, None)
-        want = g.fused("block", (), value, None).data
-        assert got is value
-        assert np.array_equal(np.reshape(got, np.shape(want)), want)
+        assert record("block", (x, 3.0), value, None) is value
+    got = sum_all(x)
+    assert type(got) is float
+    g = DiffGraph()
+    assert np.array_equal([[got]], g.sum(g.leaf(x)).data)
 
 
 def test_array_and_graph_passes_agree_bit_for_bit():
@@ -642,14 +640,21 @@ def test_array_and_graph_passes_agree_bit_for_bit():
     assert np.array_equal([[rfa_dep_loss(*depths, mask, 0.5)]], dep.data)
     xi, nu = rng.normal(size=(5, 7)), rng.normal(size=(5, 9))
     for steps in (1, 2, 8):
-        want = _update(g, g.leaf(xi), g.leaf(nu), 0.7, steps).data
-        assert np.array_equal(_update(ARRAY_OPS, xi, nu, 0.7, steps), want), steps
+        want = _update(g.leaf(xi), g.leaf(nu), 0.7, steps).data
+        assert np.array_equal(_update(xi, nu, 0.7, steps), want), steps
 
 
-def test_ops_picks_the_first_tensors_graph():
-    g = DiffGraph()
+def test_record_and_sum_all_land_on_the_first_tensors_graph():
+    """A Tensor input puts the node on its graph; a block that mixes a
+    Tensor with an array input, or with another graph's Tensor, is refused."""
+    g, other = DiffGraph(), DiffGraph()
     arr = np.ones((2, 2))
     t = g.leaf(arr)
-    assert ops(arr, 3.0) is ARRAY_OPS
-    assert ops(arr, t) is g
-    assert ops(DiffGraph().leaf(arr), t) is not g
+    node = record("block", (t, t), arr * 2.0, lambda gr: (gr, gr))
+    assert node.graph is g and g.nodes[node.nid].op == "block"
+    assert np.array_equal(record("block", (t,), 0.1, None).data, [[0.1]])
+    s = sum_all(t)
+    assert s.graph is g and g.nodes[s.nid].op == "sum"
+    for inputs in ((t, arr), (arr, t), (t, other.leaf(arr))):
+        with pytest.raises(ContractError, match="is not a tensor of this graph"):
+            record("block", inputs, arr, None)

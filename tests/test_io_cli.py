@@ -273,22 +273,28 @@ def test_sweep_keeps_going_after_a_failed_run(tmp_path, capsys):
 
 def test_sweep_raises_on_a_programming_error(monkeypatch, tmp_path, capsys):
     """Only a diverged run becomes a NaN row: a bug, or a contract broken
-    inside a run, stops the sweep, and the CLI writes no metrics.csv."""
+    inside a run, stops the sweep. Through the CLI, `train` and `sweep`
+    let such a ContractError propagate, where a process exits 1 with its
+    traceback rather than 2 as for refused input, and write no metrics.csv."""
     # the package re-exports the function `sweep`, which shadows the module
     sweep_module = importlib.import_module("energyfuse.sweep")
     for error in (TypeError, ContractError):
 
-        def broken(cfg, run_id):
+        def broken(*args):
             raise error("injected bug")
 
         monkeypatch.setattr(sweep_module, "run_experiment", broken)
         with pytest.raises(error, match="injected bug"):
             sweep(RunConfig(), "gamma", [1.0], [0])
-    out = tmp_path / "run"
-    args = ["sweep", *TINY, "--axis", "gamma", "--values", "0.5,1"]
-    assert main([*args, "--out_dir", str(out)]) == 2
-    assert capsys.readouterr().err == "error: injected bug\n"
-    assert not (out / "metrics.csv").exists()
+    monkeypatch.undo()
+    # inside the run both commands start, after their configs were accepted
+    monkeypatch.setattr(importlib.import_module("energyfuse.metrics"), "train", broken)
+    for command, *extra in (["train"], ["sweep", "--axis", "gamma", "--values", "0.5,1"]):
+        out = tmp_path / command
+        with pytest.raises(ContractError, match="injected bug"):
+            main([command, *TINY, *extra, "--out_dir", str(out)])
+        assert capsys.readouterr().err == ""
+        assert not (out / "metrics.csv").exists()
 
 
 @pytest.fixture

@@ -188,7 +188,7 @@ def test_one_tape_node_per_dense_block_and_per_loss_map():
     for loss in (
         lambda: seg_nll(logits, LabelMap(np.arange(9) % 4)),
         lambda: berhu_map(logits, 0.5),
-        lambda: _kl_row(graph, logits.data * 0.5, logits),
+        lambda: _kl_row(logits.data * 0.5, logits),
     ):
         before = len(graph.nodes)
         loss()
