@@ -22,6 +22,8 @@ from .rng import RngState
 from .sweep import (
     SWEEP_AXES,
     format_value,
+    metric_columns,
+    metric_values,
     sweep,
     write_lines,
     write_loss_trace_csv,
@@ -47,18 +49,26 @@ def _config_from(args) -> RunConfig:
     return RunConfig(**keys)
 
 
+def _writer_config(args) -> RunConfig:
+    """The config of a command that writes to out_dir; refused before any run
+    when out_dir's nearest existing ancestor, or out_dir itself, is no directory."""
+    cfg = _config_from(args)
+    ancestor = cfg.out_dir
+    while ancestor and not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        raise ConfigError(f"out_dir {cfg.out_dir}: {ancestor} is not a directory")
+    return cfg
+
+
 def _print_row(row):
     print(f"run_id: {row.run_id}")
-    for i, v in enumerate(row.iou):
-        print(f"iou_class_{i}: {v:.6f}")
-    print(f"miou: {row.miou:.6f}")
-    print(f"depth_mae: {row.depth_mae:.6f}")
-    print(f"mean_energy_plain: {row.mean_energy_plain:.6f}")
-    print(f"mean_energy_fused: {row.mean_energy_fused:.6f}")
+    for name, v in zip(metric_columns(len(row.iou)), metric_values(row)):
+        print(f"{name}: {v:.6f}")
 
 
 def cmd_train(args) -> int:
-    cfg = _config_from(args)
+    cfg = _writer_config(args)
     row, trace = run_experiment(cfg, run_id="train")
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
@@ -79,7 +89,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _config_from(args)
+    cfg = _writer_config(args)
     key = SWEEP_AXES[args.axis]
     values = [_coerce(key, item) for item in args.values.split(",") if item.strip()]
     seeds = [_coerce("seed", item) for item in args.seeds.split(",") if item.strip()]
@@ -118,7 +128,7 @@ def cmd_demo_hopfield(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _config_from(args)
+    cfg = _writer_config(args)
     source, target = build_data(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     manifest = []

@@ -9,7 +9,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import raw
 from .config import RunConfig
 from .model import forward_pass, init_model
 from .numeric import ContractError
@@ -66,11 +65,11 @@ def evaluate(weights: dict, scenes: list, cfg: RunConfig) -> MetricsRow:
     n_total = 0
     for scene in scenes:
         pred = forward_pass(weights, scene, cfg)
-        seg_hat = np.argmax(raw(pred.seg_fused), axis=0)
+        seg_hat = np.argmax(pred.seg_fused, axis=0)
         conf += confusion_matrix(scene.labels.labels, seg_hat, k)
-        err_sums.append(float(np.abs(raw(pred.dep_fused) - scene.depth).sum()))
-        e_fused_sums.append(float(free_energy_map(raw(pred.seg_fused)).sum()))
-        e_plain_sums.append(float(free_energy_map(raw(pred.seg_plain)).sum()))
+        err_sums.append(float(np.abs(pred.dep_fused - scene.depth).sum()))
+        e_fused_sums.append(float(free_energy_map(pred.seg_fused).sum()))
+        e_plain_sums.append(float(free_energy_map(pred.seg_plain).sum()))
         n_total += scene.depth.size
     iou, miou = iou_from_confusion(conf)
     return MetricsRow(

@@ -34,9 +34,11 @@ class LabelMap:
 
 @dataclass
 class LossBundle:
-    """All scalar losses of one step: supervised = seg_total + alpha *
-    dep_total and overall = supervised + beta * rfa."""
+    """One step's phase and scalar losses, in loss_trace.csv's column
+    order: supervised = seg_total + alpha * dep_total and overall =
+    supervised + beta * rfa."""
 
+    phase: int
     seg_total: float
     dep_total: float
     supervised: float

@@ -10,6 +10,7 @@ replaced by a noisy pseudo-depth stand-in.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -48,9 +49,7 @@ class Scene:
             raise ContractError("a scene must show at least 2 classes")
 
 
-_EMBED_CACHE = {}
-
-
+@cache
 def embedding_matrix(k: int, channels: int) -> np.ndarray:
     """The fixed channels x (k + 1) map from (one-hot, depth) to features.
 
@@ -59,12 +58,10 @@ def embedding_matrix(k: int, channels: int) -> np.ndarray:
     roughly unit range keep the downstream tanh layers off their flat
     tails.
     """
-    key = (k, channels)
-    if key not in _EMBED_CACHE:
-        m = RngState(EMBED_SEED, (k, channels)).normal(channels, k + 1, 1.0)
-        m[:, -1] *= DEPTH_EMBED_GAIN
-        _EMBED_CACHE[key] = m
-    return _EMBED_CACHE[key]
+    m = RngState(EMBED_SEED, (k, channels)).normal(channels, k + 1, 1.0)
+    m[:, -1] *= DEPTH_EMBED_GAIN
+    m.flags.writeable = False  # every caller shares the one cached array
+    return m
 
 
 def _strips(rng: RngState, h: int, w: int, k: int) -> np.ndarray:

@@ -11,11 +11,12 @@ metrics.csv is written.
 """
 
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 from .config import CONFIG_KEYS, RunConfig
 from .metrics import MetricsRow, run_experiment
 from .numeric import ConfigError, ContractError
+from .objectives import LossBundle
 from .train import TrainingDiverged
 
 SWEEP_AXES = {
@@ -24,10 +25,17 @@ SWEEP_AXES = {
     "steps": "steps",
     "threshold": "pseudo_threshold",
 }
+# the metric columns after the IoUs: MetricsRow's float fields, in order
+SCALAR_METRICS = tuple(f.name for f in fields(MetricsRow) if f.type is float)
 
 
 def format_value(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def csv_line(values) -> str:
+    """One CSV line: a float at 17 significant digits, anything else by str."""
+    return ",".join(format_value(v) if isinstance(v, float) else str(v) for v in values)
 
 
 def write_lines(path: str, lines):
@@ -36,72 +44,42 @@ def write_lines(path: str, lines):
         fh.writelines(line + "\n" for line in lines)
 
 
+def metric_columns(k: int) -> list:
+    """The names of a row's metrics, in metrics.csv and printout order."""
+    return [f"iou_class_{i}" for i in range(k)] + list(SCALAR_METRICS)
+
+
+def metric_values(row: MetricsRow) -> list:
+    return [*row.iou, *(getattr(row, name) for name in SCALAR_METRICS)]
+
+
 def metrics_header(k: int) -> list:
-    cols = ["run_id"]
-    cols.extend(CONFIG_KEYS)
-    cols.extend(f"iou_class_{i}" for i in range(k))
-    cols.extend(["miou", "depth_mae", "mean_energy_plain", "mean_energy_fused"])
-    return cols
-
-
-def _cell(value) -> str:
-    return format_value(value) if isinstance(value, float) else str(value)
-
-
-def metrics_csv_rows(rows: list, k: int) -> list:
-    """Header plus one comma-joined line per MetricsRow."""
-    out = [",".join(metrics_header(k))]
-    for row in rows:
-        cells = [row.run_id]
-        cells.extend(_cell(row.config[key]) for key in CONFIG_KEYS)
-        cells.extend(format_value(v) for v in row.iou)
-        cells.extend(
-            format_value(v)
-            for v in (
-                row.miou,
-                row.depth_mae,
-                row.mean_energy_plain,
-                row.mean_energy_fused,
-            )
-        )
-        out.append(",".join(cells))
-    return out
+    return ["run_id", *CONFIG_KEYS, *metric_columns(k)]
 
 
 def write_metrics_csv(rows: list, k: int, path: str):
-    write_lines(path, metrics_csv_rows(rows, k))
+    """The header, then one line per MetricsRow: its run id, config and metrics."""
+    lines = [csv_line(metrics_header(k))]
+    for row in rows:
+        config = [row.config[key] for key in CONFIG_KEYS]
+        lines.append(csv_line([row.run_id, *config, *metric_values(row)]))
+    write_lines(path, lines)
 
 
 def write_loss_trace_csv(trace: list, path: str):
-    header = "step,phase,seg_total,dep_total,supervised,rfa,overall"
-    lines = [header]
-    for step, entry in enumerate(trace):
-        b = entry.bundle
-        lines.append(
-            ",".join(
-                [str(step), str(entry.phase)]
-                + [
-                    format_value(v)
-                    for v in (b.seg_total, b.dep_total, b.supervised, b.rfa, b.overall)
-                ]
-            )
-        )
+    """The header, then one line per LossBundle: its step and its fields."""
+    names = [f.name for f in fields(LossBundle)]
+    lines = [csv_line(["step", *names])]
+    for step, bundle in enumerate(trace):
+        lines.append(csv_line([step, *(getattr(bundle, name) for name in names)]))
     write_lines(path, lines)
 
 
 def _failure_row(cfg: RunConfig, run_id: str, err: Exception) -> MetricsRow:
     print(f"sweep: run {run_id} failed: {err}", file=sys.stderr)
     nan = float("nan")
-    row = MetricsRow(
-        iou=[nan] * cfg.k,
-        miou=nan,
-        depth_mae=nan,
-        mean_energy_plain=nan,
-        mean_energy_fused=nan,
-        run_id=run_id,
-    )
-    row.config = asdict(cfg)
-    return row
+    scalars = dict.fromkeys(SCALAR_METRICS, nan)
+    return MetricsRow(iou=[nan] * cfg.k, run_id=run_id, config=asdict(cfg), **scalars)
 
 
 def sweep(base: RunConfig, axis: str, values: list, seeds: list) -> list:

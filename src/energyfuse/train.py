@@ -13,7 +13,6 @@ bit.
 
 import ctypes
 import platform
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,12 +43,6 @@ from .reliability import (
 class TrainingDiverged(RuntimeError):
     """A loss term or a weight stopped being finite; the message names it
     and the phase."""
-
-
-@dataclass
-class TraceEntry:
-    phase: int
-    bundle: LossBundle
 
 
 def _value(x) -> float:
@@ -198,13 +191,8 @@ def _train_step(
     supervised = supervised_loss(seg_total, dep_total, cfg.alpha)
     l_rfa = s["rfa"] + t["rfa"]
     overall = overall_loss(supervised, l_rfa, cfg.beta)
-    bundle = LossBundle(
-        seg_total=seg_total,
-        dep_total=dep_total,
-        supervised=supervised,
-        rfa=l_rfa,
-        overall=overall,
-    )
+    bundle = LossBundle(phase, seg_total, dep_total, supervised, l_rfa, overall)
+    # each term before the sums built from it, so a diverged run names its source
     for name in ("seg_total", "dep_total", "rfa", "supervised", "overall"):
         v = getattr(bundle, name)
         if not np.isfinite(v):
@@ -217,7 +205,8 @@ def _train_step(
 
 
 def train(weights: dict, source: list, target: list, cfg: RunConfig):
-    """Run both phases in place; returns the weights and the loss trace."""
+    """Run both phases in place; returns the weights and the loss trace,
+    one LossBundle per step."""
     if not source or not target:
         raise ContractError("training needs nonempty source and target sets")
     _pin_malloc_thresholds()
@@ -228,6 +217,5 @@ def train(weights: dict, source: list, target: list, cfg: RunConfig):
             step = len(trace)
             scene_s = source[step % len(source)]
             scene_t = target[step % len(target)]
-            bundle = _train_step(weights, scene_s, scene_t, cfg, phase, lr)
-            trace.append(TraceEntry(phase=phase, bundle=bundle))
+            trace.append(_train_step(weights, scene_s, scene_t, cfg, phase, lr))
     return weights, trace

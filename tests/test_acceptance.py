@@ -123,7 +123,7 @@ def reference_runs(tmp_path_factory):
             assert elapsed <= 300.0, f"{arm} seed {seed} took {elapsed:.0f}s"
             write_metrics_csv([row], cfg.k, str(out / "metrics.csv"))
             write_loss_trace_csv(trace, str(out / "loss_trace.csv"))
-            phase1 = [e.bundle.overall for e in trace if e.phase == 1]
+            phase1 = [b.overall for b in trace if b.phase == 1]
             runs[arm, seed] = {"miou": row.miou, "iou": row.iou, "phase1_overall": phase1} | {
                 f"{name}_csv": hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
                 for name in ("metrics", "loss_trace")

@@ -20,7 +20,6 @@ from energyfuse.numeric import ContractError
 from energyfuse.rng import RngState
 from energyfuse.sweep import (
     format_value,
-    metrics_csv_rows,
     metrics_header,
     sweep,
     write_metrics_csv,
@@ -181,7 +180,7 @@ def test_metrics_header_layout():
     )
 
 
-def test_metrics_rows_print_floats_at_full_precision():
+def test_metrics_rows_print_floats_at_full_precision(tmp_path):
     row = MetricsRow(
         iou=[1.0 / 3.0, 0.5],
         miou=5.0 / 12.0,
@@ -191,7 +190,9 @@ def test_metrics_rows_print_floats_at_full_precision():
         run_id="r0",
     )
     row.config = asdict(RunConfig(k=2, lr=0.1))
-    header, line = metrics_csv_rows([row], 2)
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv([row], 2, str(path))
+    header, line = path.read_text(encoding="utf-8").splitlines()
     cells = line.split(",")
     named = dict(zip(header.split(","), cells))
     assert named["run_id"] == "r0"
@@ -374,6 +375,20 @@ def test_cli_requires_a_subcommand():
     assert exc.value.code == 2
 
 
+# The metric lines `train` and `eval` print on the TINY config: names in
+# metrics.csv's column order, each value at 6 decimals.
+TINY_PRINTOUT = """\
+run_id: {run_id}
+iou_class_0: 1.000000
+iou_class_1: 1.000000
+iou_class_2: 1.000000
+miou: 1.000000
+depth_mae: 3.023517
+mean_energy_plain: -0.951861
+mean_energy_fused: -1.786593
+"""
+
+
 def test_cli_train_writes_both_csv_files(tmp_path, capsys):
     out = str(tmp_path / "run")
     code = main(["train", *TINY, "--out_dir", out])
@@ -386,17 +401,14 @@ def test_cli_train_writes_both_csv_files(tmp_path, capsys):
     trace_lines = trace.splitlines()
     assert trace_lines[0] == "step,phase,seg_total,dep_total,supervised,rfa,overall"
     assert len(trace_lines) == 1 + 2 + 1
-    out_text = capsys.readouterr().out
-    assert "miou:" in out_text
+    wrote = f"wrote {os.path.join(out, 'metrics.csv')} and {os.path.join(out, 'loss_trace.csv')}\n"
+    assert capsys.readouterr().out == TINY_PRINTOUT.format(run_id="train") + wrote
 
 
 def test_cli_eval_prints_metrics(capsys):
     code = main(["eval", *TINY])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "miou:" in out
-    assert "iou_class_2:" in out
-    assert "mean_energy_fused:" in out
+    assert capsys.readouterr().out == TINY_PRINTOUT.format(run_id="eval")
 
 
 def test_cli_flags_override_config_file(tmp_path):
@@ -521,6 +533,34 @@ def test_cli_config_errors_exit_2_with_their_message(tmp_path, capsys, args, fil
     assert main([command, *TINY, *flags, "--out_dir", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["train"], ["sweep", "--axis", "gamma", "--values", "0.5,1"], ["gen-data"]],
+    ids=["train", "sweep", "gen-data"],
+)
+@pytest.mark.parametrize("below", [(), ("sub", "run")], ids=["file", "under-a-file"])
+def test_cli_out_dir_that_cannot_be_a_directory_exits_2_before_any_run(
+    tmp_path, monkeypatch, capsys, command, below
+):
+    """An out_dir that is, or lies under, an existing file is refused
+    before any run or data build, and nothing is created."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a run or a data build started")
+
+    # the package re-exports the function `sweep`, which shadows the module
+    for module in (cli, importlib.import_module("energyfuse.sweep")):
+        monkeypatch.setattr(module, "run_experiment", must_not_run)
+    monkeypatch.setattr(cli, "build_data", must_not_run)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    out = taken.joinpath(*below)
+    assert main([*command, *TINY, "--out_dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: out_dir {out}: {taken} is not a directory\n"
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
 def test_cli_bad_config_value_exits_2(capsys):

@@ -197,8 +197,7 @@ def test_loss_bundle_identities_enforced():
     source, target = build_data(cfg)
     _, trace = train(build_model(cfg), source, target, cfg)
     assert [e.phase for e in trace] == [1, 1, 1, 2, 2, 2]
-    for entry in trace:
-        b = entry.bundle
+    for b in trace:
         assert b.supervised == b.seg_total + cfg.alpha * b.dep_total
         assert b.overall == b.supervised + cfg.beta * b.rfa
-    assert any(e.bundle.rfa > 0.0 for e in trace[cfg.t1 :])
+    assert any(b.rfa > 0.0 for b in trace[cfg.t1 :])

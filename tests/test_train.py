@@ -76,8 +76,7 @@ def test_training_is_bitwise_reproducible():
         assert np.array_equal(weights_a[name], weights_b[name]), name
     assert len(trace_a) == len(trace_b)
     for ea, eb in zip(trace_a, trace_b):
-        assert ea.phase == eb.phase
-        assert ea.bundle == eb.bundle
+        assert ea == eb
 
 
 def test_trace_covers_both_phases_in_order():
@@ -86,10 +85,10 @@ def test_trace_covers_both_phases_in_order():
     assert len(trace) == cfg.t1 + cfg.t2
     assert [e.phase for e in trace] == [1] * cfg.t1 + [2] * cfg.t2
     for entry in trace[: cfg.t1]:
-        assert entry.bundle.rfa == 0.0
-        assert entry.bundle.overall == entry.bundle.supervised
+        assert entry.rfa == 0.0
+        assert entry.overall == entry.supervised
     for entry in trace[cfg.t1 :]:
-        assert entry.bundle.rfa >= 0.0
+        assert entry.rfa >= 0.0
 
 
 def _count_reliability_losses(monkeypatch) -> Counter:
@@ -142,7 +141,7 @@ def test_zero_weighted_reliability_loss_is_valued_but_not_taped():
     for beta in (0.0, 1.0):
         run_cfg = dataclasses.replace(cfg, beta=beta)
         _, traces[beta] = train(build_model(run_cfg), source, target, run_cfg)
-    assert traces[0.0][0].bundle.rfa == traces[1.0][0].bundle.rfa > 0.0
+    assert traces[0.0][0].rfa == traces[1.0][0].rfa > 0.0
     for scene in (source[0], target[0]):
         parts, nodes = {}, {}
         for phase, beta in ((2, 0.0), (2, 1.0), (1, 1.0)):
@@ -384,7 +383,7 @@ def test_pinned_malloc_reuses_a_freed_512_kib_array():
 
 def _loss_trace() -> list:
     cfg, weights, source, target = _setup()
-    return [entry.bundle for entry in train(weights, source, target, cfg)[1]]
+    return train(weights, source, target, cfg)[1]
 
 
 def test_malloc_policy_changes_no_number(monkeypatch):
