@@ -71,6 +71,8 @@ class RunConfig:
             raise ConfigError("feature_scale must be positive")
         if self.noise_sd < 0 or self.depth_noise_sd < 0:
             raise ConfigError("noise levels must be >= 0")
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
@@ -117,5 +119,9 @@ def parse_config_text(text: str) -> dict:
 
 def load_config(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 at byte {err.start}") from None
+    return parse_config_text(text)
 

@@ -64,7 +64,7 @@ def evaluate(weights: dict, scenes: list, cfg: RunConfig) -> MetricsRow:
     err_sums, e_plain_sums, e_fused_sums = [], [], []
     n_total = 0
     for scene in scenes:
-        pred = forward_pass(weights, scene, cfg)
+        pred = forward_pass(weights, scene.features, cfg)
         seg_hat = np.argmax(pred.seg_fused, axis=0)
         conf += confusion_matrix(scene.labels.labels, seg_hat, k)
         err_sums.append(float(np.abs(pred.dep_fused - scene.depth).sum()))

@@ -9,7 +9,7 @@ computes on plain arrays, or records on the DiffGraph that bound leaves
 belong to.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .rng import RngState
 GATE_INIT = 0.01
 
 
-@dataclass
-class Predictions:
+class Predictions(NamedTuple):
     seg_plain: object  # K x N logits
     seg_fused: object  # K x N logits
     dep_plain: object  # 1 x N depth
@@ -93,12 +92,11 @@ def _task_features(w, task, h):
     return _dense(w, f"{task}_net_b", inner, tanh=True, skip=h)
 
 
-def forward_pass(weights: dict, scene, cfg: RunConfig) -> Predictions:
-    """All four heads on a Scene (or directly on a C x N feature map).
+def forward_pass(weights: dict, features, cfg: RunConfig) -> Predictions:
+    """All four heads on a C x N feature map.
 
     Bound graph leaves as `weights` make every head differentiable.
     """
-    features = getattr(scene, "features", scene)
     if features.shape[0] != cfg.channels:
         raise ContractError(
             f"model expects {cfg.channels} channels, got {features.shape[0]}"

@@ -142,13 +142,13 @@ def overall_loss(l_s, l_rfa, beta: float):
     return l_s + beta * l_rfa
 
 
-def pseudo_label(logits, threshold: float) -> LabelMap:
+def pseudo_label(logits: np.ndarray, threshold: float) -> LabelMap:
     """Argmax labels where the top softmax probability clears the threshold.
 
     Positions below it get IGNORE. A fixed confidence cutoff is a plain
     stand-in for schedule-based self-training.
     """
-    p = numeric.softmax_cols(raw(logits))
+    p = numeric.softmax_cols(logits)
     conf = p.max(axis=0)
     winners = p.argmax(axis=0)
     labels = np.where(conf >= threshold, winners, IGNORE).astype(np.int64)

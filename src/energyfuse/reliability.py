@@ -35,11 +35,11 @@ class ReliabilityMask:
         return self.m.size
 
 
-def free_energy_map(logits):
+def free_energy_map(logits: np.ndarray) -> np.ndarray:
     """Per-position -lse over class logits, shape 1 x N."""
     if logits.shape[0] < 2:
         raise ContractError(f"need at least 2 classes, got {logits.shape[0]}")
-    return numeric.lse_cols(raw(logits)) * -1.0
+    return numeric.lse_cols(logits) * -1.0
 
 
 def depth_energy_map(pred, ref, c: float):
@@ -49,13 +49,11 @@ def depth_energy_map(pred, ref, c: float):
     return berhu_map(pred - ref, c)
 
 
-def reliability_mask(e_plain, e_fused) -> ReliabilityMask:
+def reliability_mask(e_plain: np.ndarray, e_fused: np.ndarray) -> ReliabilityMask:
     """1 where the fused energy is strictly lower; ties go to 0."""
-    ep = raw(e_plain)
-    ef = raw(e_fused)
-    if ep.shape != ef.shape:
-        raise ContractError(f"shape mismatch: {ep.shape} vs {ef.shape}")
-    return ReliabilityMask(m=(ef < ep).astype(np.float64).reshape(1, -1))
+    if e_plain.shape != e_fused.shape:
+        raise ContractError(f"shape mismatch: {e_plain.shape} vs {e_fused.shape}")
+    return ReliabilityMask(m=(e_fused < e_plain).astype(np.float64).reshape(1, -1))
 
 
 def _kl_row(teacher, student):

@@ -16,7 +16,7 @@ import platform
 
 import numpy as np
 
-from .autodiff import DiffGraph, Tensor, raw
+from .autodiff import DiffGraph, raw
 from .config import RunConfig
 from .model import Predictions, bind, forward_pass
 from .numeric import ContractError
@@ -45,33 +45,20 @@ class TrainingDiverged(RuntimeError):
     and the phase."""
 
 
-def _value(x) -> float:
-    return x.item() if isinstance(x, Tensor) else float(x)
-
-
-def _raw_predictions(pred: Predictions) -> Predictions:
-    """The same values as plain arrays, so losses built on them record nothing."""
-    return Predictions(
-        seg_plain=raw(pred.seg_plain),
-        seg_fused=raw(pred.seg_fused),
-        dep_plain=raw(pred.dep_plain),
-        dep_fused=raw(pred.dep_fused),
-    )
-
-
-def _rfa_domain(pred, ref_depth: np.ndarray, alpha: float):
+def _rfa_domain(pred, values: Predictions, ref_depth: np.ndarray, alpha: float):
     """Reliability loss of one domain: seg distillation + weighted depth.
 
-    Masks come from current values only; each branch's depth energy uses
-    its own berHu threshold against the reference depth.
+    The losses are built on `pred`; masks and thresholds come from
+    `values`, its array view. Each branch's depth energy uses its own
+    berHu threshold against the reference depth.
     """
-    e_plain = free_energy_map(raw(pred.seg_plain))
-    e_fused = free_energy_map(raw(pred.seg_fused))
+    e_plain = free_energy_map(values.seg_plain)
+    e_fused = free_energy_map(values.seg_fused)
     seg_mask = reliability_mask(e_plain, e_fused)
     l_seg = rfa_seg_loss(pred.seg_plain, pred.seg_fused, seg_mask)
 
-    d_plain = raw(pred.dep_plain)
-    d_fused = raw(pred.dep_fused)
+    d_plain = values.dep_plain
+    d_fused = values.dep_fused
     c_plain = berhu_threshold(d_plain - ref_depth)
     c_fused = berhu_threshold(d_fused - ref_depth)
     c_cross = berhu_threshold(d_plain - d_fused)
@@ -90,11 +77,14 @@ def compute_losses(weights: dict, scene, cfg: RunConfig, phase: int) -> dict:
     labels are evaluation-only, by pseudo-labels from its own fused head,
     so its labels are never read here. Each term gets the adjoint the
     whole step's overall loss gives it: 1, alpha, beta or beta * alpha.
+    Every value-derived decision reads `values`, the predictions' one
+    array view.
     """
-    pred = forward_pass(weights, scene, cfg)
+    pred = forward_pass(weights, scene.features, cfg)
+    values = Predictions._make(map(raw, pred))
     labels = scene.labels
     if scene.labels_eval_only:
-        labels = pseudo_label(raw(pred.seg_fused), cfg.pseudo_threshold)
+        labels = pseudo_label(values.seg_fused, cfg.pseudo_threshold)
 
     terms = {
         "seg_plain": seg_nll(pred.seg_plain, labels),
@@ -112,9 +102,8 @@ def compute_losses(weights: dict, scene, cfg: RunConfig, phase: int) -> dict:
     # value, not a subgraph, and adding it to overall would tape a no-op shift
     l_rfa = 0.0
     if phase == 2:
-        l_rfa = _rfa_domain(
-            pred if cfg.beta != 0.0 else _raw_predictions(pred), scene.depth, cfg.alpha
-        )
+        losses_on = pred if cfg.beta != 0.0 else values
+        l_rfa = _rfa_domain(losses_on, values, scene.depth, cfg.alpha)
         if cfg.beta != 0.0:
             overall = overall_loss(supervised, l_rfa, cfg.beta)
     return {**terms, "rfa": l_rfa, "supervised": supervised, "overall": overall}
@@ -131,7 +120,7 @@ def scene_gradients(weights: dict, scene, cfg: RunConfig, phase: int) -> tuple:
     graph = DiffGraph()
     leaves = bind(weights, graph)
     parts = compute_losses(leaves, scene, cfg, phase)
-    values = {name: _value(part) for name, part in parts.items()}
+    values = {name: raw(part).item() for name, part in parts.items()}
     if not all(np.isfinite(v) for v in values.values()):
         return values, {}
     adjoints = graph.backward(parts["overall"])

@@ -81,11 +81,11 @@ def _patterns(rng: RngState, i: int, unit_norm: bool = False):
     return xi, nu
 
 
-def check_two_form_identity(n: int = 1000) -> CheckResult:
+def check_two_form_identity() -> CheckResult:
     """Damped retrieval equals the explicit gradient-descent form."""
     rng = _rng(1)
     worst = 0.0
-    for i in range(n):
+    for i in range(1000):
         xi, nu = _patterns(rng, i)
         gamma = 0.25 + 0.75 * (i % 4) / 3.0
         a = hopfield_update(xi, nu, gamma, 1)
@@ -126,10 +126,10 @@ def check_seg_nll_is_cross_entropy() -> CheckResult:
     return CheckResult("seg-nll-equals-cross-entropy", worst, 1e-12, worst < 1e-12)
 
 
-def check_hopfield_gradient_fd(n: int = 100) -> CheckResult:
+def check_hopfield_gradient_fd() -> CheckResult:
     rng = _rng(4)
     worst = 0.0
-    for i in range(n):
+    for i in range(100):
         xi, nu = _patterns(rng, i)
         x = xi.ravel()
         fd = central_differences(lambda p, nu=nu: hopfield_energy(p, nu), x)
@@ -226,7 +226,7 @@ def check_end_to_end_gradients() -> CheckResult:
         # reference-point values to freeze into the FD route
         frozen = []
         for scene in (scene_s, scene_t):
-            pred0 = forward_pass(weights, scene, cfg)
+            pred0 = forward_pass(weights, scene.features, cfg)
             c_plain = berhu_threshold(pred0.dep_plain - scene.depth)
             c_fused = berhu_threshold(pred0.dep_fused - scene.depth)
             c_cross = berhu_threshold(pred0.dep_plain - pred0.dep_fused)
@@ -241,8 +241,8 @@ def check_end_to_end_gradients() -> CheckResult:
         pseudo0 = pseudo_label(frozen[1][0].seg_fused, cfg.pseudo_threshold)
 
         def frozen_overall(wd):
-            pred_s = forward_pass(wd, scene_s, cfg)
-            pred_t = forward_pass(wd, scene_t, cfg)
+            pred_s = forward_pass(wd, scene_s.features, cfg)
+            pred_t = forward_pass(wd, scene_t.features, cfg)
             seg_total = (
                 seg_nll(pred_s.seg_plain, scene_s.labels)
                 + seg_nll(pred_s.seg_fused, scene_s.labels)
@@ -402,11 +402,11 @@ def check_degenerate_masks() -> CheckResult:
     return CheckResult("degenerate-mask-finite", 0.0 if finite else np.inf, 0.0, finite)
 
 
-def check_gamma_zero_bypass(n: int = 200) -> CheckResult:
+def check_gamma_zero_bypass() -> CheckResult:
     """gamma = 0 must reduce to the plain fusion scheme bit for bit."""
     rng = _rng(14)
     exact = True
-    for i in range(n):
+    for i in range(200):
         d = 2 + i % 6
         cols = 1 + i % 9
         q = rng.normal(d, cols, 2.0)

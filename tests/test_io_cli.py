@@ -299,15 +299,16 @@ def test_sweep_raises_on_a_programming_error(monkeypatch, tmp_path, capsys):
 
 
 @pytest.fixture
-def no_sweep_runs(monkeypatch):
-    """Fail the test if a sweep starts any run."""
+def no_run_or_data_build(monkeypatch):
+    """Fail the test if a command or a sweep starts a run or builds data."""
 
-    def must_not_run(cfg, run_id):
-        raise AssertionError(f"run {run_id} started")
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a run or a data build started")
 
     # the package re-exports the function `sweep`, which shadows the module
-    sweep_module = importlib.import_module("energyfuse.sweep")
-    monkeypatch.setattr(sweep_module, "run_experiment", must_not_run)
+    for module in (cli, importlib.import_module("energyfuse.sweep")):
+        monkeypatch.setattr(module, "run_experiment", must_not_run)
+    monkeypatch.setattr(cli, "build_data", must_not_run)
 
 
 @pytest.mark.parametrize(
@@ -351,12 +352,12 @@ def no_sweep_runs(monkeypatch):
         pytest.param("gamma", [0.5], [], "sweep needs at least one seed", id="no-seeds"),
     ],
 )
-def test_sweep_rejects_before_any_run(no_sweep_runs, axis, values, seeds, message):
+def test_sweep_rejects_before_any_run(no_run_or_data_build, axis, values, seeds, message):
     with pytest.raises(ContractError, match=message):
         sweep(RunConfig(), axis, values, seeds)
 
 
-def test_cli_sweep_list_items_are_checked_as_config_values(no_sweep_runs, capsys):
+def test_cli_sweep_list_items_are_checked_as_config_values(no_run_or_data_build, capsys):
     assert main(["sweep", "--axis", "steps", "--values", "1.5"]) == 2
     assert "error: bad value for steps: '1.5'" in capsys.readouterr().err
 
@@ -461,7 +462,11 @@ SWEEP_GAMMA = ["sweep", "--axis", "gamma"]
     [
         pytest.param(["train", "--lr", "inf"], None, "lr must be finite, got inf", id="finite"),
         pytest.param(["train", "--t2", "-1"], None, "t1 and t2 must be >= 0", id="t2"),
+        pytest.param(["train", "--beta", "nan"], None, "beta must be finite, got nan", id="nan"),
         pytest.param(["train", "--lr", "0"], None, "lr must be positive, got 0.0", id="lr"),
+        pytest.param(
+            ["train", "--lr", "-1"], None, "lr must be positive, got -1.0", id="lr-negative"
+        ),
         pytest.param(
             ["train", "--lr_phase2_mult", "0"], None, "lr_phase2_mult must be positive",
             id="lr_phase2_mult",
@@ -507,6 +512,9 @@ SWEEP_GAMMA = ["sweep", "--axis", "gamma"]
             id="file-repeat",
         ),
         pytest.param(
+            ["train"], b"t1 = 2\n\xff\n", "{config}: not UTF-8 at byte 7", id="file-encoding"
+        ),
+        pytest.param(
             [*SWEEP_GAMMA, "--values", ","], None, "sweep needs at least one value",
             id="sweep-values",
         ),
@@ -523,37 +531,33 @@ SWEEP_GAMMA = ["sweep", "--axis", "gamma"]
 )
 def test_cli_config_errors_exit_2_with_their_message(tmp_path, capsys, args, file_text, message):
     """Each check of a flag, a config file or a sweep list, reached through
-    the CLI: exit 2, one stderr line, and nothing written."""
+    the CLI: exit 2, one stderr line, and nothing written. A file given as
+    bytes is written as they are; `{config}` in a message is its path."""
     command, *flags = args
+    path = tmp_path / "run.cfg"
     if file_text is not None:
-        path = tmp_path / "run.cfg"
-        path.write_text(file_text, encoding="utf-8")
+        path.write_bytes(file_text if isinstance(file_text, bytes) else file_text.encode())
         flags += ["--config", str(path)]
     out = tmp_path / "run"
     assert main([command, *TINY, *flags, "--out_dir", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(config=path)}\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
+WRITER_COMMANDS = pytest.mark.parametrize(
     "command",
     [["train"], ["sweep", "--axis", "gamma", "--values", "0.5,1"], ["gen-data"]],
     ids=["train", "sweep", "gen-data"],
 )
+
+
+@WRITER_COMMANDS
 @pytest.mark.parametrize("below", [(), ("sub", "run")], ids=["file", "under-a-file"])
 def test_cli_out_dir_that_cannot_be_a_directory_exits_2_before_any_run(
-    tmp_path, monkeypatch, capsys, command, below
+    tmp_path, capsys, no_run_or_data_build, command, below
 ):
     """An out_dir that is, or lies under, an existing file is refused
     before any run or data build, and nothing is created."""
-
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("a run or a data build started")
-
-    # the package re-exports the function `sweep`, which shadows the module
-    for module in (cli, importlib.import_module("energyfuse.sweep")):
-        monkeypatch.setattr(module, "run_experiment", must_not_run)
-    monkeypatch.setattr(cli, "build_data", must_not_run)
     taken = tmp_path / "taken"
     taken.write_text("not a directory", encoding="utf-8")
     out = taken.joinpath(*below)
@@ -563,16 +567,21 @@ def test_cli_out_dir_that_cannot_be_a_directory_exits_2_before_any_run(
     assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
-def test_cli_bad_config_value_exits_2(capsys):
-    code = main(["train", *TINY, "--lr", "-1"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_cli_non_finite_value_exits_2(capsys):
-    code = main(["train", *TINY, "--beta", "nan"])
-    assert code == 2
-    assert "beta must be finite" in capsys.readouterr().err
+@WRITER_COMMANDS
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_cli_empty_out_dir_exits_2_before_any_run(
+    tmp_path, monkeypatch, capsys, no_run_or_data_build, command, source
+):
+    """An empty out_dir, from a flag or a config file line, is refused
+    before any run or data build, and nothing is created."""
+    monkeypatch.chdir(tmp_path)
+    flags, kept = ["--out_dir", ""], []
+    if source == "file":
+        (tmp_path / "run.cfg").write_text("out_dir =\n", encoding="utf-8")
+        flags, kept = ["--config", "run.cfg"], ["run.cfg"]
+    assert main([*command, *TINY, *flags]) == 2
+    assert capsys.readouterr().err == "error: out_dir must not be empty\n"
+    assert [p.name for p in tmp_path.iterdir()] == kept
 
 
 def test_cli_bad_shift_value_exits_2(capsys):

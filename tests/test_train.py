@@ -155,6 +155,38 @@ def test_zero_weighted_reliability_loss_is_valued_but_not_taped():
         assert nodes[2, 0.0] == nodes[1, 1.0] < nodes[2, 1.0]
 
 
+@pytest.mark.parametrize("scheme", ["add", "gated"])
+def test_decisions_of_a_taped_step_read_arrays(monkeypatch, scheme):
+    """In a phase-2 step whose reliability loss is taped (beta = 1), every
+    value-derived decision receives plain values, never a Tensor: two
+    scenes' energies, masks and thresholds, and the target's pseudo-labels."""
+    cfg, weights, source, target = _setup(scheme=scheme, beta=1.0)
+    train_module = importlib.import_module("energyfuse.train")
+    calls = Counter()
+
+    def arrays_only(name):
+        decide = getattr(train_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            for arg in (*args, *kwargs.values()):
+                assert not isinstance(arg, Tensor), name
+            return decide(*args, **kwargs)
+
+        return wrapper
+
+    for name in (
+        "free_energy_map", "depth_energy_map", "reliability_mask", "pseudo_label",
+        "berhu_threshold",
+    ):
+        monkeypatch.setattr(train_module, name, arrays_only(name))
+    train_module._train_step(weights, source[0], target[0], cfg, 2, cfg.lr)
+    assert calls == {
+        "free_energy_map": 4, "depth_energy_map": 4, "reliability_mask": 4,
+        "pseudo_label": 1, "berhu_threshold": 6,
+    }
+
+
 def test_divergence_names_the_sick_term():
     cfg, weights, source, target = _setup()
     weights["enc0_w"][0, 0] = np.nan

@@ -22,7 +22,7 @@ def test_gradient_check_catches_a_broken_gradient(monkeypatch):
         return 1.02 * right(x, nu)
 
     monkeypatch.setattr(verify.fusion, "hopfield_gradient", wrong)
-    result = verify.check_hopfield_gradient_fd(n=5)
+    result = verify.check_hopfield_gradient_fd()
     assert not result.passed
     assert result.name == "hopfield-gradient-vs-fd"
     assert result.worst > result.tol
@@ -62,7 +62,7 @@ def test_gamma_zero_check_compares_bits_not_values(monkeypatch):
     # -0.0 == 0.0 as numbers, so only a bitwise comparison fails this pair
     monkeypatch.setattr(verify, "eb2f_apply", lambda *args: np.array([[1.0, -0.0]]))
     monkeypatch.setattr(verify, "fuse", lambda *args: np.array([[1.0, 0.0]]))
-    result = verify.check_gamma_zero_bypass(n=4)
+    result = verify.check_gamma_zero_bypass()
     assert not result.passed
     assert result.name == "gamma-zero-bypass-bitwise"
 
@@ -77,7 +77,7 @@ def test_report_text_flags_failures():
 
 
 def test_check_results_report_finite_margins():
-    result = verify.check_two_form_identity(n=50)
+    result = verify.check_two_form_identity()
     assert result.passed
     assert np.isfinite(result.worst)
     assert result.worst < result.tol
