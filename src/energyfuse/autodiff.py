@@ -89,8 +89,13 @@ class DiffGraph:
         return Tensor(self, len(self.nodes) - 1, data)
 
     def leaf(self, value) -> Tensor:
-        """A differentiable input; its gradient is reported by backward."""
-        return self._record("leaf", (), as_matrix(value).copy(), lambda g: ())
+        """A differentiable input; its gradient is reported by backward.
+
+        The tape borrows a float64 matrix rather than copying it: nothing
+        writes into a bound value, and the caller must not either while
+        the tape is in use.
+        """
+        return self._record("leaf", (), as_matrix(value), lambda g: ())
 
     def _same_graph(self, *ts):
         for t in ts:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import RunConfig
 from .model import forward_pass, init_model
-from .numeric import ContractError
+from .numeric import ColumnPass, ContractError
 from .reliability import free_energy_map
 from .rng import RngState
 from .scenes import build_data
@@ -68,8 +68,8 @@ def evaluate(weights: dict, scenes: list, cfg: RunConfig) -> MetricsRow:
         seg_hat = np.argmax(pred.seg_fused, axis=0)
         conf += confusion_matrix(scene.labels.labels, seg_hat, k)
         err_sums.append(float(np.abs(pred.dep_fused - scene.depth).sum()))
-        e_fused_sums.append(float(free_energy_map(pred.seg_fused).sum()))
-        e_plain_sums.append(float(free_energy_map(pred.seg_plain).sum()))
+        e_fused_sums.append(float(free_energy_map(ColumnPass(pred.seg_fused)).sum()))
+        e_plain_sums.append(float(free_energy_map(ColumnPass(pred.seg_plain)).sum()))
         n_total += scene.depth.size
     iou, miou = iou_from_confusion(conf)
     return MetricsRow(

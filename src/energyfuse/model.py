@@ -71,13 +71,18 @@ def _dense(w, name, x, tanh=False, skip=None):
     wt, bt = w[name + "_w"], w[name + "_b"]
     wv, xv = raw(wt), raw(x)
     x_in, skip_in = isinstance(x, Tensor), skip is not None
-    y = wv @ xv + raw(bt)
+    y = wv @ xv
+    y += raw(bt)
     if tanh:
-        y = np.tanh(y)
+        np.tanh(y, out=y)
     out = raw(skip) + y if skip_in else y
 
     def vjp(g):
-        gz = g * (1.0 - y * y) if tanh else g
+        gz = g
+        if tanh:  # g * (1 - y * y), in one fresh array
+            gz = y * y
+            np.subtract(1.0, gz, out=gz)
+            gz *= g
         terms = [gz.sum(axis=1, keepdims=True), gz @ xv.T]
         if x_in:
             terms.append(wv.T @ gz)

@@ -5,6 +5,8 @@ inputs like [1000, 1000] never overflow, and rely on numpy's fixed
 reduction order so repeated runs are byte-identical.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -26,13 +28,51 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
+def column_pass(a: np.ndarray, out: np.ndarray = None) -> tuple:
+    """The column max of a (K, N) matrix, exp(a - max) and its column sum:
+    the one pass that lse_cols, softmax_cols and ColumnPass derive from.
+    exp(a - max) is written into `out` when given, else into a fresh array."""
+    if a.shape[0] == 0:
+        raise ContractError("column pass over zero rows")
+    m = a.max(axis=0, keepdims=True)
+    e = np.subtract(a, m, out=out)
+    np.exp(e, out=e)
+    return m, e, e.sum(axis=0, keepdims=True)
+
+
+class ColumnPass:
+    """One column pass over a (K, N) matrix of logits `x`, made on the first
+    read of `lse` (1 x N) or `prob` (K x N) and kept, so every reader of one
+    head's energy or softmax shares it. `prob` is the bytes softmax_cols(x)
+    gives, and lse_cols(x) is `lse`."""
+
+    def __init__(self, x):
+        self.x = as_matrix(x)
+
+    def check_over(self, x: np.ndarray):
+        """Refuse to stand for any array but `x` itself."""
+        if x is not self.x:
+            raise ContractError("the column pass was made over other logits")
+
+    @functools.cached_property
+    def _parts(self) -> tuple:
+        return column_pass(self.x)
+
+    @functools.cached_property
+    def lse(self) -> np.ndarray:
+        m, _, total = self._parts
+        return m + np.log(total)
+
+    @functools.cached_property
+    def prob(self) -> np.ndarray:
+        _, e, total = self._parts
+        e /= total  # lse reads only the max and the sum
+        return e
+
+
 def lse_cols(x) -> np.ndarray:
     """Column-wise lse of a (K, N) matrix, returned as (1, N)."""
-    a = as_matrix(x)
-    if a.shape[0] == 0:
-        raise ContractError("lse over zero rows")
-    m = a.max(axis=0, keepdims=True)
-    return m + np.log(np.sum(np.exp(a - m), axis=0, keepdims=True))
+    return ColumnPass(x).lse
 
 
 def softmax_cols(x, out: np.ndarray = None) -> np.ndarray:
@@ -41,12 +81,8 @@ def softmax_cols(x, out: np.ndarray = None) -> np.ndarray:
     Written into `out` when given (which may be x itself), else into one
     fresh array; the float operations are the same either way.
     """
-    a = as_matrix(x)
-    if a.shape[0] == 0:
-        raise ContractError("softmax over zero rows")
-    out = np.subtract(a, a.max(axis=0, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=0, keepdims=True)
+    _, out, total = column_pass(as_matrix(x), out)
+    out /= total
     return out
 
 

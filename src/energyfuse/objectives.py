@@ -46,11 +46,13 @@ class LossBundle:
     overall: float
 
 
-def seg_nll(logits, labels: LabelMap) -> object:
+def seg_nll(logits, labels: LabelMap, cols: numeric.ColumnPass) -> object:
     """Mean over labeled positions of -P[y] + lse(P).
 
     Algebraically the softmax cross-entropy. IGNORE positions contribute
-    to neither numerator nor normalizer; an all-IGNORE map gives 0.
+    to neither numerator nor normalizer; an all-IGNORE map gives 0. `cols`
+    is the column pass over the logits' values: the value reads its lse,
+    the VJP its softmax.
     """
     lab = labels.labels
     k, n = logits.shape
@@ -69,14 +71,15 @@ def seg_nll(logits, labels: LabelMap) -> object:
     valid_row = valid.astype(np.float64)[None, :]
     scale = 1.0 / n_valid
     lv = raw(logits)
+    cols.check_over(lv)
     picked = ones @ (lv * one_hot)
-    total = float(np.sum(numeric.lse_cols(lv) * valid_row - picked)) * scale
+    total = float(np.sum(cols.lse * valid_row - picked)) * scale
 
     def vjp(g):
         # the lse term, then the picked-logit term, as the op-by-op tape
         g_row = np.full((1, n), (g * scale)[0, 0])
         return (
-            numeric.softmax_cols(lv) * (g_row * valid_row),
+            cols.prob * (g_row * valid_row),
             (ones.T @ -g_row) * one_hot,
         )
 
@@ -142,13 +145,14 @@ def overall_loss(l_s, l_rfa, beta: float):
     return l_s + beta * l_rfa
 
 
-def pseudo_label(logits: np.ndarray, threshold: float) -> LabelMap:
-    """Argmax labels where the top softmax probability clears the threshold.
+def pseudo_label(cols: numeric.ColumnPass, threshold: float) -> LabelMap:
+    """Argmax labels where the top softmax probability of a head, read off
+    its column pass, clears the threshold.
 
     Positions below it get IGNORE. A fixed confidence cutoff is a plain
     stand-in for schedule-based self-training.
     """
-    p = numeric.softmax_cols(logits)
+    p = cols.prob
     conf = p.max(axis=0)
     winners = p.argmax(axis=0)
     labels = np.where(conf >= threshold, winners, IGNORE).astype(np.int64)

@@ -35,11 +35,12 @@ class ReliabilityMask:
         return self.m.size
 
 
-def free_energy_map(logits: np.ndarray) -> np.ndarray:
-    """Per-position -lse over class logits, shape 1 x N."""
-    if logits.shape[0] < 2:
-        raise ContractError(f"need at least 2 classes, got {logits.shape[0]}")
-    return numeric.lse_cols(logits) * -1.0
+def free_energy_map(cols: numeric.ColumnPass) -> np.ndarray:
+    """Per-position -lse over class logits, read off their column pass,
+    shape 1 x N."""
+    if cols.x.shape[0] < 2:
+        raise ContractError(f"need at least 2 classes, got {cols.x.shape[0]}")
+    return cols.lse * -1.0
 
 
 def depth_energy_map(pred, ref, c: float):
@@ -56,41 +57,47 @@ def reliability_mask(e_plain: np.ndarray, e_fused: np.ndarray) -> ReliabilityMas
     return ReliabilityMask(m=(e_fused < e_plain).astype(np.float64).reshape(1, -1))
 
 
-def _kl_row(teacher, student):
+def _kl_row(teacher: numeric.ColumnPass, student, cols: numeric.ColumnPass):
     """Per-position KL(teacher || student) from logits, as one "kl_row"
     node with the value and adjoint terms of the tests' op-by-op chain, in
-    its order, bit for bit; the teacher is read as arrays, so detached."""
-    tv, sv = raw(teacher), raw(student)
-    t_prob = numeric.softmax_cols(tv)
-    t_log = tv - numeric.lse_cols(tv)
-    s_log = sv - numeric.lse_cols(sv)
-    ones = np.ones((1, teacher.shape[0]))
+    its order, bit for bit. The teacher is read as its column pass, so
+    detached; `cols` is the column pass over the student's values. Each
+    log-softmax is x - lse."""
+    sv = raw(student)
+    cols.check_over(sv)
+    t_prob = teacher.prob
+    t_log = teacher.x - teacher.lse
+    s_log = sv - cols.lse
+    ones = np.ones((1, sv.shape[0]))
     value = ones @ (t_prob * (t_log - s_log))
 
     def vjp(g):
         g_log = (ones.T @ g) * t_prob * -1.0
-        return (g_log, numeric.softmax_cols(sv) * -g_log.sum(axis=0, keepdims=True))
+        return (g_log, cols.prob * -g_log.sum(axis=0, keepdims=True))
 
     return record("kl_row", (student, student), value, vjp)
 
 
-def _distil(rows, plain, fused, mask: ReliabilityMask):
-    """Masked bidirectional distillation between two branch maps.
-
-    rows(teacher, student) is the per-position loss of the student
-    against the detached teacher. Where the mask is 0 the plain branch
-    teaches the fused one, where it is 1 the fused branch teaches the
-    plain one; each side is averaged over its own positions and a side
-    with no positions is dropped.
-    """
+def _check_maps(plain, fused, mask: ReliabilityMask):
     if plain.shape != fused.shape:
         raise ContractError(f"shape mismatch: {plain.shape} vs {fused.shape}")
     n = plain.shape[1]
     if mask.size != n:
         raise ContractError(f"mask covers {mask.size} positions, the maps have {n}")
+
+
+def _distil(rows, plain, fused, mask: ReliabilityMask):
+    """Masked bidirectional distillation between two branches.
+
+    rows(teacher, student) is the per-position loss of the student branch
+    against the detached teacher branch. Where the mask is 0 the plain
+    branch teaches the fused one, where it is 1 the fused branch teaches
+    the plain one; each side is averaged over its own positions and a side
+    with no positions is dropped.
+    """
     loss = None
     for teacher, student, weight, count in (
-        (plain, fused, 1.0 - mask.m, n - mask.count),
+        (plain, fused, 1.0 - mask.m, mask.size - mask.count),
         (fused, plain, mask.m, mask.count),
     ):
         if count > 0:
@@ -99,9 +106,17 @@ def _distil(rows, plain, fused, mask: ReliabilityMask):
     return loss
 
 
-def rfa_seg_loss(p_plain, p_fused, mask: ReliabilityMask):
-    """Masked bidirectional KL distillation between the two logit maps."""
-    return _distil(_kl_row, p_plain, p_fused, mask)
+def rfa_seg_loss(p_plain, p_fused, mask: ReliabilityMask, cols: tuple):
+    """Masked bidirectional KL distillation between the two logit maps;
+    `cols` holds the column passes over their values, plain first."""
+    _check_maps(p_plain, p_fused, mask)
+    c_plain, c_fused = cols
+    return _distil(
+        lambda teacher, student: _kl_row(teacher[1], *student),
+        (p_plain, c_plain),
+        (p_fused, c_fused),
+        mask,
+    )
 
 
 def rfa_dep_loss(d_plain, d_fused, mask: ReliabilityMask, c: float):
@@ -111,6 +126,7 @@ def rfa_dep_loss(d_plain, d_fused, mask: ReliabilityMask, c: float):
     teacher (the branch that won that side's energy comparison) is
     detached and only the student receives gradients.
     """
+    _check_maps(d_plain, d_fused, mask)
     return _distil(
         lambda teacher, student: berhu_map(student - raw(teacher), c),
         d_plain,

@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import DiffGraph, raw
 from .config import RunConfig
 from .model import Predictions, bind, forward_pass
-from .numeric import ContractError
+from .numeric import ColumnPass, ContractError
 from .objectives import (
     LossBundle,
     berhu_loss,
@@ -45,17 +45,20 @@ class TrainingDiverged(RuntimeError):
     and the phase."""
 
 
-def _rfa_domain(pred, values: Predictions, ref_depth: np.ndarray, alpha: float):
+def _rfa_domain(
+    pred, values: Predictions, seg_cols: tuple, ref_depth: np.ndarray, alpha: float
+):
     """Reliability loss of one domain: seg distillation + weighted depth.
 
     The losses are built on `pred`; masks and thresholds come from
-    `values`, its array view. Each branch's depth energy uses its own
+    `values`, its array view, and `seg_cols`, the column passes over its
+    plain and fused seg heads. Each branch's depth energy uses its own
     berHu threshold against the reference depth.
     """
-    e_plain = free_energy_map(values.seg_plain)
-    e_fused = free_energy_map(values.seg_fused)
+    e_plain = free_energy_map(seg_cols[0])
+    e_fused = free_energy_map(seg_cols[1])
     seg_mask = reliability_mask(e_plain, e_fused)
-    l_seg = rfa_seg_loss(pred.seg_plain, pred.seg_fused, seg_mask)
+    l_seg = rfa_seg_loss(pred.seg_plain, pred.seg_fused, seg_mask, seg_cols)
 
     d_plain = values.dep_plain
     d_fused = values.dep_fused
@@ -78,17 +81,19 @@ def compute_losses(weights: dict, scene, cfg: RunConfig, phase: int) -> dict:
     so its labels are never read here. Each term gets the adjoint the
     whole step's overall loss gives it: 1, alpha, beta or beta * alpha.
     Every value-derived decision reads `values`, the predictions' one
-    array view.
+    array view, and every reader of a seg head's lse or softmax shares
+    that head's one column pass.
     """
     pred = forward_pass(weights, scene.features, cfg)
     values = Predictions._make(map(raw, pred))
+    seg_cols = (ColumnPass(values.seg_plain), ColumnPass(values.seg_fused))
     labels = scene.labels
     if scene.labels_eval_only:
-        labels = pseudo_label(values.seg_fused, cfg.pseudo_threshold)
+        labels = pseudo_label(seg_cols[1], cfg.pseudo_threshold)
 
     terms = {
-        "seg_plain": seg_nll(pred.seg_plain, labels),
-        "seg_fused": seg_nll(pred.seg_fused, labels),
+        "seg_plain": seg_nll(pred.seg_plain, labels, seg_cols[0]),
+        "seg_fused": seg_nll(pred.seg_fused, labels, seg_cols[1]),
         "dep_plain": berhu_loss(pred.dep_plain, scene.depth),
         "dep_fused": berhu_loss(pred.dep_fused, scene.depth),
     }
@@ -103,7 +108,7 @@ def compute_losses(weights: dict, scene, cfg: RunConfig, phase: int) -> dict:
     l_rfa = 0.0
     if phase == 2:
         losses_on = pred if cfg.beta != 0.0 else values
-        l_rfa = _rfa_domain(losses_on, values, scene.depth, cfg.alpha)
+        l_rfa = _rfa_domain(losses_on, values, seg_cols, scene.depth, cfg.alpha)
         if cfg.beta != 0.0:
             overall = overall_loss(supervised, l_rfa, cfg.beta)
     return {**terms, "rfa": l_rfa, "supervised": supervised, "overall": overall}
@@ -163,7 +168,7 @@ def check_finite(weights: dict, phase: int):
     """Every weight finite after an update; else the run has diverged, and
     the first weight that is not, and the phase, are named."""
     for name, arr in weights.items():
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise TrainingDiverged(f"non-finite weights in {name} in phase {phase}")
 
 

@@ -15,7 +15,7 @@ from .autodiff import DiffGraph, central_differences, grad_check, relative_error
 from .config import RunConfig
 from .fusion import eb2f_apply, fuse, hopfield_energy, hopfield_update
 from .model import _dense, forward_pass, init_model
-from .numeric import softmax_cols
+from .numeric import ColumnPass, softmax_cols
 from .objectives import (
     IGNORE, LabelMap, berhu_map, berhu_threshold, pseudo_label, seg_nll
 )
@@ -114,7 +114,7 @@ def check_seg_nll_is_cross_entropy() -> CheckResult:
         logits = rng.normal(k, cols, 3.0)
         labels = rng.integers(0, k, cols)
         labels[rng.uniform(0.0, 1.0, 1, cols).ravel() < 0.2] = IGNORE
-        got = seg_nll(logits, LabelMap(labels))
+        got = seg_nll(logits, LabelMap(labels), ColumnPass(logits))
         valid = labels != IGNORE
         if not valid.any():
             want = 0.0
@@ -231,23 +231,27 @@ def check_end_to_end_gradients() -> CheckResult:
             c_fused = berhu_threshold(pred0.dep_fused - scene.depth)
             c_cross = berhu_threshold(pred0.dep_plain - pred0.dep_fused)
             seg_mask = reliability_mask(
-                free_energy_map(pred0.seg_plain), free_energy_map(pred0.seg_fused)
+                free_energy_map(ColumnPass(pred0.seg_plain)),
+                free_energy_map(ColumnPass(pred0.seg_fused)),
             )
             dep_mask = reliability_mask(
                 depth_energy_map(pred0.dep_plain, scene.depth, c_plain),
                 depth_energy_map(pred0.dep_fused, scene.depth, c_fused),
             )
             frozen.append((pred0, (seg_mask, dep_mask), (c_plain, c_fused, c_cross)))
-        pseudo0 = pseudo_label(frozen[1][0].seg_fused, cfg.pseudo_threshold)
+        pseudo0 = pseudo_label(ColumnPass(frozen[1][0].seg_fused), cfg.pseudo_threshold)
 
         def frozen_overall(wd):
             pred_s = forward_pass(wd, scene_s.features, cfg)
             pred_t = forward_pass(wd, scene_t.features, cfg)
-            seg_total = (
-                seg_nll(pred_s.seg_plain, scene_s.labels)
-                + seg_nll(pred_s.seg_fused, scene_s.labels)
-                + seg_nll(pred_t.seg_plain, pseudo0)
-                + seg_nll(pred_t.seg_fused, pseudo0)
+            seg_total = sum(
+                seg_nll(logits, labels, ColumnPass(logits))
+                for logits, labels in (
+                    (pred_s.seg_plain, scene_s.labels),
+                    (pred_s.seg_fused, scene_s.labels),
+                    (pred_t.seg_plain, pseudo0),
+                    (pred_t.seg_fused, pseudo0),
+                )
             )
             dep_total = rfa = 0.0
             for pred, scene, (pred0, masks, (c_plain, c_fused, c_cross)) in zip(
@@ -329,6 +333,11 @@ def check_mask_partition() -> CheckResult:
     return CheckResult("mask-partition-exact", float(worst), 0.0, worst == 0)
 
 
+def _rfa_seg_loss_on(p, q, mask: ReliabilityMask) -> float:
+    """rfa_seg_loss of two logit arrays, each read through its own column pass."""
+    return rfa_seg_loss(p, q, mask, (ColumnPass(p), ColumnPass(q)))
+
+
 def check_kl_nonnegative() -> CheckResult:
     rng = _rng(10)
     low = np.inf
@@ -338,7 +347,7 @@ def check_kl_nonnegative() -> CheckResult:
         p = rng.normal(k, cols, 3.0)
         q = rng.normal(k, cols, 3.0)
         mask = ReliabilityMask(m=(rng.uniform(0.0, 1.0, 1, cols) < 0.5).astype(float))
-        low = min(low, float(rfa_seg_loss(p, q, mask)))
+        low = min(low, float(_rfa_seg_loss_on(p, q, mask)))
     worst = max(0.0, -low)
     return CheckResult("rfa-kl-nonnegative", worst, 1e-12, worst < 1e-12)
 
@@ -353,9 +362,9 @@ def check_kl_zero_iff_equal() -> CheckResult:
         p = rng.normal(k, cols, 2.0)
         shift = rng.normal(1, cols, 1.0)
         mask = ReliabilityMask(m=(rng.uniform(0.0, 1.0, 1, cols) < 0.5).astype(float))
-        worst_equal = max(worst_equal, float(rfa_seg_loss(p, p + shift, mask)))
+        worst_equal = max(worst_equal, float(_rfa_seg_loss_on(p, p + shift, mask)))
         q = p + rng.normal(k, cols, 0.5)
-        min_unequal = min(min_unequal, float(rfa_seg_loss(p, q, mask)))
+        min_unequal = min(min_unequal, float(_rfa_seg_loss_on(p, q, mask)))
     passed = worst_equal < 1e-12 and min_unequal > 1e-12
     return CheckResult("rfa-kl-zero-iff-equal", worst_equal, 1e-12, passed)
 
@@ -372,7 +381,8 @@ def check_teacher_gradient_zero() -> CheckResult:
     g = DiffGraph()
     p_plain = g.leaf(rng.normal(k, cols, 2.0))
     p_fused = g.leaf(rng.normal(k, cols, 2.0))
-    grads = g.backward(g.sum(rfa_seg_loss(p_plain, p_fused, mask)))
+    passes = (ColumnPass(p_plain.data), ColumnPass(p_fused.data))
+    grads = g.backward(g.sum(rfa_seg_loss(p_plain, p_fused, mask, passes)))
     # plain teaches where m = 0, fused teaches where m = 1
     worst = max(worst, float(np.max(np.abs(grads[p_plain.nid][:, mask.m[0] == 0.0]))))
     worst = max(worst, float(np.max(np.abs(grads[p_fused.nid][:, mask.m[0] == 1.0]))))
@@ -396,7 +406,7 @@ def check_degenerate_masks() -> CheckResult:
     vals = []
     for m in (np.zeros((1, cols)), np.ones((1, cols))):
         mask = ReliabilityMask(m=m)
-        vals.append(float(rfa_seg_loss(p, q, mask)))
+        vals.append(float(_rfa_seg_loss_on(p, q, mask)))
         vals.append(float(rfa_dep_loss(dp, dq, mask, 0.4)))
     finite = all(np.isfinite(v) for v in vals)
     return CheckResult("degenerate-mask-finite", 0.0 if finite else np.inf, 0.0, finite)
@@ -453,7 +463,9 @@ def check_autodiff_composite() -> CheckResult:
         v = fuse(u, h, gate=(sq * 0.6, 0.5 - sq))
         # v - teacher has entries on both sides of c = 0.5, so both branches count
         dep = g.sum(berhu_map(v - teacher, 0.5)) * 0.2
-        return seg_nll(v, labels) + g.sum(_kl_row(teacher, v)) * 0.1 + dep
+        cols = ColumnPass(v.data)
+        kl = g.sum(_kl_row(ColumnPass(teacher), v, cols))
+        return seg_nll(v, labels, cols) + kl * 0.1 + dep
 
     worst = grad_check(f, rng.normal(6, 1, 0.8))
     return CheckResult("autodiff-composite-vs-fd", worst, 1e-6, worst < 1e-6)

@@ -18,7 +18,7 @@ from energyfuse.autodiff import (
 )
 from energyfuse.fusion import _update, fuse, hopfield_steps
 from energyfuse.model import _dense, bind
-from energyfuse.numeric import ContractError, lse_cols, softmax_cols
+from energyfuse.numeric import ColumnPass, ContractError, lse_cols, softmax_cols
 from energyfuse.objectives import IGNORE, LabelMap, berhu_map, seg_nll
 from energyfuse.reliability import (
     ReliabilityMask,
@@ -153,10 +153,10 @@ OPS = [
             skip=ref_op(g, "matmul", x, ref_op(g, "transpose", x)),
         ),
     ),
-    ("seg_nll", lambda g, x, y: seg_nll(x, LabelMap(_labels_of(y)))),
+    ("seg_nll", lambda g, x, y: seg_nll(x, LabelMap(_labels_of(y)), ColumnPass(x.data))),
     ("berhu_map", lambda g, x, y: berhu_map(x, 0.7)),
     # y is the detached teacher
-    ("kl_row", lambda g, x, y: _kl_row(y, x)),
+    ("kl_row", lambda g, x, y: _kl_row(ColumnPass(y.data), x, ColumnPass(x.data))),
     ("gate", _gated),
 ]
 
@@ -440,7 +440,7 @@ def test_fused_seg_nll_matches_unfused_chain_bit_for_bit():
     lab[::7] = IGNORE
     fused, unfused = _fused_and_unfused(
         [logits],
-        lambda g, t: seg_nll(t, LabelMap(lab)),
+        lambda g, t: seg_nll(t, LabelMap(lab), ColumnPass(t.data)),
         lambda g, t: _unfused_seg_nll(g, t, lab),
     )
     for got, want in zip(fused, unfused):
@@ -478,18 +478,19 @@ def _unfused_kl_row(g, teacher, student):
 
 
 def test_fused_kl_row_matches_unfused_chain_bit_for_bit():
-    """Value and adjoints, with a teacher read as arrays; the array pass
-    gives the same value."""
+    """Value and adjoints, with a teacher read as its column pass; the
+    array pass gives the same value."""
     rng = np.random.default_rng(14)
     arrays = [3.0 * rng.normal(size=(4, 30)) for _ in range(2)]  # teacher, student
     fused, unfused = _fused_and_unfused(
         arrays,
-        lambda g, t, s: _kl_row(t, s),
+        lambda g, t, s: _kl_row(ColumnPass(t.data), s, ColumnPass(s.data)),
         lambda g, t, s: _unfused_kl_row(g, t, s),
     )
     for got, want in zip(fused, unfused):
         assert np.array_equal(got, want)
-    on_arrays = _kl_row(*[np.tanh(a) for a in arrays])
+    teacher, student = [np.tanh(a) for a in arrays]
+    on_arrays = _kl_row(ColumnPass(teacher), student, ColumnPass(student))
     assert np.array_equal(on_arrays, fused[0])
 
 
@@ -611,6 +612,12 @@ def test_backward_never_writes_into_a_borrowed_adjoint():
     np.testing.assert_array_equal(grads[x.nid], 4.0 * w)
 
 
+def test_a_leaf_borrows_its_float64_matrix():
+    """No copy: a bound weight is the caller's array itself."""
+    a = np.arange(6.0).reshape(2, 3)
+    assert DiffGraph().leaf(a).data is a
+
+
 def test_record_and_sum_all_on_arrays_record_nothing():
     """With no Tensor among the inputs, a block's value comes back as the
     same object, and a sum is a float equal to the graph's (1, 1) sum."""
@@ -632,10 +639,12 @@ def test_array_and_graph_passes_agree_bit_for_bit():
     logits = [2.0 * rng.normal(size=(4, 12)) for _ in range(2)]
     depths = [rng.normal(size=(1, 12)) for _ in range(2)]
     mask = ReliabilityMask(m=(np.arange(12) % 3 == 0).reshape(1, -1))
+    # a leaf borrows its array, so the graph and the array pass share the passes
+    cols = tuple(map(ColumnPass, logits))
     g = DiffGraph()
-    seg = rfa_seg_loss(*[g.leaf(a) for a in logits], mask)
+    seg = rfa_seg_loss(*[g.leaf(a) for a in logits], mask, cols)
     assert {node.op for node in g.nodes} == {"leaf", "kl_row", "scale", "sum", "add"}
-    assert np.array_equal([[rfa_seg_loss(*logits, mask)]], seg.data)
+    assert np.array_equal([[rfa_seg_loss(*logits, mask, cols)]], seg.data)
     dep = rfa_dep_loss(*[g.leaf(a) for a in depths], mask, 0.5)
     assert np.array_equal([[rfa_dep_loss(*depths, mask, 0.5)]], dep.data)
     xi, nu = rng.normal(size=(5, 7)), rng.normal(size=(5, 9))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from energyfuse.numeric import ContractError, softmax_cols
+from energyfuse.numeric import ColumnPass, ContractError, softmax_cols
 from energyfuse.objectives import (
     IGNORE,
     LabelMap,
@@ -27,16 +27,21 @@ def _labels(values):
     return LabelMap(labels=np.asarray(values, dtype=np.int64))
 
 
+def _nll(logits, labels):
+    """seg_nll with the column pass over the logits themselves."""
+    return seg_nll(logits, labels, ColumnPass(logits))
+
+
 def test_seg_nll_hand_value():
     logits = np.array([[2.0], [0.0]])
-    assert abs(seg_nll(logits, _labels([0])) - SEG_NLL_2_0) < 1e-15
+    assert abs(_nll(logits, _labels([0])) - SEG_NLL_2_0) < 1e-15
 
 
 def test_seg_nll_uniform_logits_is_log_k():
     for k in (2, 4, 7):
         logits = np.full((k, 5), 3.3)
         labels = _labels(np.arange(5) % k)
-        assert abs(seg_nll(logits, labels) - np.log(k)) < 1e-12
+        assert abs(_nll(logits, labels) - np.log(k)) < 1e-12
 
 
 def test_seg_nll_equals_softmax_cross_entropy():
@@ -47,7 +52,7 @@ def test_seg_nll_equals_softmax_cross_entropy():
         logits = rng.normal(size=(k, n)) * 5
         y = rng.integers(0, k, size=n)
         ce = float(np.mean(-np.log(softmax_cols(logits)[y, np.arange(n)])))
-        assert abs(seg_nll(logits, _labels(y)) - ce) < 1e-12
+        assert abs(_nll(logits, _labels(y)) - ce) < 1e-12
 
 
 def test_seg_nll_nonnegative():
@@ -55,34 +60,34 @@ def test_seg_nll_nonnegative():
     for _ in range(100):
         logits = rng.normal(size=(4, 9)) * 8
         y = rng.integers(0, 4, size=9)
-        assert seg_nll(logits, _labels(y)) >= -1e-12
+        assert _nll(logits, _labels(y)) >= -1e-12
 
 
 def test_seg_nll_ignores_masked_positions():
     logits = np.array([[2.0, 100.0], [0.0, -100.0]])
     labels = _labels([0, IGNORE])
-    assert abs(seg_nll(logits, labels) - SEG_NLL_2_0) < 1e-15
+    assert abs(_nll(logits, labels) - SEG_NLL_2_0) < 1e-15
 
 
 def test_seg_nll_all_ignore_is_zero():
     logits = np.zeros((3, 4))
-    assert seg_nll(logits, _labels([IGNORE] * 4)) == 0.0
+    assert _nll(logits, _labels([IGNORE] * 4)) == 0.0
 
 
 def test_seg_nll_rejects_label_out_of_range():
     with pytest.raises(ContractError):
-        seg_nll(np.zeros((3, 2)), _labels([0, 3]))
+        _nll(np.zeros((3, 2)), _labels([0, 3]))
     # the message names the first label >= k in order; LabelMap itself
     # rejects a label below IGNORE
     for labels, bad in ([1, 4, IGNORE, 5], 4), ([0, IGNORE, 7, 4], 7):
         with pytest.raises(ContractError, match=rf"out of range \[0, 4\): {bad}$"):
-            seg_nll(np.zeros((4, len(labels))), _labels(labels))
+            _nll(np.zeros((4, len(labels))), _labels(labels))
 
 
 def test_seg_nll_rejects_a_label_count_other_than_the_positions():
     for n_labels in (1, 3):
         with pytest.raises(ContractError, match=f"^{n_labels} labels for 2 positions$"):
-            seg_nll(np.zeros((3, 2)), _labels([0] * n_labels))
+            _nll(np.zeros((3, 2)), _labels([0] * n_labels))
 
 
 def test_label_map_rejects_negative_non_ignore():
@@ -154,22 +159,22 @@ def test_overall_loss_weighting():
 def test_pseudo_label_threshold_zero_labels_everything():
     rng = np.random.default_rng(2)
     logits = rng.normal(size=(4, 11))
-    out = pseudo_label(logits, 0.0)
+    out = pseudo_label(ColumnPass(logits), 0.0)
     np.testing.assert_array_equal(out.labels, np.argmax(logits, axis=0))
 
 
 def test_pseudo_label_threshold_one_ignores_everything():
     rng = np.random.default_rng(3)
     logits = rng.normal(size=(3, 8))
-    out = pseudo_label(logits, 1.0)
+    out = pseudo_label(ColumnPass(logits), 1.0)
     assert np.all(out.labels == IGNORE)
 
 
 def test_pseudo_label_hand_confidence():
     """[2, 0] has confidence ~0.8808: kept at 0.8, dropped at 0.9."""
     logits = np.array([[2.0], [0.0]])
-    assert pseudo_label(logits, 0.9).labels[0] == IGNORE
-    assert pseudo_label(logits, 0.8).labels[0] == 0
+    assert pseudo_label(ColumnPass(logits), 0.9).labels[0] == IGNORE
+    assert pseudo_label(ColumnPass(logits), 0.8).labels[0] == 0
     # and the probability itself matches the frozen constant
     p = softmax_cols(logits)
     assert abs(p.max() - CONF_2_0) < 1e-15
@@ -179,9 +184,9 @@ def test_pseudo_label_monotone_in_threshold():
     """Raising the threshold never resurrects an ignored position."""
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(5, 40)) * 2
-    prev = pseudo_label(logits, 0.0).labels
+    prev = pseudo_label(ColumnPass(logits), 0.0).labels
     for t in (0.3, 0.6, 0.9, 0.99):
-        cur = pseudo_label(logits, t).labels
+        cur = pseudo_label(ColumnPass(logits), t).labels
         newly_labeled = (prev == IGNORE) & (cur != IGNORE)
         assert not np.any(newly_labeled)
         prev = cur

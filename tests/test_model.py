@@ -7,7 +7,7 @@ from energyfuse import model as model_mod
 from energyfuse.autodiff import DiffGraph, raw
 from energyfuse.config import RunConfig
 from energyfuse.model import bind, forward_pass, init_model
-from energyfuse.numeric import ContractError
+from energyfuse.numeric import ColumnPass, ContractError
 from energyfuse.objectives import LabelMap, berhu_map, seg_nll
 from energyfuse.reliability import _kl_row
 from energyfuse.rng import RngState
@@ -185,10 +185,11 @@ def test_one_tape_node_per_dense_block_and_per_loss_map():
         assert ops.count("dense") == 10 and ops.count(fusion_op) == 2
 
     logits = graph.leaf(np.random.default_rng(0).normal(size=(4, 9)))
+    cols = ColumnPass(logits.data)
     for loss in (
-        lambda: seg_nll(logits, LabelMap(np.arange(9) % 4)),
+        lambda: seg_nll(logits, LabelMap(np.arange(9) % 4), cols),
         lambda: berhu_map(logits, 0.5),
-        lambda: _kl_row(logits.data * 0.5, logits),
+        lambda: _kl_row(ColumnPass(logits.data * 0.5), logits, cols),
     ):
         before = len(graph.nodes)
         loss()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from energyfuse.numeric import (
+    ColumnPass,
     ContractError,
     as_matrix,
     lse_cols,
@@ -80,6 +81,46 @@ def test_softmax_shift_invariance():
 def test_softmax_empty_rejected():
     with pytest.raises(ContractError):
         softmax_cols([])
+    empty = np.zeros((0, 3))
+    with pytest.raises(ContractError, match="^column pass over zero rows$"):
+        softmax_cols(empty, out=empty)
+
+
+def _logit_cases():
+    """Random logits, columns at +-1e3 and tied columns."""
+    rng = np.random.default_rng(13)
+    big = rng.normal(size=(4, 6)) + np.array([1e3, -1e3, 1e3, -1e3, 0.0, 1e3])
+    tied = np.repeat(rng.normal(size=(1, 5)), 3, axis=0)
+    tied[:, 0] = 2.5
+    return [rng.normal(size=(k, n)) * 5.0 for k, n in ((2, 1), (3, 17), (7, 40))] + [
+        big,
+        tied,
+        np.full((5, 4), -1e3),
+    ]
+
+
+@pytest.mark.parametrize("prob_first", [False, True])
+def test_column_pass_reads_the_bytes_of_lse_cols_and_softmax_cols(prob_first):
+    """Either read order; the pass leaves its logits alone."""
+    for x in _logit_cases():
+        x0 = x.copy()
+        cols = ColumnPass(x)
+        assert cols.x is x
+        if prob_first:
+            assert np.array_equal(cols.prob, softmax_cols(x))
+        assert np.array_equal(cols.lse, lse_cols(x))
+        assert np.array_equal(cols.prob, softmax_cols(x))
+        assert cols.lse is cols.lse and cols.prob is cols.prob  # kept, not redone
+        np.testing.assert_array_equal(x, x0)
+
+
+def test_column_pass_refuses_other_logits_and_zero_rows():
+    x = np.zeros((3, 4))
+    ColumnPass(x).check_over(x)
+    with pytest.raises(ContractError, match="^the column pass was made over other logits$"):
+        ColumnPass(x).check_over(x.copy())
+    with pytest.raises(ContractError, match="^column pass over zero rows$"):
+        ColumnPass(np.zeros((0, 4))).lse
 
 
 def test_softmax_cols_out_matches_out_of_place_bit_for_bit():

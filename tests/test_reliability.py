@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from energyfuse.autodiff import DiffGraph
-from energyfuse.numeric import ContractError
+from energyfuse.autodiff import DiffGraph, raw
+from energyfuse.numeric import ColumnPass, ContractError
 from energyfuse.reliability import (
     ReliabilityMask,
     depth_energy_map,
@@ -22,13 +22,19 @@ FE_2_0 = -2.1269280110429727
 KL_CONF_VS_UNIFORM = 0.11094407167172736
 
 
+def _seg_loss(plain, fused, mask):
+    """rfa_seg_loss with each map's column pass over its own values."""
+    cols = (ColumnPass(raw(plain)), ColumnPass(raw(fused)))
+    return rfa_seg_loss(plain, fused, mask, cols)
+
+
 def test_free_energy_uniform_logits():
-    e = free_energy_map(np.zeros((4, 6)))
+    e = free_energy_map(ColumnPass(np.zeros((4, 6))))
     np.testing.assert_allclose(e, -LN4, atol=1e-15)
 
 
 def test_free_energy_hand_value():
-    e = free_energy_map(np.array([[2.0], [0.0]]))
+    e = free_energy_map(ColumnPass(np.array([[2.0], [0.0]])))
     assert abs(e[0, 0] - FE_2_0) < 1e-15
 
 
@@ -37,7 +43,9 @@ def test_free_energy_shifts_opposite_to_logits():
     logits = rng.normal(size=(5, 7))
     c = 3.7
     np.testing.assert_allclose(
-        free_energy_map(logits + c), free_energy_map(logits) - c, atol=1e-12
+        free_energy_map(ColumnPass(logits + c)),
+        free_energy_map(ColumnPass(logits)) - c,
+        atol=1e-12,
     )
 
 
@@ -45,17 +53,17 @@ def test_free_energy_bounded_by_max_logit():
     rng = np.random.default_rng(1)
     for _ in range(100):
         logits = rng.normal(size=(rng.integers(2, 9), 5)) * 10
-        e = free_energy_map(logits)
+        e = free_energy_map(ColumnPass(logits))
         assert np.all(e <= -logits.max(axis=0) + 1e-12)
     # uniform logits attain the gap ln K exactly
     k = 6
-    e = free_energy_map(np.full((k, 3), 2.0))
+    e = free_energy_map(ColumnPass(np.full((k, 3), 2.0)))
     np.testing.assert_allclose(e, -2.0 - np.log(k), atol=1e-12)
 
 
 def test_free_energy_rejects_single_class():
     with pytest.raises(ContractError):
-        free_energy_map(np.zeros((1, 4)))
+        free_energy_map(ColumnPass(np.zeros((1, 4))))
 
 
 def test_depth_energy_zero_residual():
@@ -123,7 +131,7 @@ def test_rfa_losses_check_map_shapes_and_mask_size(loss):
 
     def rfa(plain, fused, mask):
         if loss == "seg":
-            return rfa_seg_loss(plain, fused, mask)
+            return _seg_loss(plain, fused, mask)
         return rfa_dep_loss(plain, fused, mask, 1.0)
 
     mask = ReliabilityMask(m=np.array([[1.0, 0.0, 1.0, 0.0]]))
@@ -137,7 +145,7 @@ def test_rfa_seg_zero_for_identical_logits():
     rng = np.random.default_rng(3)
     p = rng.normal(size=(4, 9))
     mask = ReliabilityMask(m=(np.arange(9) % 2 == 0).astype(float))
-    assert abs(rfa_seg_loss(p, p.copy(), mask)) < 1e-15
+    assert abs(_seg_loss(p, p.copy(), mask)) < 1e-15
 
 
 def test_rfa_seg_all_ones_mask_hand_value():
@@ -146,7 +154,7 @@ def test_rfa_seg_all_ones_mask_hand_value():
     p_plain = np.zeros((2, n))
     p_fused = np.vstack([np.ones(n), np.zeros(n)])
     mask = ReliabilityMask(m=np.ones((1, n)))
-    loss = rfa_seg_loss(p_plain, p_fused, mask)
+    loss = _seg_loss(p_plain, p_fused, mask)
     assert abs(loss - KL_CONF_VS_UNIFORM) < 1e-12
 
 
@@ -158,7 +166,7 @@ def test_rfa_seg_nonnegative():
         p1 = rng.normal(size=(k, n)) * 3
         p2 = rng.normal(size=(k, n)) * 3
         mask = ReliabilityMask(m=(rng.uniform(size=n) < 0.5).astype(float))
-        assert rfa_seg_loss(p1, p2, mask) >= 0.0
+        assert _seg_loss(p1, p2, mask) >= 0.0
 
 
 def test_rfa_seg_zero_iff_same_distributions():
@@ -167,10 +175,10 @@ def test_rfa_seg_zero_iff_same_distributions():
     p = rng.normal(size=(3, 6))
     shifted = p + rng.normal(size=(1, 6))  # same softmax per column
     mask = ReliabilityMask(m=np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]))
-    assert abs(rfa_seg_loss(p, shifted, mask)) < 1e-12
+    assert abs(_seg_loss(p, shifted, mask)) < 1e-12
     different = p.copy()
     different[0, 0] += 0.5
-    assert rfa_seg_loss(p, different, mask) > 1e-12
+    assert _seg_loss(p, different, mask) > 1e-12
 
 
 def test_rfa_seg_teacher_side_gradient_exactly_zero():
@@ -185,7 +193,7 @@ def test_rfa_seg_teacher_side_gradient_exactly_zero():
     g = DiffGraph()
     p_plain = g.leaf(plain_vals)
     p_fused = g.leaf(fused_vals)
-    loss = rfa_seg_loss(p_plain, p_fused, mask)
+    loss = _seg_loss(p_plain, p_fused, mask)
     grads = g.backward(loss)
     g_plain = grads[p_plain.nid]
     g_fused = grads[p_fused.nid]
@@ -250,7 +258,7 @@ def test_degenerate_masks_stay_finite():
     d2 = rng.normal(size=(1, 5))
     for m in (np.zeros(5), np.ones(5)):
         mask = ReliabilityMask(m=m)
-        assert np.isfinite(rfa_seg_loss(p1, p2, mask))
+        assert np.isfinite(_seg_loss(p1, p2, mask))
         assert np.isfinite(rfa_dep_loss(d1, d2, mask, c=0.3))
 
 

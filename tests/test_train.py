@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE
+from energyfuse import numeric
 from energyfuse.autodiff import DiffGraph, Tensor
 from energyfuse.config import RunConfig
 from energyfuse.metrics import build_data, build_model, confusion_matrix, evaluate
@@ -185,6 +186,61 @@ def test_decisions_of_a_taped_step_read_arrays(monkeypatch, scheme):
         "free_energy_map": 4, "depth_energy_map": 4, "reliability_mask": 4,
         "pseudo_label": 1, "berhu_threshold": 6,
     }
+
+
+def _count_column_passes(monkeypatch) -> list:
+    """The shape of every column pass into a fresh array: the one max, exp
+    and sum behind each lse_cols, softmax_cols and ColumnPass, but not the
+    Hopfield attention's in-place softmax."""
+    passes = []
+    one_pass = numeric.column_pass
+
+    def counted(a, out=None):
+        if out is None:
+            passes.append(a.shape)
+        return one_pass(a, out)
+
+    monkeypatch.setattr(numeric, "column_pass", counted)
+    return passes
+
+
+@pytest.mark.parametrize("scheme", ["add", "gated"])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("phase", [1, 2])
+def test_a_step_makes_one_column_pass_per_seg_head_and_scene(
+    monkeypatch, scheme, beta, phase
+):
+    """Two scenes, two seg heads each: the energies, the pseudo-labels, the
+    NLLs and the KL rows, forward and reverse, all read those four passes.
+    At pseudo_threshold = 0 every target position is labelled, so every
+    head is read."""
+    cfg, weights, source, target = _setup(scheme=scheme, beta=beta, pseudo_threshold=0.0)
+    passes = _count_column_passes(monkeypatch)
+    step = importlib.import_module("energyfuse.train")._train_step
+    step(weights, source[0], target[0], cfg, phase, cfg.lr)
+    n = source[0].features.shape[1]
+    assert passes == [(cfg.k, n)] * 4
+
+
+def test_evaluate_makes_one_column_pass_per_seg_head_and_scene(monkeypatch):
+    cfg, weights, _, target = _setup()
+    passes = _count_column_passes(monkeypatch)
+    evaluate(weights, target, cfg)
+    assert len(passes) == 2 * len(target)
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_a_step_never_writes_into_the_weights_it_binds(phase):
+    """The tape borrows each weight array; the update rebinds every name
+    to a new array, so each array the step was given keeps its bytes."""
+    train_module = importlib.import_module("energyfuse.train")
+    cfg, weights, source, target = _setup(beta=1.0, scheme="gated")
+    given = dict(weights)
+    before = {name: arr.tobytes() for name, arr in given.items()}
+    train_module._train_step(weights, source[0], target[0], cfg, phase, cfg.lr)
+    for name, arr in given.items():
+        assert arr.tobytes() == before[name], name
+    assert any(weights[name] is not arr for name, arr in given.items())
 
 
 def test_divergence_names_the_sick_term():
