@@ -42,9 +42,10 @@ def column_pass(a: np.ndarray, out: np.ndarray = None) -> tuple:
 
 class ColumnPass:
     """One column pass over a (K, N) matrix of logits `x`, made on the first
-    read of `lse` (1 x N) or `prob` (K x N) and kept, so every reader of one
-    head's energy or softmax shares it. `prob` is the bytes softmax_cols(x)
-    gives, and lse_cols(x) is `lse`."""
+    read of `lse` (1 x N), `prob` or `log_prob` (K x N) and kept, so every
+    reader of one head's energy, softmax or log-softmax shares it. `prob` is
+    the bytes softmax_cols(x) gives, lse_cols(x) is `lse`, and `log_prob` is
+    x - lse."""
 
     def __init__(self, x):
         self.x = as_matrix(x)
@@ -68,6 +69,10 @@ class ColumnPass:
         _, e, total = self._parts
         e /= total  # lse reads only the max and the sum
         return e
+
+    @functools.cached_property
+    def log_prob(self) -> np.ndarray:
+        return self.x - self.lse
 
 
 def lse_cols(x) -> np.ndarray:

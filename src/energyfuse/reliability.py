@@ -61,15 +61,14 @@ def _kl_row(teacher: numeric.ColumnPass, student, cols: numeric.ColumnPass):
     """Per-position KL(teacher || student) from logits, as one "kl_row"
     node with the value and adjoint terms of the tests' op-by-op chain, in
     its order, bit for bit. The teacher is read as its column pass, so
-    detached; `cols` is the column pass over the student's values. Each
-    log-softmax is x - lse."""
+    detached; `cols` is the column pass over the student's values. Both
+    log-softmaxes are read off their passes, so a head that teaches one side
+    and learns on the other computes its own once."""
     sv = raw(student)
     cols.check_over(sv)
     t_prob = teacher.prob
-    t_log = teacher.x - teacher.lse
-    s_log = sv - cols.lse
     ones = np.ones((1, sv.shape[0]))
-    value = ones @ (t_prob * (t_log - s_log))
+    value = ones @ (t_prob * (teacher.log_prob - cols.log_prob))
 
     def vjp(g):
         g_log = (ones.T @ g) * t_prob * -1.0

@@ -1,6 +1,7 @@
-"""Shared test constants, the reader of the README's tables, the name of
-the BLAS kernel that byte-comparing tests report when they fail, and the
-generic tape ops the op-by-op reference chains are built from.
+"""Shared test constants, the reader of the README's tables, the numeric
+platform (BLAS kernel and numpy SIMD target) that byte-comparing tests
+report when they fail, and the generic tape ops the op-by-op reference
+chains are built from.
 
 REFERENCE is the calibrated benchmark configuration used by the
 directional experiments (ablation arms, probe gap): the library
@@ -53,6 +54,28 @@ def blas_kernel() -> str:
         return "unknown"
     corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
+
+
+def simd_target() -> str:
+    """numpy's highest enabled dispatch target: the last entry of
+    `__cpu_dispatch__` that `__cpu_features__` enables
+    (`NPY_DISABLE_CPU_FEATURES` turns targets off), "baseline" if none is,
+    or "unknown". numpy's float64 exp and log loops for AVX-512 and for
+    AVX2 (X86_V3) compute other last bits."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+
+        dispatch, features = umath.__cpu_dispatch__, umath.__cpu_features__
+    except (ImportError, AttributeError):
+        return "unknown"
+    enabled = [target for target in dispatch if features.get(target)]
+    return enabled[-1] if enabled else "baseline"
+
+
+def numeric_platform() -> str:
+    """The pair that sets a run's last bits, as byte-comparing tests and
+    CI print it."""
+    return f"BLAS kernel {blas_kernel()}, numpy SIMD target {simd_target()}"
 
 
 def ref_op(g, op, a, b=None):

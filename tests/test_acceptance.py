@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ABLATION_SEEDS, REFERENCE, blas_kernel, readme_table
+from conftest import ABLATION_SEEDS, REFERENCE, numeric_platform, readme_table
 from energyfuse import verify
 from energyfuse.config import RunConfig
 from energyfuse.metrics import run_experiment
@@ -224,7 +224,7 @@ def test_reference_runs_write_the_golden_bytes(reference_runs):
         for name in ("metrics_csv", "loss_trace_csv")
         if reference_runs[arm, seed][name] != golden["workloads"][workload][str(seed)][name]
     ]
-    assert not wrong, "\n".join([f"BLAS kernel {blas_kernel()}", *wrong])
+    assert not wrong, "\n".join([numeric_platform(), *wrong])
 
 
 def test_readme_seeds_0_4_table_matches_the_runs(ablation_miou):
@@ -236,5 +236,5 @@ def test_readme_seeds_0_4_table_matches_the_runs(ablation_miou):
     for name, (steps, beta, mean) in rows.items():
         arm = arm_of[int(steps), float(beta)]
         assert mean == f"{ablation_miou[arm]:.4f}", (
-            name, arm, mean, ablation_miou[arm], f"BLAS kernel {blas_kernel()}"
+            name, arm, mean, ablation_miou[arm], numeric_platform()
         )

@@ -11,7 +11,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from conftest import blas_kernel
+from conftest import numeric_platform
 from energyfuse import cli, verify
 from energyfuse.cli import main
 from energyfuse.config import CONFIG_KEYS, RunConfig, load_config, parse_config_text
@@ -894,4 +894,4 @@ def test_cli_train_and_sweep_outputs_off_the_golden_paths_are_pinned(
     flags, metrics = PINNED_SWEEP
     assert main(["sweep", *TINY, *flags, "--out_dir", "pinned"]) == 0
     got["sweep"], want["sweep"] = digest("metrics.csv"), metrics
-    assert got == want, f"BLAS kernel {blas_kernel()}"
+    assert got == want, numeric_platform()

@@ -110,7 +110,10 @@ def test_column_pass_reads_the_bytes_of_lse_cols_and_softmax_cols(prob_first):
             assert np.array_equal(cols.prob, softmax_cols(x))
         assert np.array_equal(cols.lse, lse_cols(x))
         assert np.array_equal(cols.prob, softmax_cols(x))
-        assert cols.lse is cols.lse and cols.prob is cols.prob  # kept, not redone
+        assert cols.log_prob.tobytes() == (x - lse_cols(x)).tobytes()
+        # kept, not redone
+        assert cols.lse is cols.lse and cols.prob is cols.prob
+        assert cols.log_prob is cols.log_prob
         np.testing.assert_array_equal(x, x0)
 
 

@@ -1,8 +1,33 @@
 """Tests for the invariant verification suite itself."""
 
 import numpy as np
+import pytest
 
 from energyfuse import train, verify
+
+NAN = float("nan")
+
+
+def _nan_like_first(x, *args):
+    return x * NAN
+
+
+# each check whose per-case error is a float, the name it calls in verify's
+# namespace, and a stand-in for that name which computes NaN
+NAN_SUBJECTS = [
+    ("check_two_form_identity", "hopfield_update", _nan_like_first),
+    ("check_energy_softmax_identity", "energy_softmax_identity", lambda v: (NAN,) * 3),
+    ("check_seg_nll_is_cross_entropy", "seg_nll", lambda *args: NAN),
+    ("check_hopfield_gradient_fd", "central_differences", lambda f, x: x * NAN),
+    ("check_end_to_end_gradients", "central_differences", lambda f, x: x * NAN),
+    ("check_full_step_descent", "hopfield_energy", lambda *args: NAN),
+    ("check_damped_descent_unit_norm", "hopfield_energy", lambda *args: NAN),
+    ("check_retrieval_convergence", "hopfield_update", _nan_like_first),
+    ("check_kl_nonnegative", "rfa_seg_loss", lambda *args: NAN),
+    ("check_kl_zero_iff_equal", "rfa_seg_loss", lambda *args: NAN),
+    ("check_teacher_gradient_zero", "rfa_dep_loss", lambda d, e, *args: (d + e) * NAN),
+    ("check_berhu_continuity", "berhu_map", _nan_like_first),
+]
 
 
 def test_full_verification_passes():
@@ -81,3 +106,14 @@ def test_check_results_report_finite_margins():
     assert result.passed
     assert np.isfinite(result.worst)
     assert result.worst < result.tol
+
+
+@pytest.mark.parametrize(
+    "check, name, nan", NAN_SUBJECTS, ids=[row[0] for row in NAN_SUBJECTS]
+)
+def test_a_nan_case_fails_its_check(monkeypatch, check, name, nan):
+    # Python's max and min drop a NaN that comes second, so a worst case
+    # taken with them read a NaN case as passing
+    monkeypatch.setattr(verify, name, nan)
+    result = getattr(verify, check)()
+    assert not result.passed, result.line()
