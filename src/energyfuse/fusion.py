@@ -41,18 +41,18 @@ def hopfield_energy(xi_col, nu) -> float:
     """0.5 * xi.xi - lse(nu^T xi) for one input column."""
     xi, nu = _pattern_pair(np.ravel(xi_col), nu)
     x = xi.ravel()
-    return 0.5 * float(x @ x) - float(numeric.lse_cols(nu.T @ x)[0, 0])
+    return 0.5 * float(x @ x) - float(numeric.ColumnPass(nu.T @ x).lse[0, 0])
 
 
 def hopfield_gradient(xi_col, nu) -> np.ndarray:
     """d/dxi of hopfield_energy: xi - nu softmax(nu^T xi)."""
     xi, nu = _pattern_pair(np.ravel(xi_col), nu)
     x = xi.ravel()
-    return x - nu @ numeric.softmax_cols(nu.T @ x).ravel()
+    return x - nu @ numeric.ColumnPass(nu.T @ x).prob.ravel()
 
 
 def hopfield_steps(xi, nu, gamma: float, steps: int, saved):
-    """x <- x*(1-gamma) + (nu @ softmax_cols(nu^T x))*gamma, `steps` times,
+    """x <- x*(1-gamma) + (nu @ softmax(nu^T x))*gamma, `steps` times,
     on ndarrays; each step's (x, attention) is appended to `saved`, a list or None.
 
     The (M, N) attention maps are written in place: into one (steps, M, N)
@@ -65,7 +65,8 @@ def hopfield_steps(xi, nu, gamma: float, steps: int, saved):
     for k in range(steps):
         attn = block if saved is None else block[k]
         np.matmul(nu_t, x, out=attn)
-        numeric.softmax_cols(attn, out=attn)
+        _, _, total = numeric.column_pass(attn, out=attn)
+        attn /= total
         if saved is not None:
             saved.append((x, attn))
         x = x * (1.0 - gamma) + (nu @ attn) * gamma

@@ -30,8 +30,9 @@ def as_matrix(x) -> np.ndarray:
 
 def column_pass(a: np.ndarray, out: np.ndarray = None) -> tuple:
     """The column max of a (K, N) matrix, exp(a - max) and its column sum:
-    the one pass that lse_cols, softmax_cols and ColumnPass derive from.
-    exp(a - max) is written into `out` when given, else into a fresh array."""
+    the one pass every column lse and softmax derive from. exp(a - max) is
+    written into `out` when given (which may be `a` itself), else into a
+    fresh array; dividing it by the sum gives the softmax."""
     if a.shape[0] == 0:
         raise ContractError("column pass over zero rows")
     m = a.max(axis=0, keepdims=True)
@@ -43,9 +44,8 @@ def column_pass(a: np.ndarray, out: np.ndarray = None) -> tuple:
 class ColumnPass:
     """One column pass over a (K, N) matrix of logits `x`, made on the first
     read of `lse` (1 x N), `prob` or `log_prob` (K x N) and kept, so every
-    reader of one head's energy, softmax or log-softmax shares it. `prob` is
-    the bytes softmax_cols(x) gives, lse_cols(x) is `lse`, and `log_prob` is
-    x - lse."""
+    reader of one head's energy, softmax or log-softmax shares it. `lse` is
+    max + log(sum), `prob` is exp(x - max) / sum, and `log_prob` is x - lse."""
 
     def __init__(self, x):
         self.x = as_matrix(x)
@@ -73,22 +73,6 @@ class ColumnPass:
     @functools.cached_property
     def log_prob(self) -> np.ndarray:
         return self.x - self.lse
-
-
-def lse_cols(x) -> np.ndarray:
-    """Column-wise lse of a (K, N) matrix, returned as (1, N)."""
-    return ColumnPass(x).lse
-
-
-def softmax_cols(x, out: np.ndarray = None) -> np.ndarray:
-    """Column-wise softmax of a (K, N) matrix; each column sums to 1.
-
-    Written into `out` when given (which may be x itself), else into one
-    fresh array; the float operations are the same either way.
-    """
-    _, out, total = column_pass(as_matrix(x), out)
-    out /= total
-    return out
 
 
 def sigmoid(x) -> np.ndarray:

@@ -145,6 +145,7 @@ def energy_softmax_identity(logits) -> tuple:
     plus the max logit. Returns (lhs, rhs, absolute difference).
     """
     v = np.asarray(logits, dtype=np.float64).ravel()
-    lhs = float(np.log(np.max(numeric.softmax_cols(v))))
-    rhs = -float(numeric.lse_cols(v)[0, 0]) + float(np.max(v))
+    cols = numeric.ColumnPass(v)
+    lhs = float(np.log(np.max(cols.prob)))
+    rhs = -float(cols.lse[0, 0]) + float(np.max(v))
     return lhs, rhs, abs(lhs - rhs)

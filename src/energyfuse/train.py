@@ -45,33 +45,6 @@ class TrainingDiverged(RuntimeError):
     and the phase."""
 
 
-def _rfa_domain(
-    pred, values: Predictions, seg_cols: tuple, ref_depth: np.ndarray, alpha: float
-):
-    """Reliability loss of one domain: seg distillation + weighted depth.
-
-    The losses are built on `pred`; masks and thresholds come from
-    `values`, its array view, and `seg_cols`, the column passes over its
-    plain and fused seg heads. Each branch's depth energy uses its own
-    berHu threshold against the reference depth.
-    """
-    e_plain = free_energy_map(seg_cols[0])
-    e_fused = free_energy_map(seg_cols[1])
-    seg_mask = reliability_mask(e_plain, e_fused)
-    l_seg = rfa_seg_loss(pred.seg_plain, pred.seg_fused, seg_mask, seg_cols)
-
-    d_plain = values.dep_plain
-    d_fused = values.dep_fused
-    c_plain = berhu_threshold(d_plain - ref_depth)
-    c_fused = berhu_threshold(d_fused - ref_depth)
-    c_cross = berhu_threshold(d_plain - d_fused)
-    e_dp = depth_energy_map(d_plain, ref_depth, c_plain)
-    e_df = depth_energy_map(d_fused, ref_depth, c_fused)
-    dep_mask = reliability_mask(e_dp, e_df)
-    l_dep = rfa_dep_loss(pred.dep_plain, pred.dep_fused, dep_mask, c_cross)
-    return rfa_total(l_seg, l_dep, alpha)
-
-
 def compute_losses(weights: dict, scene, cfg: RunConfig, phase: int) -> dict:
     """One scene's loss terms and its share of the supervised and overall
     losses, as scalars (graph tensors when `weights` are bound leaves).
@@ -107,8 +80,22 @@ def compute_losses(weights: dict, scene, cfg: RunConfig, phase: int) -> dict:
     # value, not a subgraph, and adding it to overall would tape a no-op shift
     l_rfa = 0.0
     if phase == 2:
-        losses_on = pred if cfg.beta != 0.0 else values
-        l_rfa = _rfa_domain(losses_on, values, seg_cols, scene.depth, cfg.alpha)
+        # seg distillation + weighted depth, built on `on`; the masks and
+        # thresholds read the array view, each branch's depth energy with
+        # its own berHu threshold against the scene's depth
+        on = pred if cfg.beta != 0.0 else values
+        seg_mask = reliability_mask(*map(free_energy_map, seg_cols))
+        l_seg = rfa_seg_loss(on.seg_plain, on.seg_fused, seg_mask, seg_cols)
+        d_plain, d_fused, depth = values.dep_plain, values.dep_fused, scene.depth
+        c_plain = berhu_threshold(d_plain - depth)
+        c_fused = berhu_threshold(d_fused - depth)
+        c_cross = berhu_threshold(d_plain - d_fused)
+        dep_mask = reliability_mask(
+            depth_energy_map(d_plain, depth, c_plain),
+            depth_energy_map(d_fused, depth, c_fused),
+        )
+        l_dep = rfa_dep_loss(on.dep_plain, on.dep_fused, dep_mask, c_cross)
+        l_rfa = rfa_total(l_seg, l_dep, cfg.alpha)
         if cfg.beta != 0.0:
             overall = overall_loss(supervised, l_rfa, cfg.beta)
     return {**terms, "rfa": l_rfa, "supervised": supervised, "overall": overall}

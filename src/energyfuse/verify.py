@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fusion, numeric
+from . import fusion
 from .autodiff import DiffGraph, central_differences, grad_check, relative_error
 from .config import RunConfig
 from .fusion import eb2f_apply, fuse, hopfield_energy, hopfield_update
 from .model import _dense, forward_pass, init_model
-from .numeric import ColumnPass, softmax_cols
+from .numeric import ColumnPass
 from .objectives import (
     IGNORE, LabelMap, berhu_map, berhu_threshold, pseudo_label, seg_nll
 )
@@ -133,7 +133,7 @@ def check_seg_nll_is_cross_entropy(rng, i):
     valid = labels != IGNORE
     want = 0.0
     if valid.any():
-        picked = softmax_cols(logits)[labels[valid], np.nonzero(valid)[0]]
+        picked = ColumnPass(logits).prob[labels[valid], np.nonzero(valid)[0]]
         want = float(np.mean(-np.log(picked)))
     return abs(got - want)
 
@@ -176,10 +176,9 @@ def _tiny_setup(scheme: str):
 
 def _frozen_kl_rows(teacher_logits0, student_logits):
     """Per-position KL with the teacher pinned to reference logits."""
-    t = numeric.softmax_cols(teacher_logits0)
-    t_log = teacher_logits0 - numeric.lse_cols(teacher_logits0)
-    s_log = student_logits - numeric.lse_cols(student_logits)
-    return np.sum(t * (t_log - s_log), axis=0, keepdims=True)
+    t = ColumnPass(teacher_logits0)
+    s_log = ColumnPass(student_logits).log_prob
+    return np.sum(t.prob * (t.log_prob - s_log), axis=0, keepdims=True)
 
 
 def _frozen_rfa(pred, ref0, masks, c_cross, alpha):

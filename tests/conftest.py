@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from energyfuse.autodiff import Tensor, raw
-from energyfuse.numeric import lse_cols, sigmoid, softmax_cols
+from energyfuse.numeric import ColumnPass, sigmoid
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -106,13 +106,14 @@ def ref_op(g, op, a, b=None):
     if op == "abs":
         return record(np.abs(av), lambda gy: (gy * np.sign(av),))
     if op == "softmax_cols":
-        s = softmax_cols(av)
+        s = ColumnPass(av).prob
         return record(s, lambda gy: (s * (gy - np.sum(gy * s, axis=0, keepdims=True)),))
     if op == "sigmoid":
         s = sigmoid(av)
         return record(s, lambda gy: (gy * s * (1.0 - s),))
     if op == "lse_cols":
-        return record(lse_cols(av), lambda gy: (softmax_cols(av) * gy,))
+        cols = ColumnPass(av)
+        return record(cols.lse, lambda gy: (cols.prob * gy,))
     if op == "sub":
         return record(av - bv, lambda gy: (gy, -gy))
     if op == "mul":

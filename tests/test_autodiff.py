@@ -18,7 +18,7 @@ from energyfuse.autodiff import (
 )
 from energyfuse.fusion import _update, fuse, hopfield_steps
 from energyfuse.model import _dense, bind
-from energyfuse.numeric import ColumnPass, ContractError, lse_cols, softmax_cols
+from energyfuse.numeric import ColumnPass, ContractError
 from energyfuse.objectives import IGNORE, LabelMap, berhu_map, seg_nll
 from energyfuse.reliability import (
     ReliabilityMask,
@@ -31,8 +31,8 @@ from energyfuse.verify import _tiny_setup
 
 
 def test_lse_gradient_is_softmax():
-    """d lse / dx = softmax(x) for the reference lse_cols; at [0, 0] that
-    is [0.5, 0.5]."""
+    """d lse / dx = softmax(x) for the reference lse_cols op; at [0, 0]
+    that is [0.5, 0.5]."""
     g = DiffGraph()
     x = g.leaf(np.array([[0.0], [0.0]]))
     out = g.sum(ref_op(g, "lse_cols", x))
@@ -201,10 +201,11 @@ def test_every_public_op_has_a_finite_difference_case():
 def test_every_public_op_is_recorded_by_a_training_step():
     """One phase-2 step of each fusion scheme records, over its two
     per-scene tapes, every op the tape offers, so the tape holds no op that
-    only its tests run. The add step runs at pseudo_threshold = 1.0, where
-    no target position clears the threshold (as can happen on ref-direct at
-    0.9): each target seg_nll is then a plain 0.0, and adding that to a
-    tape loss records a shift."""
+    only its tests run. A phase-2 step records shifts at any threshold
+    (from pred - gt and student - teacher). The add step runs at
+    pseudo_threshold = 1.0, where no target position clears the threshold
+    (as can happen on ref-direct at 0.9), so it also covers a target scene
+    with no pseudo-label, whose seg_nll terms are a plain 0.0."""
     recorded = set()
     for scheme, threshold in (("add", 1.0), ("gated", 0.0)):
         cfg, weights, scene_s, scene_t = _tiny_setup(scheme)
@@ -472,9 +473,10 @@ def test_fused_berhu_map_matches_unfused_chain_bit_for_bit():
 def _unfused_kl_row(g, teacher, student):
     """_kl_row op by op, as the tape recorded it before fusion."""
     tv = raw(teacher)
-    t_log = tv - lse_cols(tv)
+    t = ColumnPass(tv)
+    t_log = tv - t.lse
     s_log = ref_op(g, "sub_row", student, ref_op(g, "lse_cols", student))
-    prod = softmax_cols(tv) * (t_log - s_log)
+    prod = t.prob * (t_log - s_log)
     return ref_op(g, "matmul", np.ones((1, tv.shape[0])), prod)
 
 

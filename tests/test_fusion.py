@@ -13,7 +13,7 @@ from energyfuse.fusion import (
     hopfield_update,
 )
 from energyfuse.autodiff import grad_check
-from energyfuse.numeric import ContractError, softmax_cols
+from energyfuse.numeric import ColumnPass, ContractError
 
 LN2 = 0.6931471805599453
 
@@ -81,7 +81,7 @@ def test_gradient_zero_at_fixed_point():
     nu = nu / np.linalg.norm(nu, axis=0, keepdims=True)
     xi = rng.normal(size=(4, 1))
     for _ in range(600):
-        xi = nu @ softmax_cols(nu.T @ xi)
+        xi = nu @ ColumnPass(nu.T @ xi).prob
     g = hopfield_gradient(xi, nu)
     assert np.max(np.abs(g)) < 1e-9
 
@@ -251,7 +251,7 @@ def test_eb2f_single_step_manual_composition():
     other = rng.normal(size=(d, n))
     out = eb2f_apply(query, other, 1.0, 1)
     for j in range(n):
-        attn = softmax_cols(query.T @ other[:, j : j + 1])
+        attn = ColumnPass(query.T @ other[:, j : j + 1]).prob
         want = query[:, j] + (query @ attn).ravel()
         np.testing.assert_allclose(out[:, j], want, atol=1e-12)
 

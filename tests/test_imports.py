@@ -1,14 +1,18 @@
-"""Every imported name is used by the module that imports it.
+"""Every imported name is used by the module that imports it, and every
+top-level function and class of the package is reached from the package
+or the benchmark, not only from tests.
 
-A deletion that leaves an import behind shows up here as `file:line`.
-The package root's imports are its re-exports, so `__init__.py` is exempt.
+A deletion that leaves an import behind, or a name that only tests still
+call, shows up here as `file:line name`. The package root's imports are
+its re-exports, so `__init__.py` is exempt from the first check.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(ROOT.glob("src/energyfuse/*.py")) + sorted(ROOT.glob("tests/*.py"))
+PACKAGE = sorted(ROOT.glob("src/energyfuse/*.py"))
+MODULES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
 
 
 def unused_imports(path: Path) -> list:
@@ -33,3 +37,39 @@ def test_no_module_imports_a_name_it_never_uses():
         for hit in unused_imports(path)
     ]
     assert not unused, unused
+
+
+def references(path: Path) -> set:
+    """Every name `path` refers to: a name, an attribute, an imported name,
+    or a part of a dotted "energyfuse.…" string (bench/tracing.py binds its
+    layers by such strings). A def or class statement names, not refers."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.startswith("energyfuse."):
+                refs.update(node.value.split("."))
+    return refs
+
+
+def unreached_definitions(package: list, readers: list) -> list:
+    """`file:line name` for each top-level function or class of `package`
+    that no module of `readers` refers to."""
+    reached = set().union(*map(references, readers))
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+        for path in package
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in reached
+    ]
+
+
+def test_every_package_definition_is_reached_outside_tests():
+    readers = PACKAGE + sorted(ROOT.glob("bench/*.py"))
+    unreached = unreached_definitions(PACKAGE, readers)
+    assert not unreached, unreached

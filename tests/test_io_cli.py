@@ -1,7 +1,6 @@
 """Tests for value formatting, config parsing, CSV output, and the CLI."""
 
 import hashlib
-import importlib
 import os
 import re
 import subprocess
@@ -11,6 +10,8 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
+import energyfuse.metrics as metrics_module
+import energyfuse.sweep as sweep_module
 from conftest import numeric_platform
 from energyfuse import cli, verify
 from energyfuse.cli import main
@@ -277,8 +278,6 @@ def test_sweep_raises_on_a_programming_error(monkeypatch, tmp_path, capsys):
     inside a run, stops the sweep. Through the CLI, `train` and `sweep`
     let such a ContractError propagate, where a process exits 1 with its
     traceback rather than 2 as for refused input, and write no metrics.csv."""
-    # the package re-exports the function `sweep`, which shadows the module
-    sweep_module = importlib.import_module("energyfuse.sweep")
     for error in (TypeError, ContractError):
 
         def broken(*args):
@@ -289,7 +288,7 @@ def test_sweep_raises_on_a_programming_error(monkeypatch, tmp_path, capsys):
             sweep(RunConfig(), "gamma", [1.0], [0])
     monkeypatch.undo()
     # inside the run both commands start, after their configs were accepted
-    monkeypatch.setattr(importlib.import_module("energyfuse.metrics"), "train", broken)
+    monkeypatch.setattr(metrics_module, "train", broken)
     for command, *extra in (["train"], ["sweep", "--axis", "gamma", "--values", "0.5,1"]):
         out = tmp_path / command
         with pytest.raises(ContractError, match="injected bug"):
@@ -305,8 +304,7 @@ def no_run_or_data_build(monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("a run or a data build started")
 
-    # the package re-exports the function `sweep`, which shadows the module
-    for module in (cli, importlib.import_module("energyfuse.sweep")):
+    for module in (cli, sweep_module):
         monkeypatch.setattr(module, "run_experiment", must_not_run)
     monkeypatch.setattr(cli, "build_data", must_not_run)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from energyfuse.numeric import ColumnPass, ContractError, softmax_cols
+from energyfuse.numeric import ColumnPass, ContractError
 from energyfuse.objectives import (
     IGNORE,
     LabelMap,
@@ -51,7 +51,7 @@ def test_seg_nll_equals_softmax_cross_entropy():
         n = int(rng.integers(1, 20))
         logits = rng.normal(size=(k, n)) * 5
         y = rng.integers(0, k, size=n)
-        ce = float(np.mean(-np.log(softmax_cols(logits)[y, np.arange(n)])))
+        ce = float(np.mean(-np.log(ColumnPass(logits).prob[y, np.arange(n)])))
         assert abs(_nll(logits, _labels(y)) - ce) < 1e-12
 
 
@@ -176,7 +176,7 @@ def test_pseudo_label_hand_confidence():
     assert pseudo_label(ColumnPass(logits), 0.9).labels[0] == IGNORE
     assert pseudo_label(ColumnPass(logits), 0.8).labels[0] == 0
     # and the probability itself matches the frozen constant
-    p = softmax_cols(logits)
+    p = ColumnPass(logits).prob
     assert abs(p.max() - CONF_2_0) < 1e-15
 
 

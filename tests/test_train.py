@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import energyfuse.train as train_module
 from conftest import REFERENCE
 from energyfuse import numeric
 from energyfuse.autodiff import DiffGraph, Tensor
@@ -94,8 +95,6 @@ def test_trace_covers_both_phases_in_order():
 
 def _count_reliability_losses(monkeypatch) -> Counter:
     """Calls of the two reliability losses, counted where training calls them."""
-    # the package re-exports the function `train`, which shadows the module
-    train_module = importlib.import_module("energyfuse.train")
     calls = Counter()
 
     def counted(name):
@@ -162,7 +161,6 @@ def test_decisions_of_a_taped_step_read_arrays(monkeypatch, scheme):
     value-derived decision receives plain values, never a Tensor: two
     scenes' energies, masks and thresholds, and the target's pseudo-labels."""
     cfg, weights, source, target = _setup(scheme=scheme, beta=1.0)
-    train_module = importlib.import_module("energyfuse.train")
     calls = Counter()
 
     def arrays_only(name):
@@ -190,8 +188,8 @@ def test_decisions_of_a_taped_step_read_arrays(monkeypatch, scheme):
 
 def _count_column_passes(monkeypatch) -> list:
     """The shape of every column pass into a fresh array: the one max, exp
-    and sum behind each lse_cols, softmax_cols and ColumnPass, but not the
-    Hopfield attention's in-place softmax."""
+    and sum behind each ColumnPass, but not the Hopfield attention's
+    in-place softmax."""
     passes = []
     one_pass = numeric.column_pass
 
@@ -216,7 +214,7 @@ def test_a_step_makes_one_column_pass_per_seg_head_and_scene(
     head is read."""
     cfg, weights, source, target = _setup(scheme=scheme, beta=beta, pseudo_threshold=0.0)
     passes = _count_column_passes(monkeypatch)
-    step = importlib.import_module("energyfuse.train")._train_step
+    step = train_module._train_step
     step(weights, source[0], target[0], cfg, phase, cfg.lr)
     n = source[0].features.shape[1]
     assert passes == [(cfg.k, n)] * 4
@@ -233,7 +231,6 @@ def test_evaluate_makes_one_column_pass_per_seg_head_and_scene(monkeypatch):
 def test_a_step_never_writes_into_the_weights_it_binds(phase):
     """The tape borrows each weight array; the update rebinds every name
     to a new array, so each array the step was given keeps its bytes."""
-    train_module = importlib.import_module("energyfuse.train")
     cfg, weights, source, target = _setup(beta=1.0, scheme="gated")
     given = dict(weights)
     before = {name: arr.tobytes() for name, arr in given.items()}
@@ -272,7 +269,6 @@ def test_a_target_scenes_labels_never_reach_a_loss(phase):
     copy of it with another valid labelling, (labels + 1) % k, gives the
     same loss terms and gradients, byte for byte. The same relabelling of
     a source scene does change its segmentation terms."""
-    train_module = importlib.import_module("energyfuse.train")
     cfg, weights, source, target = _setup(beta=1.0, pseudo_threshold=0.0)
 
     def relabelled(scene):
@@ -352,7 +348,6 @@ def test_a_step_keeps_one_tape_alive_at_a_time(monkeypatch, scheme, phase):
     """A step records each scene on its own tape, source first, and the
     source tape is freed, by reference counting alone, before the target
     tape exists: at most one tape's attention maps are held at once."""
-    train_module = importlib.import_module("energyfuse.train")
     cfg, weights, source, target = _setup(scheme=scheme, beta=1.0, steps=2)
     tapes, alive_at_birth = [], []
 
@@ -375,7 +370,6 @@ def test_a_step_keeps_one_tape_alive_at_a_time(monkeypatch, scheme, phase):
 def test_a_step_adds_the_two_scene_gradients():
     """The update is lr * (target gradient + source gradient), each scene's
     gradient taken on its own tape."""
-    train_module = importlib.import_module("energyfuse.train")
     cfg, weights, source, target = _setup(scheme="gated", beta=1.0)
     before = {name: arr.copy() for name, arr in weights.items()}
     _, grads_s = train_module.scene_gradients(weights, source[0], cfg, 2)
@@ -478,7 +472,6 @@ def test_malloc_policy_changes_no_number(monkeypatch):
     """Off glibc the policy is skipped (no C library is loaded), and on
     glibc a refusal by mallopt (return value 0) leaves malloc's own policy;
     either way the loss trace is the one the pinned policy gives."""
-    train_module = importlib.import_module("energyfuse.train")
     reference = _loss_trace()
     if platform.libc_ver()[0] == "glibc":
         train_module._pin_malloc_thresholds()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from energyfuse import train, verify
+from conftest import numeric_platform
+from energyfuse import cli, train, verify
 
 NAN = float("nan")
 
@@ -36,6 +37,34 @@ def test_full_verification_passes():
     text = report.text()
     assert "all passing" in text
     assert text.count("PASS") == len(verify.ALL_CHECKS)
+
+
+# What `energyfuse verify` prints: one line per check, then the verdict. The
+# worst= values are last-bit quantities, so they hold on one numeric platform.
+VERIFY_PRINTOUT = """\
+PASS  hopfield-two-form-identity         worst=6.883e-15  tol=1.0e-12
+PASS  free-energy-softmax-identity       worst=3.562e-15  tol=1.0e-12
+PASS  seg-nll-equals-cross-entropy       worst=1.776e-15  tol=1.0e-12
+PASS  hopfield-gradient-vs-fd            worst=3.809e-09  tol=1.0e-06
+PASS  end-to-end-gradients-vs-fd         worst=2.397e-07  tol=1.0e-04
+PASS  full-step-energy-descent           worst=-2.371e-02  tol=1.0e-10
+PASS  damped-descent-unit-norm           worst=-1.575e-09  tol=1.0e-10
+PASS  retrieval-convergence              worst=9.828e-07  tol=1.0e-06
+PASS  mask-partition-exact               worst=0.000e+00  tol=0.0e+00
+PASS  rfa-kl-nonnegative                 worst=0.000e+00  tol=1.0e-12
+PASS  rfa-kl-zero-iff-equal              worst=5.154e-16  tol=1.0e-12
+PASS  rfa-teacher-gradient-zero          worst=0.000e+00  tol=0.0e+00
+PASS  degenerate-mask-finite             worst=0.000e+00  tol=0.0e+00
+PASS  gamma-zero-bypass-bitwise          worst=0.000e+00  tol=0.0e+00
+PASS  berhu-threshold-continuity         worst=2.000e-08  tol=1.0e-06
+PASS  autodiff-composite-vs-fd           worst=4.818e-10  tol=1.0e-06
+16 checks, all passing
+"""
+
+
+def test_cli_verify_prints_the_pinned_report(capsys):
+    assert cli.main(["verify"]) == 0
+    assert capsys.readouterr().out == VERIFY_PRINTOUT, numeric_platform()
 
 
 def test_gradient_check_catches_a_broken_gradient(monkeypatch):
