@@ -9,7 +9,6 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 
-from .fusion import check_schedule
 from .numeric import ConfigError, ContractError
 
 
@@ -54,7 +53,10 @@ class RunConfig:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.beta < 0:
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        check_schedule(self.gamma, self.steps)
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
+        if self.steps < 0:
+            raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.scheme not in ("add", "gated"):
             raise ConfigError(f"scheme must be add or gated, got {self.scheme!r}")
         if not 0.0 <= self.pseudo_threshold <= 1.0:

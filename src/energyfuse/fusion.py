@@ -4,50 +4,27 @@ One task's feature columns (input patterns) descend the Hopfield energy
 toward the other task's feature columns (stored patterns), then the two
 are fused by direct addition or a learned sigmoid gate. Each block
 dispatches on its own inputs (autodiff.record): on DiffGraph tensors the
-damped update is recorded as one fused tape node with its own VJP, on
-plain arrays the same hopfield_steps computes it without a tape.
+damped update is one fused tape node with its own VJP, on plain arrays
+hopfield_steps computes it without a tape. gamma and steps are taken as
+given: RunConfig checks them where they enter.
 """
-
-import numbers
 
 import numpy as np
 
 from . import numeric
 from .autodiff import Tensor, raw, record
-from .numeric import ConfigError, ContractError, as_matrix
-
-
-def check_schedule(gamma, steps):
-    """gamma in [0, 1] and a whole number of steps >= 0."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError(f"gamma must be in [0, 1], got {gamma}")
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ContractError(f"steps must be an integer, got {steps!r}")
-    if steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {steps}")
-
-
-def _pattern_pair(xi, nu):
-    """Input patterns xi (d x N), stored nu (d x M) as matrices; N, M >= 1."""
-    xi, nu = as_matrix(xi), as_matrix(nu)
-    if xi.shape[0] != nu.shape[0]:
-        raise ContractError(f"channel mismatch: xi {xi.shape} vs nu {nu.shape}")
-    if xi.shape[1] < 1 or nu.shape[1] < 1:
-        raise ContractError("patterns need at least one column")
-    return xi, nu
+from .numeric import ContractError
 
 
 def hopfield_energy(xi_col, nu) -> float:
     """0.5 * xi.xi - lse(nu^T xi) for one input column."""
-    xi, nu = _pattern_pair(np.ravel(xi_col), nu)
-    x = xi.ravel()
+    x = np.ravel(xi_col)
     return 0.5 * float(x @ x) - float(numeric.ColumnPass(nu.T @ x).lse[0, 0])
 
 
 def hopfield_gradient(xi_col, nu) -> np.ndarray:
     """d/dxi of hopfield_energy: xi - nu softmax(nu^T xi)."""
-    xi, nu = _pattern_pair(np.ravel(xi_col), nu)
-    x = xi.ravel()
+    x = np.ravel(xi_col)
     return x - nu @ numeric.ColumnPass(nu.T @ x).prob.ravel()
 
 
@@ -73,11 +50,12 @@ def hopfield_steps(xi, nu, gamma: float, steps: int, saved):
     return x
 
 
-def _update(xi, nu, gamma: float, steps: int):
-    """Damped update of every column of xi (d, N) toward nu (d, M), as one
-    "hopfield" node whose value and adjoints match the op-by-op tape's bit
-    for bit; only a Tensor input makes it keep every step's (x, attention)
-    for the VJP."""
+def hopfield_update(xi, nu, gamma: float, steps: int):
+    """Damped update of every column of xi (d, N) toward nu (d, M), `steps`
+    times, with gamma and steps as given (RunConfig checks them): an array
+    on arrays, one "hopfield" node on tape tensors whose value and adjoints
+    match the op-by-op tape's bit for bit, and only it keeps every step's
+    (x, attention) for the VJP. gamma = 0 or steps = 0 returns xi itself."""
     if gamma == 0.0 or steps == 0:
         return xi
     gamma = float(gamma)
@@ -115,13 +93,6 @@ def _update(xi, nu, gamma: float, steps: int):
     return record("hopfield", inputs, x, vjp)
 
 
-def hopfield_update(xi, nu, gamma: float, steps: int) -> np.ndarray:
-    """Damped update of xi (d x N) toward nu (d x M); steps = 0 is the identity."""
-    xi, nu = _pattern_pair(xi, nu)
-    check_schedule(gamma, steps)
-    return _update(xi, nu, gamma, steps)
-
-
 def fuse(xi_updated, nu, gate=None):
     """Combine updated input patterns with stored patterns.
 
@@ -157,5 +128,5 @@ def eb2f_apply(query_task, other_task, gamma: float, steps: int, gate=None):
         raise ContractError(
             f"feature shape mismatch: {query_task.shape} vs {other_task.shape}"
         )
-    xi = _update(other_task, query_task, gamma, steps)
+    xi = hopfield_update(other_task, query_task, gamma, steps)
     return fuse(xi, query_task, gate)

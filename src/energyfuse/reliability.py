@@ -141,11 +141,12 @@ def rfa_total(seg_loss, dep_loss, alpha: float):
 def energy_softmax_identity(logits) -> tuple:
     """Two routes to the log of the winning softmax probability.
 
-    Direct route: log max softmax(logits). Energy route: -lse(logits)
-    plus the max logit. Returns (lhs, rhs, absolute difference).
+    Direct route: log max softmax(logits). Energy route: free_energy_map's
+    -lse(logits), the score training uses, plus the max logit. Returns
+    (lhs, rhs, absolute difference).
     """
     v = np.asarray(logits, dtype=np.float64).ravel()
     cols = numeric.ColumnPass(v)
     lhs = float(np.log(np.max(cols.prob)))
-    rhs = -float(cols.lse[0, 0]) + float(np.max(v))
+    rhs = float(free_energy_map(cols)[0, 0]) + float(np.max(v))
     return lhs, rhs, abs(lhs - rhs)

@@ -442,7 +442,7 @@ def check_autodiff_composite() -> CheckResult:
         sq = _dense({"l_w": x, "l_b": x}, "l", widen_sq, tanh=True)
         h = _dense({"l_w": x * 0.8, "l_b": x}, "l", widen, tanh=True)
         h = _dense({"l_w": sq * 0.5, "l_b": x * 0.2}, "l", h, tanh=True, skip=h)
-        u = fusion._update(h, h * 0.5 + 0.3, 0.7, 2)
+        u = hopfield_update(h, h * 0.5 + 0.3, 0.7, 2)
         v = fuse(u, h, gate=(sq * 0.6, 0.5 - sq))
         # v - teacher has entries on both sides of c = 0.5, so both branches count
         dep = g.sum(berhu_map(v - teacher, 0.5)) * 0.2

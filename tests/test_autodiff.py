@@ -16,7 +16,7 @@ from energyfuse.autodiff import (
     record,
     sum_all,
 )
-from energyfuse.fusion import _update, fuse, hopfield_steps
+from energyfuse.fusion import fuse, hopfield_steps, hopfield_update
 from energyfuse.model import _dense, bind
 from energyfuse.numeric import ColumnPass, ContractError
 from energyfuse.objectives import IGNORE, LabelMap, berhu_map, seg_nll
@@ -140,7 +140,7 @@ OPS = [
     ("sum", lambda g, x, y: g.sum(x)),
     # a plain-array operand on the left, as a detached teacher in reliability
     ("array operands", lambda g, x, y: np.exp(y.data) * (y.data - x)),
-    ("hopfield", lambda g, x, y: _update(x, y, 0.7, 2)),
+    ("hopfield", lambda g, x, y: hopfield_update(x, y, 0.7, 2)),
     ("dense", lambda g, x, y: _layer(g, x, y.data.T)),
     ("dense tanh", lambda g, x, y: _layer(g, x, ref_op(g, "transpose", x), tanh=True)),
     (
@@ -362,7 +362,7 @@ def test_fused_hopfield_matches_unfused_chain_bit_for_bit():
                 xi = ref_op(g, "tanh", g.leaf(xi0))
                 nu = ref_op(g, "tanh", g.leaf(nu0))
                 if fused:
-                    out = _update(xi, nu, gamma, steps)
+                    out = hopfield_update(xi, nu, gamma, steps)
                 else:
                     out = _unfused_hopfield(g, xi, nu, gamma, steps)
                 total = g.add(g.add(out, nu), xi * readout)
@@ -537,7 +537,7 @@ def test_hopfield_reverse_pass_reuses_no_saved_memory():
     for i in range(steps):
         for j in range(i + 1, steps):
             assert not np.shares_memory(attn[i], attn[j]), (i, j)
-    out = _update(xi, nu, 0.7, steps)
+    out = hopfield_update(xi, nu, 0.7, steps)
     loss = g.sum(out * rng.normal(size=(6, 10)))
     kept = [t.data.copy() for t in (xi, nu, out)]
     first = g.backward(loss)
@@ -555,7 +555,7 @@ def _hopfield_reverse_pass_peak(steps):
     g = DiffGraph()
     xi = g.leaf(rng.normal(size=(32, 256)))
     nu = g.leaf(rng.normal(size=(32, 256)))
-    out = _update(xi, nu, 1.0, steps)
+    out = hopfield_update(xi, nu, 1.0, steps)
     loss = g.sum(out * rng.normal(size=out.shape))
     tracemalloc.start()
     try:
@@ -652,8 +652,8 @@ def test_array_and_graph_passes_agree_bit_for_bit():
     assert np.array_equal([[rfa_dep_loss(*depths, mask, 0.5)]], dep.data)
     xi, nu = rng.normal(size=(5, 7)), rng.normal(size=(5, 9))
     for steps in (1, 2, 8):
-        want = _update(g.leaf(xi), g.leaf(nu), 0.7, steps).data
-        assert np.array_equal(_update(xi, nu, 0.7, steps), want), steps
+        want = hopfield_update(g.leaf(xi), g.leaf(nu), 0.7, steps).data
+        assert np.array_equal(hopfield_update(xi, nu, 0.7, steps), want), steps
 
 
 def test_record_and_sum_all_land_on_the_first_tensors_graph():

@@ -73,3 +73,37 @@ def test_every_package_definition_is_reached_outside_tests():
     readers = PACKAGE + sorted(ROOT.glob("bench/*.py"))
     unreached = unreached_definitions(PACKAGE, readers)
     assert not unreached, unreached
+
+
+def package_imports(path: Path) -> list:
+    """(line, module) for each package module `path` imports, whether it is
+    named `.numeric`, `energyfuse.numeric` or `from . import numeric`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = "energyfuse" if node.level else None
+            base = ".".join(filter(None, [package, node.module]))
+            if base == "energyfuse":
+                dotted = [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                dotted = [base]
+        else:
+            continue
+        found += [
+            (node.lineno, name.split(".")[1]) for name in dotted if name.startswith("energyfuse.")
+        ]
+    return found
+
+
+def test_config_imports_only_numeric_from_the_package():
+    """RunConfig checks every key before any model module is needed, so
+    config imports from the package only numeric. Read from the source:
+    importing energyfuse.config runs the package root, which loads them all."""
+    path = ROOT / "src/energyfuse/config.py"
+    others = [
+        f"{path.relative_to(ROOT)}:{line} {module}"
+        for line, module in package_imports(path) if module != "numeric"
+    ]
+    assert not others, others

@@ -472,6 +472,10 @@ SWEEP_GAMMA = ["sweep", "--axis", "gamma"]
         pytest.param(["train", "--alpha", "0"], None, "alpha must be positive, got 0.0", id="alpha"),
         pytest.param(["train", "--beta", "-0.5"], None, "beta must be >= 0, got -0.5", id="beta"),
         pytest.param(
+            ["train", "--beta", "-1e-3"], None, "beta must be >= 0, got -0.001",
+            id="beta-exponent",
+        ),
+        pytest.param(
             ["train", "--gamma", "1.5"], None, "gamma must be in [0, 1], got 1.5", id="gamma"
         ),
         pytest.param(["train", "--steps", "-1"], None, "steps must be >= 0, got -1", id="steps"),
@@ -628,6 +632,15 @@ def test_cli_negative_list_reaches_its_check(tmp_path, capsys, lists, message):
     assert main(["sweep", "--axis", "gamma", *lists, *TINY, "--out_dir", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_exponent_flag_value_is_a_value(capsys):
+    """`--feature_shift -1e-3` hands -0.001 over as `--feature_shift=-1e-3`
+    does; argparse alone reads `-1e-3` as an unknown flag."""
+    assert main(["eval", *TINY, "--feature_shift=-1e-3"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["eval", *TINY, "--feature_shift", "-1e-3"]) == 0
+    assert capsys.readouterr().out == joined
 
 
 def test_cli_unparsable_flag_value_exits_2(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import numeric_platform
-from energyfuse import cli, train, verify
+from energyfuse import cli, reliability, train, verify
 
 NAN = float("nan")
 
@@ -110,6 +110,15 @@ def test_end_to_end_check_runs_the_training_threshold_rule(monkeypatch):
     result = verify.check_end_to_end_gradients()
     assert not result.passed
     assert result.worst > result.tol
+
+
+def test_energy_identity_check_reads_the_training_free_energy(monkeypatch):
+    # the energy route is free_energy_map, the score training and evaluate
+    # use, so a sign slip there fails the identity instead of passing beside it
+    monkeypatch.setattr(reliability, "free_energy_map", lambda cols: cols.lse * 1.0)
+    result = verify.check_energy_softmax_identity()
+    assert not result.passed
+    assert result.name == "free-energy-softmax-identity"
 
 
 def test_gamma_zero_check_compares_bits_not_values(monkeypatch):
