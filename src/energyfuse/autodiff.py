@@ -1,11 +1,11 @@
 """Reverse-mode differentiation over a flat operation tape.
 
-A DiffGraph records every tensor operation as a node (op tag, input ids,
-value, VJP). Inputs always precede consumers on the tape, so one reverse
-scan visits each node exactly once and accumulates exact adjoints.
-It holds no model math: each model block is computed by its own module
-and passed to record, which makes it one DiffGraph.fused node when an
-input is a Tensor and returns the plain value otherwise.
+A DiffGraph holds leaves and the nodes record appends (op tag, input
+ids, value, VJP). Inputs always precede consumers on the tape, so one
+reverse scan visits each node exactly once and accumulates exact
+adjoints. It holds no model math: tensor arithmetic, sum_all and each
+model block compute their value and pass it to record, which appends
+one node when an input is a Tensor and returns the plain value otherwise.
 """
 
 import collections
@@ -38,8 +38,10 @@ class Tensor:
     # arithmetic sugar: two tensors add; a number or an array shifts or scales
     def __add__(self, other):
         if isinstance(other, Tensor):
-            return self.graph.add(self, other)
-        return self.graph.shift(self, other)
+            if self.shape != other.shape:
+                raise ContractError(f"add shape mismatch: {self.shape} vs {other.shape}")
+            return record("add", (self, other), self.data + other.data, lambda g: (g, g))
+        return _shift(self, other)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -47,15 +49,15 @@ class Tensor:
     def __sub__(self, other):
         if isinstance(other, Tensor):
             raise ContractError(f"sub of two tensors {self.shape} and {other.shape}")
-        return self.graph.shift(self, np.negative(other))
+        return _shift(self, np.negative(other))
 
     def __rsub__(self, other):
-        return self.graph.shift(self.graph.scale(self, -1.0), other)
+        return _shift(_scale(self, -1.0), other)
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
             raise ContractError(f"mul of two tensors {self.shape} and {other.shape}")
-        return self.graph.scale(self, other)
+        return _scale(self, other)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -65,8 +67,20 @@ def _check_fixed(op, a, c):
     """A shift or scale operand: a number, or an array, list or tuple whose
     np.shape is () or a's (a Python number skips np.shape's slow path)."""
     shape = () if isinstance(c, (int, float)) else np.shape(c)
-    if isinstance(c, Tensor) or shape not in ((), a.shape):
+    if shape not in ((), a.shape):
         raise ContractError(f"{op} of a {a.shape} tensor by {type(c).__name__} {shape}")
+
+
+def _scale(a, c) -> Tensor:
+    """a * c for a fixed c, which gets no adjoint."""
+    _check_fixed("scale", a, c)
+    return record("scale", (a,), a.data * c, lambda g: (g * c,))
+
+
+def _shift(a, c) -> Tensor:
+    """a + c for a fixed c, which gets no adjoint."""
+    _check_fixed("shift", a, c)
+    return record("shift", (a,), a.data + c, lambda g: (g,))
 
 
 _Node = collections.namedtuple("_Node", "op inputs data vjp")
@@ -84,7 +98,7 @@ class DiffGraph:
     def __init__(self):
         self.nodes = []
 
-    def _record(self, op, inputs, data, vjp) -> Tensor:
+    def _append(self, op, inputs, data, vjp) -> Tensor:
         self.nodes.append(_Node(op, tuple(t.nid for t in inputs), data, vjp))
         return Tensor(self, len(self.nodes) - 1, data)
 
@@ -95,59 +109,15 @@ class DiffGraph:
         writes into a bound value, and the caller must not either while
         the tape is in use.
         """
-        return self._record("leaf", (), as_matrix(value), lambda g: ())
-
-    def _same_graph(self, *ts):
-        for t in ts:
-            if not isinstance(t, Tensor) or t.graph is not self:
-                raise ContractError(f"{type(t).__name__} is not a tensor of this graph")
-
-    def add(self, a, b) -> Tensor:
-        self._same_graph(a, b)
-        if a.shape != b.shape:
-            raise ContractError(f"add shape mismatch: {a.shape} vs {b.shape}")
-        return self._record("add", (a, b), a.data + b.data, lambda g: (g, g))
-
-    def scale(self, a, c) -> Tensor:
-        """a * c for a fixed c, which gets no adjoint."""
-        _check_fixed("scale", a, c)
-        return self._record("scale", (a,), a.data * c, lambda g: (g * c,))
-
-    def shift(self, a, c) -> Tensor:
-        """a + c for a fixed c, which gets no adjoint."""
-        _check_fixed("shift", a, c)
-        return self._record("shift", (a,), a.data + c, lambda g: (g,))
-
-    def sum(self, a) -> Tensor:
-        shape = a.shape
-        return self._record(
-            "sum", (a,), np.array([[a.data.sum()]]),
-            lambda g: (np.full(shape, g[0, 0]),),
-        )
-
-    # ---- fused blocks ----
-
-    def fused(self, op: str, inputs, value, vjp) -> Tensor:
-        """One node for a block the caller has already computed from
-        `inputs`, tensors of this graph.
-
-        `value` is the block's result (a float for a scalar) and vjp(g)
-        returns or yields one adjoint term per input slot, a count that
-        backward checks; an input that gets several terms takes several
-        slots, in the order the op-by-op tape would have accumulated them.
-        """
-        self._same_graph(*inputs)
-        data = np.array([[value]]) if isinstance(value, float) else value
-        return self._record(op, inputs, data, vjp)
-
-    # ---- reverse pass ----
+        return self._append("leaf", (), as_matrix(value), lambda g: ())
 
     def backward(self, output: Tensor) -> list:
         """Adjoint of `output` for every node; None where unreachable.
 
         Entries at leaf ids are d(output)/d(leaf).
         """
-        self._same_graph(output)
+        if not isinstance(output, Tensor) or output.graph is not self:
+            raise ContractError(f"{type(output).__name__} is not a tensor of this graph")
         if output.data.shape != (1, 1):
             raise ContractError(
                 f"backward needs a scalar output, got shape {output.data.shape}"
@@ -172,19 +142,30 @@ class DiffGraph:
 
 
 def record(op: str, inputs, value, vjp):
-    """`value` as one DiffGraph.fused node on the graph of the first Tensor
-    among `inputs`, or `value` itself if none is a Tensor, so one code
-    path both computes on arrays and records on a tape."""
+    """`value` as one node on the graph of the first Tensor among `inputs`,
+    every one of which must then be a Tensor of that graph, or `value`
+    itself if none is a Tensor, so one code path both computes on arrays
+    and records on a tape. A float `value` is kept as a (1, 1) array;
+    vjp(g) returns or yields one adjoint term per input slot, a count that
+    backward checks; an input that gets several terms takes several
+    slots, in the order the op-by-op tape would have accumulated them."""
     for t in inputs:
         if isinstance(t, Tensor):
-            return t.graph.fused(op, inputs, value, vjp)
-    return value
+            graph = t.graph
+            break
+    else:
+        return value
+    for t in inputs:
+        if not isinstance(t, Tensor) or t.graph is not graph:
+            raise ContractError(f"{type(t).__name__} is not a tensor of this graph")
+    data = np.array([[value]]) if isinstance(value, float) else value
+    return graph._append(op, inputs, data, vjp)
 
 
 def sum_all(a):
-    """The sum of every entry: a float for an array, a DiffGraph.sum node
-    for a Tensor."""
-    return a.graph.sum(a) if isinstance(a, Tensor) else float(np.sum(a))
+    """The sum of every entry: a float for an array, a "sum" node for a Tensor."""
+    v = raw(a)
+    return record("sum", (a,), float(v.sum()), lambda g: (np.full(v.shape, g[0, 0]),))
 
 
 def raw(a) -> np.ndarray:

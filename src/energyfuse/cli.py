@@ -182,11 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads the value of `--seeds -1,0` or `--beta -1e-3` as an unknown
-    # flag; every flag but --help takes one, so `--beta=-1e-3` hands it over
+    # argparse reads a value that starts with a minus as an unknown flag; every
+    # flag but --help takes one, so it is joined to a next token that is no flag
     for i in range(len(argv) - 1, 0, -1):
         flag = argv[i - 1]
-        if re.fullmatch(r"--\w+", flag) and flag != "--help" and re.match(r"-[\d.]", argv[i]):
+        next_is_flag = re.fullmatch(r"--\w+(=.*)?|-h", argv[i], re.S)
+        if re.fullmatch(r"--\w+", flag) and flag != "--help" and not next_is_flag:
             argv[i - 1 : i + 1] = [f"{flag}={argv[i]}"]
     args = parser.parse_args(argv)
     try:

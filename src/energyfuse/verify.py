@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion
-from .autodiff import DiffGraph, central_differences, grad_check, relative_error
+from .autodiff import (
+    DiffGraph, central_differences, grad_check, relative_error, sum_all
+)
 from .config import RunConfig
 from .fusion import eb2f_apply, fuse, hopfield_energy, hopfield_update
 from .model import _dense, forward_pass, init_model
@@ -367,12 +369,12 @@ def check_teacher_gradient_zero() -> CheckResult:
     p_plain = g.leaf(rng.normal(k, cols, 2.0))
     p_fused = g.leaf(rng.normal(k, cols, 2.0))
     passes = (ColumnPass(p_plain.data), ColumnPass(p_fused.data))
-    seg = g.backward(g.sum(rfa_seg_loss(p_plain, p_fused, mask, passes)))
+    seg = g.backward(sum_all(rfa_seg_loss(p_plain, p_fused, mask, passes)))
 
     g = DiffGraph()
     d_plain = g.leaf(rng.normal(1, cols, 1.0))
     d_fused = g.leaf(rng.normal(1, cols, 1.0))
-    dep = g.backward(g.sum(rfa_dep_loss(d_plain, d_fused, mask, 0.5)))
+    dep = g.backward(sum_all(rfa_dep_loss(d_plain, d_fused, mask, 0.5)))
     # plain teaches where m = 0, fused teaches where m = 1
     teachers = (
         seg[p_plain.nid][:, mask.m[0] == 0.0],
@@ -438,16 +440,15 @@ def check_autodiff_composite() -> CheckResult:
     labels = LabelMap(np.array([2, IGNORE, 0, 5, 1]))
 
     def f(x):
-        g = x.graph
         sq = _dense({"l_w": x, "l_b": x}, "l", widen_sq, tanh=True)
         h = _dense({"l_w": x * 0.8, "l_b": x}, "l", widen, tanh=True)
         h = _dense({"l_w": sq * 0.5, "l_b": x * 0.2}, "l", h, tanh=True, skip=h)
         u = hopfield_update(h, h * 0.5 + 0.3, 0.7, 2)
         v = fuse(u, h, gate=(sq * 0.6, 0.5 - sq))
         # v - teacher has entries on both sides of c = 0.5, so both branches count
-        dep = g.sum(berhu_map(v - teacher, 0.5)) * 0.2
+        dep = sum_all(berhu_map(v - teacher, 0.5)) * 0.2
         cols = ColumnPass(v.data)
-        kl = g.sum(_kl_row(ColumnPass(teacher), v, cols))
+        kl = sum_all(_kl_row(ColumnPass(teacher), v, cols))
         return seg_nll(v, labels, cols) + kl * 0.1 + dep
 
     return _verdict("autodiff-composite-vs-fd", grad_check(f, rng.normal(6, 1, 0.8)), 1e-6)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from energyfuse.autodiff import Tensor, raw
+from energyfuse.autodiff import Tensor, raw, record
 from energyfuse.numeric import ColumnPass, sigmoid
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -78,20 +78,20 @@ def numeric_platform() -> str:
     return f"BLAS kernel {blas_kernel()}, numpy SIMD target {simd_target()}"
 
 
-def ref_op(g, op, a, b=None):
-    """One generic op, recorded on g through g.fused with the value and the
-    adjoint terms DiffGraph's own op had before each model block became one
-    node: transpose, tanh, abs, softmax_cols, sigmoid, lse_cols, sub, mul,
-    matmul, add_col (b a column added to every column of a) or sub_row (b a
-    row taken from every row of a). A plain-array operand is fixed and
+def ref_op(op, a, b=None):
+    """One generic op, recorded through autodiff.record with the value and
+    the adjoint terms the tape's own op had before each model block became
+    one node: transpose, tanh, abs, softmax_cols, sigmoid, lse_cols, sub,
+    mul, matmul, add_col (b a column added to every column of a) or sub_row
+    (b a row taken from every row of a). A plain-array operand is fixed and
     takes no slot, as a const node's adjoint went nowhere."""
     av = raw(a)
     bv = None if b is None else raw(b)
     operands = (a,) if b is None else (a, b)
     taped = [isinstance(t, Tensor) for t in operands]
 
-    def record(value, vjp):
-        return g.fused(
+    def node(value, vjp):
+        return record(
             op,
             [t for t, keep in zip(operands, taped) if keep],
             value,
@@ -99,29 +99,29 @@ def ref_op(g, op, a, b=None):
         )
 
     if op == "transpose":
-        return record(av.T.copy(), lambda gy: (gy.T,))
+        return node(av.T.copy(), lambda gy: (gy.T,))
     if op == "tanh":
         y = np.tanh(av)
-        return record(y, lambda gy: (gy * (1.0 - y * y),))
+        return node(y, lambda gy: (gy * (1.0 - y * y),))
     if op == "abs":
-        return record(np.abs(av), lambda gy: (gy * np.sign(av),))
+        return node(np.abs(av), lambda gy: (gy * np.sign(av),))
     if op == "softmax_cols":
         s = ColumnPass(av).prob
-        return record(s, lambda gy: (s * (gy - np.sum(gy * s, axis=0, keepdims=True)),))
+        return node(s, lambda gy: (s * (gy - np.sum(gy * s, axis=0, keepdims=True)),))
     if op == "sigmoid":
         s = sigmoid(av)
-        return record(s, lambda gy: (gy * s * (1.0 - s),))
+        return node(s, lambda gy: (gy * s * (1.0 - s),))
     if op == "lse_cols":
         cols = ColumnPass(av)
-        return record(cols.lse, lambda gy: (cols.prob * gy,))
+        return node(cols.lse, lambda gy: (cols.prob * gy,))
     if op == "sub":
-        return record(av - bv, lambda gy: (gy, -gy))
+        return node(av - bv, lambda gy: (gy, -gy))
     if op == "mul":
-        return record(av * bv, lambda gy: (gy * bv, gy * av))
+        return node(av * bv, lambda gy: (gy * bv, gy * av))
     if op == "matmul":
-        return record(av @ bv, lambda gy: (gy @ bv.T, av.T @ gy))
+        return node(av @ bv, lambda gy: (gy @ bv.T, av.T @ gy))
     if op == "add_col":
         assert bv.shape == (av.shape[0], 1), (op, bv.shape)
-        return record(av + bv, lambda gy: (gy, gy.sum(axis=1, keepdims=True)))
+        return node(av + bv, lambda gy: (gy, gy.sum(axis=1, keepdims=True)))
     assert op == "sub_row" and bv.shape == (1, av.shape[1]), (op, bv.shape)
-    return record(av - bv, lambda gy: (gy, -gy.sum(axis=0, keepdims=True)))
+    return node(av - bv, lambda gy: (gy, -gy.sum(axis=0, keepdims=True)))

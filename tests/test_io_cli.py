@@ -643,6 +643,21 @@ def test_cli_exponent_flag_value_is_a_value(capsys):
     assert capsys.readouterr().out == joined
 
 
+def test_cli_path_flag_value_may_start_with_a_minus(tmp_path, monkeypatch, capsys):
+    """`--out_dir -runs` hands `-runs` over as `--out_dir=-runs` does."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", *TINY, "--out_dir", "-runs"]) == 0
+    assert (tmp_path / "-runs" / "metrics.csv").is_file()
+
+
+def test_cli_flag_followed_by_a_flag_is_refused(no_run_or_data_build, capsys):
+    """A flag is never taken as the value of the flag before it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--t1", "--t2", "1"])
+    assert exc.value.code == 2
+    assert "argument --t1: expected one argument" in capsys.readouterr().err
+
+
 def test_cli_unparsable_flag_value_exits_2(capsys):
     code = main(["train", *TINY, "--t1", "soon"])
     assert code == 2
